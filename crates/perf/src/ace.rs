@@ -75,66 +75,51 @@ impl TraceAce {
 
 /// Runs backward dead-code ACE analysis over a trace.
 ///
-/// Two backward passes:
-/// 1. Build def-use chains per architectural register.
-/// 2. Propagate liveness: an instruction is live if it has an architectural
-///    side effect (store, branch) or any consumer of its result is live.
+/// One backward pass keeps two flags per architectural register, both
+/// describing the instructions after the current one:
+///
+/// - `redefined[r]` — some later instruction writes `r`;
+/// - `read_live[r]` — the value `r` holds here is read by a later
+///   ACE-counting instruction before `r` is overwritten.
+///
+/// An instruction is live if it has an architectural side effect (store,
+/// branch) or `read_live[dst]` holds when it is reached; a value never read
+/// and never redefined is unknown. Stepping back over an instruction first
+/// kills its destination (`read_live` false, `redefined` true), then, if
+/// the instruction counts as ACE, marks its sources read: sources are read
+/// before the destination is written, so `r1 = r1 + 1` consumes the
+/// earlier `r1`.
 pub fn analyze_trace(trace: &Trace) -> TraceAce {
     let instrs = trace.instrs();
-    let n = instrs.len();
-    let mut ace = vec![Aceness::UnAce; n];
+    let mut ace = vec![Aceness::UnAce; instrs.len()];
+    let mut redefined = [false; NUM_REGS as usize];
+    let mut read_live = [false; NUM_REGS as usize];
 
-    // consumers[i] = indices of instructions that read i's dst before it is
-    // overwritten. `open` marks values never consumed nor overwritten by
-    // trace end.
-    let mut consumers: Vec<Vec<u32>> = vec![Vec::new(); n];
-    let mut open = vec![false; n];
-    // last_def[r] = index of the live definition of register r.
-    let mut last_def: [Option<u32>; NUM_REGS as usize] = [None; NUM_REGS as usize];
-
-    for (i, ins) in instrs.iter().enumerate() {
-        for src in ins.sources() {
-            if let Some(def) = last_def[src.index()] {
-                consumers[def as usize].push(i as u32);
+    for (ins, a) in instrs.iter().zip(ace.iter_mut()).rev() {
+        *a = if ins.hint || ins.op == OpClass::Nop {
+            Aceness::UnAce
+        } else if matches!(ins.op, OpClass::Store | OpClass::Branch) {
+            Aceness::Ace
+        } else {
+            match ins.dst {
+                // No destination and no side effect: nothing depends on it.
+                None => Aceness::UnAce,
+                Some(dst) if read_live[dst.index()] => Aceness::Ace,
+                // Never consumed, never overwritten: future use is
+                // unknowable.
+                Some(dst) if !redefined[dst.index()] => Aceness::Unknown,
+                Some(_) => Aceness::UnAce,
+            }
+        };
+        if let Some(dst) = ins.dst {
+            redefined[dst.index()] = true;
+            read_live[dst.index()] = false;
+        }
+        if a.counts_as_ace() {
+            for src in ins.sources() {
+                read_live[src.index()] = true;
             }
         }
-        if let Some(dst) = ins.dst {
-            last_def[dst.index()] = Some(i as u32);
-        }
-    }
-    for def in last_def.into_iter().flatten() {
-        open[def as usize] = true;
-    }
-
-    // Backward liveness. Processing in reverse program order suffices
-    // because consumers always come after producers.
-    for i in (0..n).rev() {
-        let ins = &instrs[i];
-        if ins.hint || ins.op == OpClass::Nop {
-            ace[i] = Aceness::UnAce;
-            continue;
-        }
-        let side_effect = matches!(ins.op, OpClass::Store | OpClass::Branch);
-        if side_effect {
-            ace[i] = Aceness::Ace;
-            continue;
-        }
-        if ins.dst.is_none() {
-            // No destination and no side effect: nothing depends on it.
-            ace[i] = Aceness::UnAce;
-            continue;
-        }
-        let any_live_consumer = consumers[i]
-            .iter()
-            .any(|&c| ace[c as usize].counts_as_ace());
-        ace[i] = if any_live_consumer {
-            Aceness::Ace
-        } else if open[i] {
-            // Never consumed, never overwritten: future use is unknowable.
-            Aceness::Unknown
-        } else {
-            Aceness::UnAce
-        };
     }
 
     TraceAce { ace }

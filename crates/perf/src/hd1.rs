@@ -16,17 +16,30 @@
 //! in `[0, 1]`: the fraction of tag-bit observations that were actually
 //! ACE. Without this analysis every tag bit would be conservatively ACE
 //! (factor 1.0).
-
-use std::collections::HashMap;
+//!
+//! Resident tags live in a dense per-entry array, so a lookup is one scan of
+//! at most `entries` tags: a tag at hamming distance 0 is a hit, one at
+//! distance exactly 1 (`count_ones() == 1` of the XOR) is a false-match
+//! neighbour. Resident tags are kept distinct — inserting a tag that
+//! another entry holds takes it from that entry — so the scan counts each
+//! neighbour once, exactly as probing a `tag → entry` map for each of the
+//! `tag_bits` one-bit flips would.
 
 use crate::ace::Aceness;
+
+/// Marks an entry holding no tag. Masked tags are at most 63 bits wide, so
+/// no tag equals it.
+const EMPTY: u64 = u64::MAX;
 
 /// Hamming-distance-1 tracker for one CAM structure.
 #[derive(Debug, Clone)]
 pub struct Hd1Tracker {
     tag_bits: u32,
-    /// Resident tags → entry index.
-    resident: HashMap<u64, usize>,
+    /// Masked tag held by each entry, or [`EMPTY`]. Grows on demand to the
+    /// highest entry inserted.
+    tags: Vec<u64>,
+    /// Number of entries holding a tag.
+    resident: usize,
     /// Tag-bit events that were ACE under HD-1 reasoning.
     ace_bit_events: u64,
     /// Total tag-bit observations (lookups × resident tag bits examined).
@@ -35,26 +48,43 @@ pub struct Hd1Tracker {
 }
 
 impl Hd1Tracker {
-    /// Creates a tracker for tags of `tag_bits` bits.
+    /// Creates a tracker for tags of `tag_bits` bits (at most 63).
     pub fn new(tag_bits: u32) -> Self {
         Hd1Tracker {
             tag_bits: tag_bits.min(63),
-            resident: HashMap::new(),
+            tags: Vec::new(),
+            resident: 0,
             ace_bit_events: 0,
             total_bit_events: 0,
             lookups: 0,
         }
     }
 
-    /// Inserts (or replaces) a resident tag for `entry`.
+    /// Inserts (or replaces) a resident tag for `entry`. Another entry
+    /// holding the same (masked) tag loses it.
     pub fn insert(&mut self, entry: usize, tag: u64) {
-        self.resident.retain(|_, e| *e != entry);
-        self.resident.insert(self.mask(tag), entry);
+        let tag = self.mask(tag);
+        if entry >= self.tags.len() {
+            self.tags.resize(entry + 1, EMPTY);
+        }
+        if let Some(holder) = self.tags.iter().position(|&t| t == tag) {
+            self.tags[holder] = EMPTY;
+            self.resident -= 1;
+        }
+        if self.tags[entry] == EMPTY {
+            self.resident += 1;
+        }
+        self.tags[entry] = tag;
     }
 
     /// Removes the tag held by `entry`, if any.
     pub fn remove(&mut self, entry: usize) {
-        self.resident.retain(|_, e| *e != entry);
+        if let Some(t) = self.tags.get_mut(entry) {
+            if *t != EMPTY {
+                *t = EMPTY;
+                self.resident -= 1;
+            }
+        }
     }
 
     /// Performs a lookup of `tag` by a consumer with classification
@@ -66,23 +96,24 @@ impl Hd1Tracker {
         self.lookups += 1;
         let bits = u64::from(self.tag_bits);
         // Every resident entry's tag bits are observed by the match.
-        self.total_bit_events += bits * self.resident.len() as u64;
+        self.total_bit_events += bits * self.resident as u64;
         if !reader.counts_as_ace() {
-            return self.resident.contains_key(&tag);
+            return self.tags.contains(&tag);
         }
         let mut hit = false;
-        if self.resident.contains_key(&tag) {
-            // False-mismatch: all bits of the matching tag are ACE.
+        let mut neighbours = 0u64;
+        for &t in &self.tags {
+            let distance = (t ^ tag).count_ones();
+            hit |= distance == 0;
+            // `EMPTY` is at distance 1 from the all-ones 63-bit tag.
+            neighbours += u64::from(distance == 1 && t != EMPTY);
+        }
+        // False-mismatch: all bits of the matching tag are ACE.
+        if hit {
             self.ace_bit_events += bits;
-            hit = true;
         }
-        // False-match: resident tags at hamming distance exactly 1.
-        for b in 0..self.tag_bits {
-            let probe = tag ^ (1u64 << b);
-            if self.resident.contains_key(&probe) {
-                self.ace_bit_events += 1;
-            }
-        }
+        // False-match: one ACE bit per resident tag at hamming distance 1.
+        self.ace_bit_events += neighbours;
         hit
     }
 
@@ -102,11 +133,7 @@ impl Hd1Tracker {
     }
 
     fn mask(&self, tag: u64) -> u64 {
-        if self.tag_bits >= 63 {
-            tag
-        } else {
-            tag & ((1u64 << self.tag_bits) - 1)
-        }
+        tag & ((1u64 << self.tag_bits) - 1)
     }
 }
 
@@ -182,5 +209,15 @@ mod tests {
         let mut t = Hd1Tracker::new(4);
         t.insert(0, 0xF3); // masked to 0x3
         assert!(t.lookup(0x3, Aceness::Ace));
+        // Widths of 63 and above track the low 63 bits: tags that differ
+        // only in bit 63 match.
+        for width in [63, 64] {
+            let mut t = Hd1Tracker::new(width);
+            t.insert(0, (1 << 63) | 0x5);
+            assert!(t.lookup(0x5, Aceness::Ace), "width {width}");
+            // A distance-1 neighbour within the tracked bits still counts.
+            assert!(!t.lookup((1 << 62) | 0x5, Aceness::Ace), "width {width}");
+            assert_eq!(t.factor(), (63.0 + 1.0) / (2.0 * 63.0), "width {width}");
+        }
     }
 }

@@ -19,7 +19,7 @@ use crate::bitfield::BitFieldAnalyzer;
 use crate::hd1::Hd1Tracker;
 use crate::lifetime::LifetimeTracker;
 use crate::report::AceReport;
-use crate::structures::{catalog, StructureClass};
+use crate::structures::{catalog, StructureClass, StructureSpec};
 use seqavf_workloads::trace::{OpClass, Trace};
 
 /// Configuration of the performance model.
@@ -112,6 +112,66 @@ struct IqEntry {
     issued: bool,
 }
 
+/// Catalog positions of the structures the pipeline drives, resolved once
+/// per run so that no event looks a structure up by name.
+#[derive(Debug, Clone, Copy)]
+struct Ids {
+    fetch_buffer: usize,
+    itlb: usize,
+    btb: usize,
+    ras: usize,
+    uop_queue: usize,
+    rat: usize,
+    free_list: usize,
+    issue_queue: usize,
+    bypass: usize,
+    fp_regfile: usize,
+    dtlb: usize,
+    load_queue: usize,
+    store_queue: usize,
+    rob: usize,
+    prf: usize,
+    csr_bank: usize,
+}
+
+impl Ids {
+    fn resolve(specs: &[StructureSpec]) -> Self {
+        let at = |name: &str| {
+            specs
+                .iter()
+                .position(|s| s.name == name)
+                .expect("structure in catalog")
+        };
+        Ids {
+            fetch_buffer: at("fetch_buffer"),
+            itlb: at("itlb"),
+            btb: at("btb"),
+            ras: at("ras"),
+            uop_queue: at("uop_queue"),
+            rat: at("rat"),
+            free_list: at("free_list"),
+            issue_queue: at("issue_queue"),
+            bypass: at("bypass"),
+            fp_regfile: at("fp_regfile"),
+            dtlb: at("dtlb"),
+            load_queue: at("load_queue"),
+            store_queue: at("store_queue"),
+            rob: at("rob"),
+            prf: at("prf"),
+            csr_bank: at("csr_bank"),
+        }
+    }
+
+    /// The register file holding a floating-point or integer result.
+    fn regfile(&self, fp: bool) -> usize {
+        if fp {
+            self.fp_regfile
+        } else {
+            self.prf
+        }
+    }
+}
+
 /// Runs ACE analysis for one workload and returns the report.
 pub fn run_ace(trace: &Trace, config: &PerfConfig) -> AceReport {
     run_ace_traced(trace, config, &seqavf_obs::Collector::disabled())
@@ -140,37 +200,41 @@ fn run_ace_impl(trace: &Trace, config: &PerfConfig) -> AceReport {
     let n = trace.len();
     let instrs = trace.instrs();
 
-    // Instrumentation.
-    let mut trackers: BTreeMap<&'static str, LifetimeTracker> = BTreeMap::new();
-    let mut hd1: BTreeMap<&'static str, Hd1Tracker> = BTreeMap::new();
-    let mut bitfields: BTreeMap<&'static str, BitFieldAnalyzer> = BTreeMap::new();
+    // Instrumentation, indexed by catalog position.
     let specs = catalog();
-    for spec in &specs {
-        trackers.insert(
-            spec.name,
+    let id = Ids::resolve(&specs);
+    let cap = |i: usize| specs[i].entries;
+    let mut trackers: Vec<LifetimeTracker> = specs
+        .iter()
+        .map(|spec| {
             LifetimeTracker::new(spec.name, spec.entries, spec.bits_per_entry)
                 .with_conservative_residency(config.conservative_residency)
-                .with_quantizer(config.quantize_window),
-        );
-        // HD-1 tracking always runs so the simulated event stream (hits,
-        // misses, fills) is identical whether or not the refinement factor
-        // is applied; `config.hd1` only controls the final blend.
-        if spec.class == StructureClass::Cam {
-            hd1.insert(spec.name, Hd1Tracker::new(spec.bits_per_entry.min(48)));
-        }
-        if config.bitfield && spec.class == StructureClass::Control {
-            if let Some(a) = BitFieldAnalyzer::for_structure(spec.name, spec.entries) {
-                bitfields.insert(spec.name, a);
+                .with_quantizer(config.quantize_window)
+        })
+        .collect();
+    // HD-1 tracking always runs so the simulated event stream (hits,
+    // misses, fills) is identical whether or not the refinement factor is
+    // applied; `config.hd1` only controls the final blend.
+    let mut hd1: Vec<Option<Hd1Tracker>> = specs
+        .iter()
+        .map(|spec| {
+            (spec.class == StructureClass::Cam)
+                .then(|| Hd1Tracker::new(spec.bits_per_entry.min(48)))
+        })
+        .collect();
+    let mut bitfields: Vec<Option<BitFieldAnalyzer>> = specs
+        .iter()
+        .map(|spec| {
+            if config.bitfield && spec.class == StructureClass::Control {
+                BitFieldAnalyzer::for_structure(spec.name, spec.entries)
+            } else {
+                None
             }
-        }
-    }
-    let cap = |name: &str| {
-        specs
-            .iter()
-            .find(|s| s.name == name)
-            .expect("known")
-            .entries
-    };
+        })
+        .collect();
+    let dtlb_cap = cap(id.dtlb);
+    let itlb_cap = cap(id.itlb);
+    let btb_cap = cap(id.btb);
 
     // Pipeline state.
     let mut fetch_q: VecDeque<(u32, usize)> = VecDeque::new();
@@ -178,19 +242,19 @@ fn run_ace_impl(trace: &Trace, config: &PerfConfig) -> AceReport {
     let mut iq: Vec<IqEntry> = Vec::new();
     let mut rob: VecDeque<RobEntry> = VecDeque::new();
 
-    let mut fetch_slots = SlotAlloc::new(cap("fetch_buffer"));
-    let mut uop_slots = SlotAlloc::new(cap("uop_queue"));
-    let mut iq_slots = SlotAlloc::new(cap("issue_queue"));
-    let mut rob_slots = SlotAlloc::new(cap("rob"));
-    let mut prf_slots = SlotAlloc::new(cap("prf"));
-    let mut fprf_slots = SlotAlloc::new(cap("fp_regfile"));
-    let mut lq_slots = SlotAlloc::new(cap("load_queue"));
-    let mut sq_slots = SlotAlloc::new(cap("store_queue"));
-    let bypass_cap = cap("bypass");
-    let ras_cap = cap("ras");
-    let csr_cap = cap("csr_bank");
-    let rat_entries = cap("rat");
-    let fl_cap = cap("free_list");
+    let mut fetch_slots = SlotAlloc::new(cap(id.fetch_buffer));
+    let mut uop_slots = SlotAlloc::new(cap(id.uop_queue));
+    let mut iq_slots = SlotAlloc::new(cap(id.issue_queue));
+    let mut rob_slots = SlotAlloc::new(cap(id.rob));
+    let mut prf_slots = SlotAlloc::new(cap(id.prf));
+    let mut fprf_slots = SlotAlloc::new(cap(id.fp_regfile));
+    let mut lq_slots = SlotAlloc::new(cap(id.load_queue));
+    let mut sq_slots = SlotAlloc::new(cap(id.store_queue));
+    let bypass_cap = cap(id.bypass);
+    let ras_cap = cap(id.ras);
+    let csr_cap = cap(id.csr_bank);
+    let rat_entries = cap(id.rat);
+    let fl_cap = cap(id.free_list);
 
     // Per-instruction bookkeeping.
     const NOT_DONE: u64 = u64::MAX;
@@ -227,10 +291,10 @@ fn run_ace_impl(trace: &Trace, config: &PerfConfig) -> AceReport {
             }
             rob.pop_front();
             let a = ace_of(front.idx);
-            let t = trackers.get_mut("rob").expect("rob tracker");
+            let t = &mut trackers[id.rob];
             t.read(front.slot, cycle, a);
             t.dealloc(front.slot, cycle);
-            if let Some(bf) = bitfields.get_mut("rob") {
+            if let Some(bf) = &mut bitfields[id.rob] {
                 bf.read(front.slot, cycle, a);
                 bf.dealloc(front.slot, cycle);
             }
@@ -239,8 +303,7 @@ fn run_ace_impl(trace: &Trace, config: &PerfConfig) -> AceReport {
             if let Some((fp, slot)) = prf_slot[i] {
                 // Architectural value read at retirement, then the physical
                 // register is recycled.
-                let name = if fp { "fp_regfile" } else { "prf" };
-                let t = trackers.get_mut(name).expect("regfile tracker");
+                let t = &mut trackers[id.regfile(fp)];
                 t.read(slot, cycle, a);
                 t.dealloc(slot, cycle);
                 if fp {
@@ -250,19 +313,19 @@ fn run_ace_impl(trace: &Trace, config: &PerfConfig) -> AceReport {
                 }
             }
             if let Some(slot) = lq_slot[i] {
-                let t = trackers.get_mut("load_queue").expect("lq");
+                let t = &mut trackers[id.load_queue];
                 t.read(slot, cycle, a);
                 t.dealloc(slot, cycle);
-                if let Some(h) = hd1.get_mut("load_queue") {
+                if let Some(h) = &mut hd1[id.load_queue] {
                     h.remove(slot);
                 }
                 lq_slots.free();
             }
             if let Some(slot) = sq_slot[i] {
-                let t = trackers.get_mut("store_queue").expect("sq");
+                let t = &mut trackers[id.store_queue];
                 t.read(slot, cycle, a);
                 t.dealloc(slot, cycle);
-                if let Some(h) = hd1.get_mut("store_queue") {
+                if let Some(h) = &mut hd1[id.store_queue] {
                     h.remove(slot);
                 }
                 sq_slots.free();
@@ -273,17 +336,15 @@ fn run_ace_impl(trace: &Trace, config: &PerfConfig) -> AceReport {
             // subset of retirements.
             if retired.is_multiple_of(128) {
                 let slot = (retired / 128) as usize % csr_cap;
-                let t = trackers.get_mut("csr_bank").expect("csr");
-                t.write(slot, cycle, Aceness::Ace);
-                if let Some(bf) = bitfields.get_mut("csr_bank") {
+                trackers[id.csr_bank].write(slot, cycle, Aceness::Ace);
+                if let Some(bf) = &mut bitfields[id.csr_bank] {
                     bf.write(slot, cycle, &instrs[i], Aceness::Ace);
                 }
             }
             if retired.is_multiple_of(512) {
                 let slot = (retired / 512) as usize % csr_cap;
-                let t = trackers.get_mut("csr_bank").expect("csr");
-                t.read(slot, cycle, Aceness::Ace);
-                if let Some(bf) = bitfields.get_mut("csr_bank") {
+                trackers[id.csr_bank].read(slot, cycle, Aceness::Ace);
+                if let Some(bf) = &mut bitfields[id.csr_bank] {
                     bf.read(slot, cycle, Aceness::Ace);
                 }
             }
@@ -291,25 +352,26 @@ fn run_ace_impl(trace: &Trace, config: &PerfConfig) -> AceReport {
 
         // ---- Writeback: result bus + bypass network ----
         // (Results were scheduled at issue; model the bypass write the
-        // cycle the value becomes available.)
-        for e in iq.iter() {
-            if e.issued && done_cycle[e.idx as usize] == cycle {
-                let i = e.idx as usize;
+        // cycle the value becomes available. Every latency is at least one
+        // cycle, so an issued entry is written back exactly when it leaves
+        // the scheduler, in the same oldest-first pass.)
+        iq.retain(|e| {
+            let i = e.idx as usize;
+            if !e.issued || done_cycle[i] > cycle {
+                return true;
+            }
+            if done_cycle[i] == cycle {
                 let a = ace_of(e.idx);
                 if let Some((fp, slot)) = prf_slot[i] {
-                    let name = if fp { "fp_regfile" } else { "prf" };
-                    trackers
-                        .get_mut(name)
-                        .expect("regfile tracker")
-                        .write(slot, cycle, a);
+                    trackers[id.regfile(fp)].write(slot, cycle, a);
                 }
-                let t = trackers.get_mut("bypass").expect("bypass");
+                let t = &mut trackers[id.bypass];
                 t.write(bypass_rr % bypass_cap, cycle, a);
                 t.read(bypass_rr % bypass_cap, cycle, a);
                 bypass_rr += 1;
             }
-        }
-        iq.retain(|e| !(e.issued && done_cycle[e.idx as usize] <= cycle));
+            false
+        });
 
         // ---- Issue (oldest ready first) ----
         let mut n_issued = 0;
@@ -332,11 +394,11 @@ fn run_ace_impl(trace: &Trace, config: &PerfConfig) -> AceReport {
             let a = ace_of(e.idx);
             // Leave the scheduler.
             {
-                let t = trackers.get_mut("issue_queue").expect("iq");
+                let t = &mut trackers[id.issue_queue];
                 t.read(e.slot, cycle, a);
                 t.dealloc(e.slot, cycle);
             }
-            if let Some(bf) = bitfields.get_mut("issue_queue") {
+            if let Some(bf) = &mut bitfields[id.issue_queue] {
                 bf.read(e.slot, cycle, a);
                 bf.dealloc(e.slot, cycle);
             }
@@ -347,28 +409,22 @@ fn run_ace_impl(trace: &Trace, config: &PerfConfig) -> AceReport {
                 let recent = cycle.saturating_sub(done_cycle[pi]) <= 1;
                 if !recent {
                     if let Some((fp, slot)) = prf_slot[pi] {
-                        let name = if fp { "fp_regfile" } else { "prf" };
-                        trackers
-                            .get_mut(name)
-                            .expect("regfile tracker")
-                            .read(slot, cycle, a);
+                        trackers[id.regfile(fp)].read(slot, cycle, a);
                     }
                 }
             }
             // Memory operations.
             if ins.op.is_mem() {
                 let page = ins.addr.unwrap_or(0) >> 12;
-                let slot = (page as usize) % cap("dtlb");
-                let hit = match hd1.get_mut("dtlb") {
-                    Some(h) => h.lookup(page, a),
-                    None => true,
-                };
-                let t = trackers.get_mut("dtlb").expect("dtlb");
+                let slot = (page as usize) % dtlb_cap;
+                let h = &mut hd1[id.dtlb];
+                let hit = h.as_mut().is_none_or(|h| h.lookup(page, a));
+                let t = &mut trackers[id.dtlb];
                 if hit {
                     t.read(slot, cycle, a);
                 } else {
                     t.write(slot, cycle, a);
-                    if let Some(h) = hd1.get_mut("dtlb") {
+                    if let Some(h) = h {
                         h.insert(slot, page);
                     }
                 }
@@ -376,16 +432,13 @@ fn run_ace_impl(trace: &Trace, config: &PerfConfig) -> AceReport {
                     OpClass::Load => {
                         // Store-to-load forwarding check against the store
                         // queue CAM.
-                        if let Some(h) = hd1.get_mut("store_queue") {
+                        if let Some(h) = &mut hd1[id.store_queue] {
                             h.lookup(ins.addr.unwrap_or(0), a);
                         }
                         if let Some(slot) = lq_slots.alloc() {
                             lq_slot[i] = Some(slot);
-                            trackers
-                                .get_mut("load_queue")
-                                .expect("lq")
-                                .write(slot, cycle, a);
-                            if let Some(h) = hd1.get_mut("load_queue") {
+                            trackers[id.load_queue].write(slot, cycle, a);
+                            if let Some(h) = &mut hd1[id.load_queue] {
                                 h.insert(slot, ins.addr.unwrap_or(0));
                             }
                         }
@@ -393,11 +446,8 @@ fn run_ace_impl(trace: &Trace, config: &PerfConfig) -> AceReport {
                     OpClass::Store => {
                         if let Some(slot) = sq_slots.alloc() {
                             sq_slot[i] = Some(slot);
-                            trackers
-                                .get_mut("store_queue")
-                                .expect("sq")
-                                .write(slot, cycle, a);
-                            if let Some(h) = hd1.get_mut("store_queue") {
+                            trackers[id.store_queue].write(slot, cycle, a);
+                            if let Some(h) = &mut hd1[id.store_queue] {
                                 h.insert(slot, ins.addr.unwrap_or(0));
                             }
                         }
@@ -445,13 +495,13 @@ fn run_ace_impl(trace: &Trace, config: &PerfConfig) -> AceReport {
             uop_q.pop_front();
             let a = ace_of(idx);
             {
-                let t = trackers.get_mut("uop_queue").expect("uq");
+                let t = &mut trackers[id.uop_queue];
                 t.read(uslot, cycle, a);
                 t.dealloc(uslot, cycle);
             }
             uop_slots.free();
             // Rename table traffic.
-            let rat = trackers.get_mut("rat").expect("rat");
+            let rat = &mut trackers[id.rat];
             let mut producers: [Option<u32>; 2] = [None, None];
             for (k, src) in ins.sources().enumerate().take(2) {
                 rat.read(src.index() % rat_entries, cycle, a);
@@ -461,7 +511,7 @@ fn run_ace_impl(trace: &Trace, config: &PerfConfig) -> AceReport {
                 rat.write(dst.index() % rat_entries, cycle, a);
                 last_writer[dst.index()] = Some(idx);
                 // Allocate a physical register via the free list.
-                let fl = trackers.get_mut("free_list").expect("fl");
+                let fl = &mut trackers[id.free_list];
                 fl.read(fl_rr % fl_cap, cycle, a);
                 fl.write(fl_rr % fl_cap, cycle, a);
                 fl_rr += 1;
@@ -474,21 +524,15 @@ fn run_ace_impl(trace: &Trace, config: &PerfConfig) -> AceReport {
             }
             // ROB allocation.
             let rslot = rob_slots.alloc().expect("checked space");
-            {
-                let t = trackers.get_mut("rob").expect("rob");
-                t.write(rslot, cycle, a);
-            }
-            if let Some(bf) = bitfields.get_mut("rob") {
+            trackers[id.rob].write(rslot, cycle, a);
+            if let Some(bf) = &mut bitfields[id.rob] {
                 bf.write(rslot, cycle, ins, a);
             }
             rob.push_back(RobEntry { idx, slot: rslot });
             // Scheduler allocation.
             let islot = iq_slots.alloc().expect("checked space");
-            {
-                let t = trackers.get_mut("issue_queue").expect("iq");
-                t.write(islot, cycle, a);
-            }
-            if let Some(bf) = bitfields.get_mut("issue_queue") {
+            trackers[id.issue_queue].write(islot, cycle, a);
+            if let Some(bf) = &mut bitfields[id.issue_queue] {
                 bf.write(islot, cycle, ins, a);
             }
             iq.push(IqEntry {
@@ -510,16 +554,13 @@ fn run_ace_impl(trace: &Trace, config: &PerfConfig) -> AceReport {
             fetch_q.pop_front();
             let a = ace_of(idx);
             {
-                let t = trackers.get_mut("fetch_buffer").expect("fb");
+                let t = &mut trackers[id.fetch_buffer];
                 t.read(fslot, cycle, a);
                 t.dealloc(fslot, cycle);
             }
             fetch_slots.free();
             let uslot = uop_slots.alloc().expect("checked space");
-            trackers
-                .get_mut("uop_queue")
-                .expect("uq")
-                .write(uslot, cycle, a);
+            trackers[id.uop_queue].write(uslot, cycle, a);
             uop_q.push_back((idx, uslot));
         }
 
@@ -533,25 +574,20 @@ fn run_ace_impl(trace: &Trace, config: &PerfConfig) -> AceReport {
             let ins = &instrs[next_fetch];
             let a = ace_of(idx);
             let fslot = fetch_slots.alloc().expect("checked space");
-            trackers
-                .get_mut("fetch_buffer")
-                .expect("fb")
-                .write(fslot, cycle, a);
+            trackers[id.fetch_buffer].write(fslot, cycle, a);
             fetch_q.push_back((idx, fslot));
             if !fetched_this_cycle {
                 // One iTLB access per fetch group.
                 let page = (next_fetch as u64) >> 6;
-                let slot = (page as usize) % cap("itlb");
-                let hit = match hd1.get_mut("itlb") {
-                    Some(h) => h.lookup(page, a),
-                    None => true,
-                };
-                let t = trackers.get_mut("itlb").expect("itlb");
+                let slot = (page as usize) % itlb_cap;
+                let h = &mut hd1[id.itlb];
+                let hit = h.as_mut().is_none_or(|h| h.lookup(page, a));
+                let t = &mut trackers[id.itlb];
                 if hit {
                     t.read(slot, cycle, a);
                 } else {
                     t.write(slot, cycle, a);
-                    if let Some(h) = hd1.get_mut("itlb") {
+                    if let Some(h) = h {
                         h.insert(slot, page);
                     }
                 }
@@ -560,29 +596,26 @@ fn run_ace_impl(trace: &Trace, config: &PerfConfig) -> AceReport {
             if ins.op == OpClass::Branch {
                 branch_count += 1;
                 let pc = next_fetch as u64;
-                let slot = (pc as usize) % cap("btb");
-                let hit = match hd1.get_mut("btb") {
-                    Some(h) => h.lookup(pc, a),
-                    None => true,
-                };
-                let t = trackers.get_mut("btb").expect("btb");
+                let slot = (pc as usize) % btb_cap;
+                let h = &mut hd1[id.btb];
+                let hit = h.as_mut().is_none_or(|h| h.lookup(pc, a));
+                let t = &mut trackers[id.btb];
                 if hit {
                     t.read(slot, cycle, a);
                 }
                 if ins.taken {
                     t.write(slot, cycle, a);
-                    if let Some(h) = hd1.get_mut("btb") {
+                    if let Some(h) = h {
                         h.insert(slot, pc);
                     }
                 }
                 // Model call/return pairs as a sparse subset of branches.
                 if branch_count.is_multiple_of(16) {
-                    let t = trackers.get_mut("ras").expect("ras");
-                    t.write(ras_rr % ras_cap, cycle, a);
+                    trackers[id.ras].write(ras_rr % ras_cap, cycle, a);
                     ras_rr += 1;
                 } else if branch_count % 16 == 8 && ras_rr > 0 {
                     ras_rr -= 1;
-                    let t = trackers.get_mut("ras").expect("ras");
+                    let t = &mut trackers[id.ras];
                     t.read(ras_rr % ras_cap, cycle, a);
                     t.dealloc(ras_rr % ras_cap, cycle);
                 }
@@ -603,24 +636,13 @@ fn run_ace_impl(trace: &Trace, config: &PerfConfig) -> AceReport {
     // ---- Finalize ----
     let cycles = cycle.max(1);
     let mut structures = BTreeMap::new();
-    let field_stats: BTreeMap<&'static str, Vec<crate::report::FieldStats>> = bitfields
-        .into_iter()
-        .map(|(name, bf)| {
-            let spec = specs.iter().find(|x| x.name == name).expect("known");
-            (
-                name,
-                bf.finish(cycles, cycles, spec.read_ports, spec.write_ports),
-            )
-        })
-        .collect();
-    for (name, mut t) in trackers {
+    let instruments = trackers.into_iter().zip(hd1).zip(bitfields);
+    for (spec, ((mut t, h), bf)) in specs.iter().zip(instruments) {
         t.finish(cycles);
-        let spec = specs.iter().find(|x| x.name == name).expect("known");
         let mut s = t.stats(cycles, spec.read_ports, spec.write_ports);
         // Apply the HD-1 factor to CAM structures: tag bits are refined,
         // remaining (data) bits stay fully conservative.
-        if let (true, Some(h)) = (config.hd1, hd1.get(name)) {
-            let spec = specs.iter().find(|x| x.name == name).expect("known");
+        if let (true, Some(h)) = (config.hd1, h) {
             let tag_bits = f64::from(spec.bits_per_entry.min(48));
             let frac = tag_bits / f64::from(spec.bits_per_entry);
             let blend = frac * h.factor() + (1.0 - frac);
@@ -631,10 +653,10 @@ fn run_ace_impl(trace: &Trace, config: &PerfConfig) -> AceReport {
                 *w *= blend;
             }
         }
-        if let Some(f) = field_stats.get(name) {
-            s.fields = f.clone();
+        if let Some(bf) = bf {
+            s.fields = bf.finish(cycles, cycles, spec.read_ports, spec.write_ports);
         }
-        structures.insert(name.to_owned(), s);
+        structures.insert(spec.name.to_owned(), s);
     }
 
     AceReport {

@@ -1,9 +1,11 @@
 //! Property tests for the performance model's ACE accounting
 //! (DESIGN.md §6, invariant 7).
 
+mod reference;
+
 use proptest::prelude::*;
 
-use seqavf_perf::ace::analyze_trace;
+use seqavf_perf::ace::{analyze_trace, Aceness};
 use seqavf_perf::hd1::Hd1Tracker;
 use seqavf_perf::pipeline::{run_ace, PerfConfig};
 use seqavf_workloads::trace::{Instr, OpClass, Reg, Trace};
@@ -103,10 +105,106 @@ proptest! {
             t.insert(i, u64::from(tag));
         }
         for &l in &lookups {
-            t.lookup(u64::from(l), seqavf_perf::ace::Aceness::Ace);
+            t.lookup(u64::from(l), Aceness::Ace);
         }
         let f = t.factor();
         prop_assert!((0.0..=1.0).contains(&f));
         prop_assert_eq!(t.lookups(), lookups.len() as u64);
+    }
+}
+
+/// One operation on an HD-1 tracker.
+#[derive(Debug, Clone, Copy)]
+enum Hd1Op {
+    Insert(usize, u64),
+    Remove(usize),
+    Lookup(u64, Aceness),
+}
+
+/// Operation sequences over ten entries. Tags come from a small pool
+/// (including all-ones, which every mask keeps at full width) with
+/// single-bit flips anywhere in 64 bits, so inserts often take a tag
+/// another entry holds, lookups often land at hamming distance 0 or 1, and
+/// tags are often wider than the tracker's mask; removes often hit an
+/// entry that holds nothing.
+fn hd1_ops() -> impl Strategy<Value = Vec<Hd1Op>> {
+    let op = (0u8..8, 0usize..10, 0u8..16, 0u32..80, any::<u64>());
+    prop::collection::vec(op, 1..200).prop_map(|ops| {
+        ops.into_iter()
+            .map(|(kind, entry, small, flip, wide)| {
+                let mut tag = match small {
+                    0..=11 => u64::from(small % 6),
+                    12 | 13 => u64::MAX,
+                    _ => wide,
+                };
+                if flip < 64 {
+                    tag ^= 1u64 << flip;
+                }
+                match kind {
+                    0..=2 => Hd1Op::Insert(entry, tag),
+                    3 => Hd1Op::Remove(entry),
+                    4 => Hd1Op::Lookup(tag, Aceness::UnAce),
+                    5 => Hd1Op::Lookup(tag, Aceness::Unknown),
+                    _ => Hd1Op::Lookup(tag, Aceness::Ace),
+                }
+            })
+            .collect()
+    })
+}
+
+/// Marks the loads whose position bit is set in `mask` as hints: results
+/// that are un-ACE but still redefine their destination register.
+fn with_hint_loads(trace: &Trace, mask: u64) -> Trace {
+    let instrs = trace
+        .instrs()
+        .iter()
+        .enumerate()
+        .map(|(i, ins)| {
+            let mut ins = *ins;
+            if ins.op == OpClass::Load && mask >> (i % 64) & 1 == 1 {
+                ins.hint = true;
+            }
+            ins
+        })
+        .collect();
+    Trace::new(trace.name(), instrs)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn hd1_tracker_matches_hash_map_oracle(tag_bits in 1u32..66, ops in hd1_ops()) {
+        let mut fast = Hd1Tracker::new(tag_bits);
+        let mut oracle = reference::HashHd1::new(tag_bits);
+        for (k, &op) in ops.iter().enumerate() {
+            match op {
+                Hd1Op::Insert(entry, tag) => {
+                    fast.insert(entry, tag);
+                    oracle.insert(entry, tag);
+                }
+                Hd1Op::Remove(entry) => {
+                    fast.remove(entry);
+                    oracle.remove(entry);
+                }
+                Hd1Op::Lookup(tag, reader) => {
+                    prop_assert_eq!(
+                        fast.lookup(tag, reader),
+                        oracle.lookup(tag, reader),
+                        "op {}: {:?}",
+                        k,
+                        op
+                    );
+                }
+            }
+            prop_assert_eq!(fast.factor().to_bits(), oracle.factor().to_bits(), "op {}", k);
+        }
+        prop_assert_eq!(fast.lookups(), oracle.lookups());
+    }
+
+    #[test]
+    fn liveness_matches_def_use_oracle(trace in trace_strategy(), hints in any::<u64>()) {
+        let trace = with_hint_loads(&trace, hints);
+        prop_assert_eq!(analyze_trace(&trace).all(), &reference::def_use_liveness(&trace)[..]);
     }
 }
