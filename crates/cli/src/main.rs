@@ -274,10 +274,7 @@ fn load_design(
             let loops = find_loops_traced(&nl, obs);
             // Best-effort store: a failed write only costs the next run a
             // recompute, never the current one its answer.
-            if let Some(dir) = p.parent() {
-                let _ = std::fs::create_dir_all(dir);
-            }
-            let _ = std::fs::write(&p, snapshot::save(&nl, &loops));
+            let _ = snapshot::write_atomic(&p, &snapshot::save(&nl, &loops));
             Ok((nl, Some(loops)))
         }
     }

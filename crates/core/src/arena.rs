@@ -82,7 +82,7 @@ impl PartialEq for TermTable {
 }
 
 fn term_hash(kind: &TermKind) -> u64 {
-    let mut h = crate::sweep::Fnv1a64::new();
+    let mut h = seqavf_netlist::Fnv1a64::new();
     match kind {
         TermKind::ReadPort(s) => {
             h.update(&[0]);
@@ -169,7 +169,7 @@ impl TermTable {
     }
 
     /// Iterates over `(id, kind)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (TermId, &TermKind)> {
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (TermId, &TermKind)> {
         self.terms
             .iter()
             .enumerate()

@@ -28,21 +28,46 @@
 //! test (`tests/compiled_equivalence.rs`) pins this contract against the
 //! interpreter and against fresh relaxations.
 //!
-//! [`CompiledSweep`] also serializes to a versioned text artifact
-//! ([`CompiledSweep::to_text`] / [`CompiledSweep::from_text`]) so the sweep
-//! cache ([`crate::sweep`]) can skip relaxation entirely on repeated
-//! sweeps of the same design.
+//! [`CompiledSweep`] also serializes to a sealed binary artifact,
+//! `seqavf-sweep/3` ([`CompiledSweep::encode`] / [`CompiledSweep::decode`]),
+//! so the sweep cache ([`crate::sweep`]) can skip relaxation entirely on
+//! repeated sweeps of the same design. It uses the container the graph
+//! snapshot and the fixpoint artifact share ([`seqavf_netlist::snapshot`]),
+//! with six sections: meta, terms, sums, MINs, perf names, slots.
 
 use std::collections::HashMap;
 
 use seqavf_netlist::graph::{Netlist, NodeKind};
+use seqavf_netlist::snapshot::{
+    open_sealed, put_delta, put_section, put_str, put_varint, seal, Cursor, SnapshotError,
+};
 use seqavf_obs::Collector;
 
-use crate::arena::{SetId, TermKind, TermTable};
+use crate::arena::{SetId, TermTable};
 use crate::classify::NodeRole;
 use crate::engine::{term_values, SartConfig, SartResult};
-use crate::fixpoint::nodes_by_fub;
+use crate::fixpoint::{nodes_by_fub, put_terms, read_terms};
 use crate::mapping::PavfInputs;
+
+/// Format magic of the compiled-sweep artifact, bumped whenever the
+/// layout changes.
+pub const SWEEP_MAGIC: &[u8] = b"seqavf-sweep/3\n";
+
+/// Version-family prefix of [`SWEEP_MAGIC`].
+const SWEEP_MAGIC_FAMILY: &[u8] = b"seqavf-sweep/";
+
+const SEC_META: u8 = 1;
+const SEC_TERMS: u8 = 2;
+const SEC_SUMS: u8 = 3;
+const SEC_MINS: u8 = 4;
+const SEC_PERF: u8 = 5;
+const SEC_SLOTS: u8 = 6;
+
+/// Slot kind bytes.
+const SLOT_MIN: u8 = 0;
+const SLOT_CTRL: u8 = 1;
+const SLOT_LOOP: u8 = 2;
+const SLOT_STRUCT: u8 = 3;
 
 /// Lane width of the batched evaluator: how many workload tables one op
 /// walk evaluates together. Sized so the per-op lane arrays fit in stack
@@ -877,203 +902,175 @@ impl CompiledSweep {
     // Artifact serialization (the sweep cache's on-disk format)
     // -----------------------------------------------------------------
 
-    /// Serializes the compiled DAG to the versioned `seqavf-sweep/2` text
-    /// artifact. Term and performance-structure names are stored verbatim
-    /// on their own lines, so any name is safe except ones containing a
-    /// newline (impossible for parsed netlists).
-    ///
-    /// v2 embeds [`SartConfig::result_key`] instead of the full `Debug`
-    /// rendering, so artifacts written at one thread count (or with
-    /// incremental relaxation toggled) load under any other — those fields
-    /// never change the result. v1 artifacts are rejected as unknown and
-    /// degrade to a recompute.
-    pub fn to_text(&self) -> String {
-        let mut out = String::from("seqavf-sweep/2\n");
-        out.push_str(&format!("config {}\n", self.config.result_key()));
-        out.push_str(&format!("terms {}\n", self.terms.len()));
-        for (_, kind) in self.terms.iter() {
-            match kind {
-                TermKind::Top => out.push_str("T\n"),
-                TermKind::ReadPort(s) => out.push_str(&format!("R {s}\n")),
-                TermKind::WritePort(s) => out.push_str(&format!("W {s}\n")),
-                TermKind::Injected(s) => out.push_str(&format!("I {s}\n")),
+    /// Serializes the compiled DAG to the sealed `seqavf-sweep/3`
+    /// artifact. The configuration is stored as its
+    /// [`SartConfig::result_key`], so an artifact written at one thread
+    /// count (or with incremental relaxation toggled) loads under any
+    /// other — those fields never change the result.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut out = SWEEP_MAGIC.to_vec();
+
+        let mut p = Vec::new();
+        put_str(&mut p, &self.config.result_key());
+        put_varint(&mut p, self.arena_sets as u64);
+        put_section(&mut out, SEC_META, &p);
+
+        let mut p = Vec::new();
+        put_terms(&mut p, self.terms.iter().map(|(_, kind)| kind));
+        put_section(&mut out, SEC_TERMS, &p);
+
+        // SUMS: each op's term count, then its term ids delta-coded
+        // (ascending, so the gaps are small).
+        let mut p = Vec::with_capacity(self.sum_terms.len() + self.sum_bounds.len());
+        put_varint(&mut p, (self.sum_bounds.len() - 1) as u64);
+        for w in self.sum_bounds.windows(2) {
+            put_varint(&mut p, u64::from(w[1] - w[0]));
+            let mut prev = 0;
+            for &t in &self.sum_terms[w[0] as usize..w[1] as usize] {
+                put_delta(&mut p, prev, t as usize);
+                prev = t as usize;
             }
         }
-        out.push_str(&format!("sums {}\n", self.sum_bounds.len() - 1));
-        for k in 0..self.sum_bounds.len() - 1 {
-            let lo = self.sum_bounds[k] as usize;
-            let hi = self.sum_bounds[k + 1] as usize;
-            let terms: Vec<String> = self.sum_terms[lo..hi].iter().map(u32::to_string).collect();
-            out.push_str(&terms.join(" "));
-            out.push('\n');
-        }
-        out.push_str(&format!("mins {}\n", self.mins.len()));
+        put_section(&mut out, SEC_SUMS, &p);
+
+        // MINS: operand sum ids delta-coded along the operand stream —
+        // ops are lowered in node order, so operands are mostly recent.
+        let mut p = Vec::with_capacity(self.mins.len() * 2);
+        put_varint(&mut p, self.mins.len() as u64);
+        let mut prev = 0;
         for &(a, b) in &self.mins {
-            out.push_str(&format!("{a} {b}\n"));
-        }
-        out.push_str(&format!("perf {}\n", self.perf_names.len()));
-        for name in &self.perf_names {
-            out.push_str(name);
-            out.push('\n');
-        }
-        out.push_str(&format!("slots {}\n", self.slots.len()));
-        for slot in &self.slots {
-            match *slot {
-                Slot::Min(m) => out.push_str(&format!("m {m}\n")),
-                Slot::Ctrl => out.push_str("c\n"),
-                Slot::Loop => out.push_str("l\n"),
-                Slot::Struct { perf, min } => out.push_str(&format!("s {perf} {min}\n")),
+            for s in [a as usize, b as usize] {
+                put_delta(&mut p, prev, s);
+                prev = s;
             }
         }
-        out.push_str(&format!("arena {}\n", self.arena_sets));
-        out.push_str("end\n");
+        put_section(&mut out, SEC_MINS, &p);
+
+        let mut p = Vec::new();
+        put_varint(&mut p, self.perf_names.len() as u64);
+        for name in &self.perf_names {
+            put_str(&mut p, name);
+        }
+        put_section(&mut out, SEC_PERF, &p);
+
+        // SLOTS: per node a kind byte, then a MIN id delta-coded against
+        // the previous slot's (neighbouring nodes mostly share or create
+        // adjacent MIN ops) and a struct cell's perf id, delta-coded
+        // likewise (a structure's cells are consecutive nodes).
+        let mut p = Vec::with_capacity(self.slots.len() * 2);
+        put_varint(&mut p, self.slots.len() as u64);
+        let (mut prev_min, mut prev_perf) = (0, 0);
+        for &slot in &self.slots {
+            match slot {
+                Slot::Min(m) => {
+                    p.push(SLOT_MIN);
+                    put_delta(&mut p, prev_min, m as usize);
+                    prev_min = m as usize;
+                }
+                Slot::Ctrl => p.push(SLOT_CTRL),
+                Slot::Loop => p.push(SLOT_LOOP),
+                Slot::Struct { perf, min } => {
+                    p.push(SLOT_STRUCT);
+                    put_delta(&mut p, prev_min, min as usize);
+                    put_delta(&mut p, prev_perf, perf as usize);
+                    (prev_min, prev_perf) = (min as usize, perf as usize);
+                }
+            }
+        }
+        put_section(&mut out, SEC_SLOTS, &p);
+
+        seal(&mut out);
         out
     }
 
-    /// Parses a `seqavf-sweep/2` artifact back into a compiled DAG. The
-    /// caller supplies the configuration it expects (the cache key binds
-    /// it); a stored artifact whose embedded *result key* differs is
-    /// rejected — execution-only fields (`threads`, `incremental`) may
-    /// differ freely. Every index is bounds-checked — a corrupt artifact
-    /// yields `Err`, never a panic or an out-of-range evaluator.
-    pub fn from_text(text: &str, config: &SartConfig) -> Result<CompiledSweep, String> {
-        let mut lines = text.lines().enumerate();
-        let mut next = |what: &str| -> Result<(usize, &str), String> {
-            lines
-                .next()
-                .map(|(i, l)| (i + 1, l))
-                .ok_or_else(|| format!("truncated artifact: missing {what}"))
-        };
-        let (_, header) = next("header")?;
-        if header != "seqavf-sweep/2" {
-            return Err(format!("unknown artifact header `{header}`"));
-        }
-        let (_, cfg_line) = next("config")?;
-        let embedded = cfg_line
-            .strip_prefix("config ")
-            .ok_or("expected `config` line")?;
-        if embedded != config.result_key() {
-            return Err("artifact configuration does not match the request".to_owned());
-        }
-        let section_count = |line: &str, tag: &str| -> Result<usize, String> {
-            line.strip_prefix(tag)
-                .and_then(|r| r.strip_prefix(' '))
-                .and_then(|r| r.parse().ok())
-                .ok_or_else(|| format!("expected `{tag} <count>`, got `{line}`"))
-        };
+    /// Parses and validates a sealed `seqavf-sweep/3` artifact. The caller
+    /// supplies the configuration it expects (the cache key binds it); a
+    /// stored artifact whose *result key* differs is rejected, while
+    /// execution-only fields (`threads`, `incremental`) may differ freely.
+    /// The checksum is verified before any section is parsed, terms must
+    /// be in interning order without duplicates, every index is bounds
+    /// checked and trailing bytes are rejected — a corrupt artifact yields
+    /// `Err`, never a panic or an out-of-range evaluator.
+    pub fn decode(bytes: &[u8], config: &SartConfig) -> Result<CompiledSweep, SnapshotError> {
+        let mut top = Cursor::new(open_sealed(bytes, SWEEP_MAGIC, SWEEP_MAGIC_FAMILY)?);
 
-        let (_, l) = next("terms section")?;
-        let n_terms = section_count(l, "terms")?;
+        let mut c = top.section(SEC_META)?;
+        if c.string()? != config.result_key() {
+            return Err(SnapshotError::ResultKeyMismatch);
+        }
+        let arena_sets = usize::try_from(c.varint()?).map_err(|_| SnapshotError::BadIndex)?;
+        c.end()?;
+
+        let mut c = top.section(SEC_TERMS)?;
         let mut terms = TermTable::new();
-        for k in 0..n_terms {
-            let (lineno, l) = next("term line")?;
-            let kind = match (l.chars().next(), l.get(2..)) {
-                (Some('T'), _) if l == "T" => TermKind::Top,
-                (Some('R'), Some(name)) => TermKind::ReadPort(name.to_owned()),
-                (Some('W'), Some(name)) => TermKind::WritePort(name.to_owned()),
-                (Some('I'), Some(name)) => TermKind::Injected(name.to_owned()),
-                _ => return Err(format!("line {lineno}: bad term `{l}`")),
-            };
-            let id = terms.intern(kind);
-            if id.index() != k {
-                return Err(format!("line {lineno}: duplicate or misordered term `{l}`"));
+        for (k, kind) in read_terms(&mut c)?.into_iter().enumerate() {
+            if terms.intern(kind).index() != k {
+                // A duplicate or misordered term would renumber the table.
+                return Err(SnapshotError::BadIndex);
             }
         }
+        c.end()?;
 
-        let (_, l) = next("sums section")?;
-        let n_sums = section_count(l, "sums")?;
-        let mut sum_terms: Vec<u32> = Vec::new();
-        let mut sum_bounds: Vec<u32> = vec![0];
+        let mut c = top.section(SEC_SUMS)?;
+        let n_sums = c.count()?;
+        let mut sum_terms: Vec<u32> = Vec::with_capacity(c.remaining());
+        let mut sum_bounds: Vec<u32> = Vec::with_capacity(n_sums + 1);
+        sum_bounds.push(0);
         for _ in 0..n_sums {
-            let (lineno, l) = next("sum line")?;
-            for tok in l.split_whitespace() {
-                let t: u32 = tok
-                    .parse()
-                    .map_err(|_| format!("line {lineno}: bad term index `{tok}`"))?;
-                if t as usize >= n_terms {
-                    return Err(format!("line {lineno}: term index {t} out of range"));
-                }
-                sum_terms.push(t);
+            let mut prev = 0;
+            for _ in 0..c.count()? {
+                prev = c.delta_index(prev, terms.len())?;
+                sum_terms.push(prev as u32);
             }
-            sum_bounds.push(sum_terms.len() as u32);
+            sum_bounds.push(u32::try_from(sum_terms.len()).map_err(|_| SnapshotError::BadIndex)?);
         }
+        c.end()?;
 
-        let (_, l) = next("mins section")?;
-        let n_mins = section_count(l, "mins")?;
+        let mut c = top.section(SEC_MINS)?;
+        let n_mins = c.count()?;
         let mut mins = Vec::with_capacity(n_mins);
+        let mut prev = 0;
         for _ in 0..n_mins {
-            let (lineno, l) = next("min line")?;
-            let mut it = l.split_whitespace();
-            let (Some(a), Some(b), None) = (it.next(), it.next(), it.next()) else {
-                return Err(format!("line {lineno}: expected `<a> <b>`"));
-            };
-            let a: u32 = a
-                .parse()
-                .map_err(|_| format!("line {lineno}: bad sum index `{a}`"))?;
-            let b: u32 = b
-                .parse()
-                .map_err(|_| format!("line {lineno}: bad sum index `{b}`"))?;
-            if a as usize >= n_sums || b as usize >= n_sums {
-                return Err(format!("line {lineno}: sum index out of range"));
-            }
-            mins.push((a, b));
+            let a = c.delta_index(prev, n_sums)?;
+            prev = c.delta_index(a, n_sums)?;
+            mins.push((a as u32, prev as u32));
         }
+        c.end()?;
 
-        let (_, l) = next("perf section")?;
-        let n_perf = section_count(l, "perf")?;
+        let mut c = top.section(SEC_PERF)?;
+        let n_perf = c.count()?;
         let mut perf_names = Vec::with_capacity(n_perf);
         for _ in 0..n_perf {
-            let (_, l) = next("perf name")?;
-            perf_names.push(l.to_owned());
+            perf_names.push(c.string()?);
         }
+        c.end()?;
 
-        let (_, l) = next("slots section")?;
-        let n_slots = section_count(l, "slots")?;
+        let mut c = top.section(SEC_SLOTS)?;
+        let n_slots = c.count()?;
         let mut slots = Vec::with_capacity(n_slots);
+        let (mut prev_min, mut prev_perf) = (0, 0);
         for _ in 0..n_slots {
-            let (lineno, l) = next("slot line")?;
-            let mut it = l.split_whitespace();
-            let slot = match it.next() {
-                Some("c") => Slot::Ctrl,
-                Some("l") => Slot::Loop,
-                Some("m") => {
-                    let m: u32 = it
-                        .next()
-                        .and_then(|t| t.parse().ok())
-                        .ok_or_else(|| format!("line {lineno}: bad min slot"))?;
-                    if m as usize >= n_mins {
-                        return Err(format!("line {lineno}: min index {m} out of range"));
-                    }
-                    Slot::Min(m)
+            slots.push(match c.u8()? {
+                SLOT_MIN => {
+                    prev_min = c.delta_index(prev_min, n_mins)?;
+                    Slot::Min(prev_min as u32)
                 }
-                Some("s") => {
-                    let perf: u32 = it
-                        .next()
-                        .and_then(|t| t.parse().ok())
-                        .ok_or_else(|| format!("line {lineno}: bad struct slot"))?;
-                    let min: u32 = it
-                        .next()
-                        .and_then(|t| t.parse().ok())
-                        .ok_or_else(|| format!("line {lineno}: bad struct slot"))?;
-                    if perf as usize >= n_perf || min as usize >= n_mins {
-                        return Err(format!("line {lineno}: struct slot index out of range"));
+                SLOT_CTRL => Slot::Ctrl,
+                SLOT_LOOP => Slot::Loop,
+                SLOT_STRUCT => {
+                    prev_min = c.delta_index(prev_min, n_mins)?;
+                    prev_perf = c.delta_index(prev_perf, n_perf)?;
+                    Slot::Struct {
+                        perf: prev_perf as u32,
+                        min: prev_min as u32,
                     }
-                    Slot::Struct { perf, min }
                 }
-                _ => return Err(format!("line {lineno}: bad slot `{l}`")),
-            };
-            if it.next().is_some() {
-                return Err(format!("line {lineno}: trailing tokens in slot `{l}`"));
-            }
-            slots.push(slot);
+                _ => return Err(SnapshotError::BadIndex),
+            });
         }
+        c.end()?;
+        top.end()?;
 
-        let (lineno, l) = next("arena line")?;
-        let arena_sets = section_count(l, "arena").map_err(|e| format!("line {lineno}: {e}"))?;
-        let (lineno, l) = next("end line")?;
-        if l != "end" {
-            return Err(format!("line {lineno}: expected `end`, got `{l}`"));
-        }
         Ok(CompiledSweep {
             config: config.clone(),
             terms,
@@ -1139,6 +1136,7 @@ impl SeqStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arena::TermKind;
     use crate::engine::SartEngine;
     use crate::mapping::StructureMapping;
     use seqavf_netlist::flatten::parse_netlist;
@@ -1193,7 +1191,7 @@ mod tests {
         assert_eq!(st.nodes_patched(), 0);
         // Nothing moved, so the patched artifact is byte-identical.
         assert_eq!(patched, compiled);
-        assert_eq!(patched.to_text(), compiled.to_text());
+        assert_eq!(patched.encode(), compiled.encode());
     }
 
     #[test]
@@ -1211,15 +1209,15 @@ mod tests {
     }
 
     #[test]
-    fn patched_artifact_roundtrips_through_text() {
+    fn patched_artifact_roundtrips() {
         let (nl, result, compiled) = compiled_fig7();
         let layout: Vec<(&str, usize)> = vec![("f", nl.node_count())];
         let clean = vec![true; nl.fub_count()];
         let (patched, _) = compiled.patch(&result, &nl, &layout, &clean).unwrap();
-        let text = patched.to_text();
-        let back = CompiledSweep::from_text(&text, &result.config).unwrap();
+        let bytes = patched.encode();
+        let back = CompiledSweep::decode(&bytes, &result.config).unwrap();
         assert_eq!(back, patched);
-        assert_eq!(back.to_text(), text);
+        assert_eq!(back.encode(), bytes);
     }
 
     #[test]
@@ -1353,9 +1351,11 @@ mod tests {
     #[test]
     fn artifact_roundtrips_bitwise() {
         let (_, _, compiled) = compiled_fig7();
-        let text = compiled.to_text();
-        let back = CompiledSweep::from_text(&text, compiled.config()).unwrap();
+        let bytes = compiled.encode();
+        let back = CompiledSweep::decode(&bytes, compiled.config()).unwrap();
         assert_eq!(back, compiled);
+        // Re-encoding is byte-stable.
+        assert_eq!(back.encode(), bytes);
         let inputs = fig7_inputs();
         let a = compiled.evaluate(&inputs);
         let b = back.evaluate(&inputs);
@@ -1367,16 +1367,16 @@ mod tests {
     #[test]
     fn artifact_loads_across_execution_strategy_changes() {
         // threads/incremental are not part of the result key: an artifact
-        // written under one setting parses under any other and evaluates
+        // written under one setting decodes under any other and evaluates
         // bit-identically.
         let (_, _, compiled) = compiled_fig7();
-        let text = compiled.to_text();
+        let bytes = compiled.encode();
         let exec_only = SartConfig {
             threads: 8,
             incremental: !compiled.config().incremental,
             ..compiled.config().clone()
         };
-        let back = CompiledSweep::from_text(&text, &exec_only)
+        let back = CompiledSweep::decode(&bytes, &exec_only)
             .expect("execution-only config changes must not reject the artifact");
         let inputs = fig7_inputs();
         for (x, y) in compiled
@@ -1389,42 +1389,128 @@ mod tests {
     }
 
     #[test]
-    fn artifact_rejects_config_mismatch_and_corruption() {
+    fn artifact_rejects_a_result_key_mismatch() {
         let (_, _, compiled) = compiled_fig7();
-        let text = compiled.to_text();
         let other = SartConfig {
             loop_pavf: 0.9,
             ..SartConfig::default()
         };
-        assert!(CompiledSweep::from_text(&text, &other)
-            .unwrap_err()
-            .contains("configuration"));
-        // Truncation anywhere must be an error, never a panic. (Cutting
-        // only the final newline leaves the content intact — `lines()`
-        // tolerates a missing trailing terminator — so stop one short.)
-        for cut in 0..text.len() - 1 {
-            if !text.is_char_boundary(cut) {
-                continue;
-            }
+        assert_eq!(
+            CompiledSweep::decode(&compiled.encode(), &other),
+            Err(SnapshotError::ResultKeyMismatch)
+        );
+    }
+
+    #[test]
+    fn artifact_rejects_every_truncation() {
+        let (_, _, compiled) = compiled_fig7();
+        let bytes = compiled.encode();
+        for cut in 0..bytes.len() {
             assert!(
-                CompiledSweep::from_text(&text[..cut], compiled.config()).is_err(),
+                CompiledSweep::decode(&bytes[..cut], compiled.config()).is_err(),
                 "cut at {cut} accepted"
             );
         }
-        // An out-of-range term index inside a sum line is rejected.
-        let bumped: String = text
-            .lines()
-            .map(|l| {
-                if l == "0" {
-                    "999999\n".to_owned()
-                } else {
-                    format!("{l}\n")
-                }
-            })
-            .collect();
-        if bumped != text {
-            let err = CompiledSweep::from_text(&bumped, compiled.config()).unwrap_err();
-            assert!(err.contains("out of range"), "{err}");
+    }
+
+    /// The checksum catches every single-bit flip — each block step of
+    /// `WideFnv64` is a bijection, so any one-byte change alters the
+    /// digest — and a flip inside the magic fails the magic check.
+    #[test]
+    fn artifact_rejects_every_single_bit_flip() {
+        let (_, _, compiled) = compiled_fig7();
+        let bytes = compiled.encode();
+        for pos in 0..bytes.len() {
+            for bit in 0..8 {
+                let mut corrupt = bytes.clone();
+                corrupt[pos] ^= 1 << bit;
+                assert!(
+                    CompiledSweep::decode(&corrupt, compiled.config()).is_err(),
+                    "flip of bit {bit} at byte {pos} accepted"
+                );
+            }
         }
+    }
+
+    /// Indices past their section's count must reach the bounds checks:
+    /// `encode` writes whatever the DAG holds and re-seals it, so these
+    /// forged artifacts pass the checksum.
+    #[test]
+    fn artifact_rejects_out_of_range_indices() {
+        let (_, _, compiled) = compiled_fig7();
+        let n_terms = compiled.terms.len() as u32;
+        let n_sums = (compiled.sum_bounds.len() - 1) as u32;
+        let n_mins = compiled.mins.len() as u32;
+        let n_perf = compiled.perf_names.len() as u32;
+        assert!(n_perf > 0, "struct-slot forgeries need a valid perf id");
+        let forge = |what: &str, edit: &dyn Fn(&mut CompiledSweep)| {
+            let mut bad = compiled.clone();
+            edit(&mut bad);
+            assert_eq!(
+                CompiledSweep::decode(&bad.encode(), compiled.config()),
+                Err(SnapshotError::BadIndex),
+                "{what} past its section's count accepted"
+            );
+        };
+        forge("sum term id", &|c| c.sum_terms[0] = n_terms);
+        forge("MIN operand", &|c| c.mins[0].1 = n_sums);
+        forge("MIN slot", &|c| c.slots[0] = Slot::Min(n_mins));
+        forge("struct slot MIN", &|c| {
+            c.slots[0] = Slot::Struct {
+                perf: 0,
+                min: n_mins,
+            }
+        });
+        forge("struct slot perf", &|c| {
+            c.slots[0] = Slot::Struct {
+                perf: n_perf,
+                min: 0,
+            }
+        });
+    }
+
+    /// Re-seals `bytes` with the TERMS section's payload replaced.
+    fn with_terms_section(bytes: &[u8], terms: &[u8]) -> Vec<u8> {
+        let mut top = Cursor::new(open_sealed(bytes, SWEEP_MAGIC, SWEEP_MAGIC_FAMILY).unwrap());
+        let mut out = SWEEP_MAGIC.to_vec();
+        for tag in SEC_META..=SEC_SLOTS {
+            let mut s = top.section(tag).unwrap();
+            let payload = s.take(s.remaining()).unwrap();
+            put_section(
+                &mut out,
+                tag,
+                if tag == SEC_TERMS { terms } else { payload },
+            );
+        }
+        seal(&mut out);
+        out
+    }
+
+    #[test]
+    fn artifact_rejects_duplicate_terms_and_trailing_bytes() {
+        let (_, _, compiled) = compiled_fig7();
+        let bytes = compiled.encode();
+        let kinds: Vec<TermKind> = compiled.terms.iter().map(|(_, k)| k.clone()).collect();
+        // The forging helper itself round-trips an untouched section.
+        let mut p = Vec::new();
+        put_terms(&mut p, kinds.iter());
+        assert_eq!(with_terms_section(&bytes, &p), bytes);
+        // A duplicated term would renumber every later one.
+        let mut dup = kinds.clone();
+        dup.insert(1, kinds[1].clone());
+        let mut p = Vec::new();
+        put_terms(&mut p, dup.iter());
+        assert_eq!(
+            CompiledSweep::decode(&with_terms_section(&bytes, &p), compiled.config()),
+            Err(SnapshotError::BadIndex)
+        );
+        // A byte after the section's last field is rejected.
+        let mut p = Vec::new();
+        put_terms(&mut p, kinds.iter());
+        p.push(0);
+        assert_eq!(
+            CompiledSweep::decode(&with_terms_section(&bytes, &p), compiled.config()),
+            Err(SnapshotError::BadIndex)
+        );
     }
 }

@@ -14,11 +14,11 @@
 //! so the first sweep force-walks exactly them.
 //!
 //! Everything about the format is defensive: decoding is bounds-checked
-//! end to end (reusing [`snapshot::Cursor`]), the envelope carries the
-//! snapshot family's whole-file checksum, and *any* validation failure —
-//! version, checksum, config `result_key`, mapping digest, shape — is a
-//! recoverable fallback to a cold solve, never an error the caller must
-//! handle beyond logging a miss.
+//! end to end (reusing [`Cursor`]), the envelope is the sealed container
+//! shared through [`seqavf_netlist::snapshot`], and *any* validation
+//! failure — version, checksum, config `result_key`, mapping digest,
+//! shape — is a recoverable fallback to a cold solve, never an error the
+//! caller must handle beyond logging a miss.
 
 use std::collections::HashMap;
 use std::io;
@@ -26,14 +26,21 @@ use std::path::{Path, PathBuf};
 
 use seqavf_netlist::graph::{Netlist, NodeId};
 use seqavf_netlist::snapshot::{
-    open_sealed, put_section, put_u64, put_varint, seal, Cursor, SnapshotError, FIXPOINT_MAGIC,
-    FIXPOINT_MAGIC_FAMILY,
+    open_sealed, put_section, put_str, put_u64, put_varint, seal, write_atomic, Cursor,
+    SnapshotError,
 };
+use seqavf_netlist::Fnv1a64;
 
 use crate::arena::{SetId, TermId, TermKind};
 use crate::engine::SartResult;
-use crate::sweep::Fnv1a64;
 use crate::walk::{BoundaryDeps, Propagator};
+
+/// Format magic of the fixpoint artifact, bumped whenever the layout
+/// changes.
+const FIXPOINT_MAGIC: &[u8] = b"seqavf-fixpoint/1\n";
+
+/// Version-family prefix of [`FIXPOINT_MAGIC`].
+const FIXPOINT_MAGIC_FAMILY: &[u8] = b"seqavf-fixpoint/";
 
 const SEC_META: u8 = 1;
 const SEC_TERMS: u8 = 2;
@@ -137,29 +144,16 @@ impl StoredFixpoint {
         out.extend_from_slice(FIXPOINT_MAGIC);
 
         let mut meta = Vec::new();
-        put_varint(&mut meta, self.design.len() as u64);
-        meta.extend_from_slice(self.design.as_bytes());
+        put_str(&mut meta, &self.design);
         put_u64(&mut meta, self.content_digest);
         put_u64(&mut meta, self.mapping_digest);
-        put_varint(&mut meta, self.result_key.len() as u64);
-        meta.extend_from_slice(self.result_key.as_bytes());
+        put_str(&mut meta, &self.result_key);
         meta.push(u8::from(self.converged));
         put_varint(&mut meta, self.node_count as u64);
         put_section(&mut out, SEC_META, &meta);
 
         let mut terms = Vec::new();
-        put_varint(&mut terms, self.terms.len() as u64);
-        for kind in &self.terms {
-            let (tag, name) = match kind {
-                TermKind::Top => (0u8, ""),
-                TermKind::ReadPort(s) => (1, s.as_str()),
-                TermKind::WritePort(s) => (2, s.as_str()),
-                TermKind::Injected(s) => (3, s.as_str()),
-            };
-            terms.push(tag);
-            put_varint(&mut terms, name.len() as u64);
-            terms.extend_from_slice(name.as_bytes());
-        }
+        put_terms(&mut terms, self.terms.iter());
         put_section(&mut out, SEC_TERMS, &terms);
 
         let mut sets = Vec::new();
@@ -179,8 +173,7 @@ impl StoredFixpoint {
         let mut fubs = Vec::new();
         put_varint(&mut fubs, self.fubs.len() as u64);
         for fub in &self.fubs {
-            put_varint(&mut fubs, fub.name.len() as u64);
-            fubs.extend_from_slice(fub.name.as_bytes());
+            put_str(&mut fubs, &fub.name);
             put_u64(&mut fubs, fub.digest);
             put_varint(&mut fubs, fub.fwd.len() as u64);
             for &s in fub.fwd.iter().chain(&fub.bwd) {
@@ -217,37 +210,27 @@ impl StoredFixpoint {
         let mut top = Cursor::new(body);
 
         let mut meta = top.section(SEC_META)?;
-        let design = read_string(&mut meta)?;
+        let design = meta.string()?;
         let content_digest = meta.u64()?;
         let mapping_digest = meta.u64()?;
-        let result_key = read_string(&mut meta)?;
+        let result_key = meta.string()?;
         let converged = match meta.u8()? {
             0 => false,
             1 => true,
             _ => return Err(SnapshotError::BadIndex),
         };
         let node_count = usize::try_from(meta.varint()?).map_err(|_| SnapshotError::BadIndex)?;
+        meta.end()?;
 
         let mut tc = top.section(SEC_TERMS)?;
-        let term_count = read_count(&mut tc)?;
-        let mut terms = Vec::with_capacity(term_count);
-        for _ in 0..term_count {
-            let tag = tc.u8()?;
-            let name = read_string(&mut tc)?;
-            terms.push(match tag {
-                0 => TermKind::Top,
-                1 => TermKind::ReadPort(name),
-                2 => TermKind::WritePort(name),
-                3 => TermKind::Injected(name),
-                _ => return Err(SnapshotError::BadIndex),
-            });
-        }
+        let terms = read_terms(&mut tc)?;
+        tc.end()?;
 
         let mut sc = top.section(SEC_SETS)?;
-        let set_count = read_count(&mut sc)?;
+        let set_count = sc.count()?;
         let mut sets = Vec::with_capacity(set_count);
         for _ in 0..set_count {
-            let len = read_count(&mut sc)?;
+            let len = sc.count()?;
             let mut set = Vec::with_capacity(len);
             let mut prev = 0u32;
             for _ in 0..len {
@@ -261,16 +244,17 @@ impl StoredFixpoint {
             }
             sets.push(set);
         }
+        sc.end()?;
 
         let mut fc = top.section(SEC_FUBS)?;
-        let fub_count = read_count(&mut fc)?;
+        let fub_count = fc.count()?;
         let mut fubs = Vec::with_capacity(fub_count);
         let mut total_nodes = 0usize;
         let set_limit = sets.len() + 2;
         for _ in 0..fub_count {
-            let name = read_string(&mut fc)?;
+            let name = fc.string()?;
             let digest = fc.u64()?;
-            let nodes = read_count(&mut fc)?;
+            let nodes = fc.count()?;
             total_nodes = total_nodes
                 .checked_add(nodes)
                 .ok_or(SnapshotError::BadIndex)?;
@@ -294,13 +278,14 @@ impl StoredFixpoint {
                 bwd,
             });
         }
+        fc.end()?;
         if total_nodes != node_count {
             return Err(SnapshotError::BadIndex);
         }
 
         let mut bc = top.section(SEC_BOUNDARY)?;
         let read_arr = |bc: &mut Cursor<'_>| -> Result<Vec<u32>, SnapshotError> {
-            let n = read_count(bc)?;
+            let n = bc.count()?;
             let mut v = Vec::with_capacity(n);
             for _ in 0..n {
                 v.push(u32::try_from(bc.varint()?).map_err(|_| SnapshotError::BadIndex)?);
@@ -315,6 +300,7 @@ impl StoredFixpoint {
             bwd_offsets: read_arr(&mut bc)?,
             bwd_consumers: read_arr(&mut bc)?,
         };
+        bc.end()?;
         for (reads, offsets, consumers) in [
             (
                 &boundary.fwd_reads,
@@ -344,9 +330,7 @@ impl StoredFixpoint {
             }
         }
 
-        if !top.at_end() {
-            return Err(SnapshotError::Truncated);
-        }
+        top.end()?;
         Ok(StoredFixpoint {
             design,
             content_digest,
@@ -362,21 +346,38 @@ impl StoredFixpoint {
     }
 }
 
-/// Reads a varint count, rejecting any value that could not possibly be
-/// backed by the remaining bytes (each element needs at least one byte),
-/// so corrupt counts never drive huge allocations.
-fn read_count(c: &mut Cursor<'_>) -> Result<usize, SnapshotError> {
-    let n = usize::try_from(c.varint()?).map_err(|_| SnapshotError::BadIndex)?;
-    if n > c.remaining() {
-        return Err(SnapshotError::Truncated);
+/// Appends a term table: its count, then each term as a kind tag and
+/// its structure name. Shared with the compiled-sweep artifact.
+pub(crate) fn put_terms<'a>(out: &mut Vec<u8>, terms: impl ExactSizeIterator<Item = &'a TermKind>) {
+    put_varint(out, terms.len() as u64);
+    for kind in terms {
+        let (tag, name) = match kind {
+            TermKind::Top => (0u8, ""),
+            TermKind::ReadPort(s) => (1, s.as_str()),
+            TermKind::WritePort(s) => (2, s.as_str()),
+            TermKind::Injected(s) => (3, s.as_str()),
+        };
+        out.push(tag);
+        put_str(out, name);
     }
-    Ok(n)
 }
 
-fn read_string(c: &mut Cursor<'_>) -> Result<String, SnapshotError> {
-    let len = read_count(c)?;
-    let bytes = c.take(len)?;
-    String::from_utf8(bytes.to_vec()).map_err(|_| SnapshotError::BadSymbolTable)
+/// Reads a term table written by [`put_terms`].
+pub(crate) fn read_terms(c: &mut Cursor<'_>) -> Result<Vec<TermKind>, SnapshotError> {
+    let count = c.count()?;
+    let mut terms = Vec::with_capacity(count);
+    for _ in 0..count {
+        let tag = c.u8()?;
+        let name = c.string()?;
+        terms.push(match tag {
+            0 => TermKind::Top,
+            1 => TermKind::ReadPort(name),
+            2 => TermKind::WritePort(name),
+            3 => TermKind::Injected(name),
+            _ => return Err(SnapshotError::BadIndex),
+        });
+    }
+    Ok(terms)
 }
 
 /// Digest of the structure-mapping text for `nl` — part of the artifact's
@@ -417,16 +418,10 @@ pub fn load(path: &Path) -> Result<Option<StoredFixpoint>, SnapshotError> {
     StoredFixpoint::decode(&bytes).map(Some)
 }
 
-/// Atomically writes an artifact (temp file + rename, like the sweep
-/// cache) so a crashed writer never leaves a torn file that a later warm
-/// start would reject.
+/// Writes an artifact with [`write_atomic`], so neither a concurrent
+/// writer nor a crashed one leaves a torn file for a later warm start.
 pub fn store(path: &Path, stored: &StoredFixpoint) -> io::Result<()> {
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir)?;
-    }
-    let tmp = path.with_extension("bin.tmp");
-    std::fs::write(&tmp, stored.encode())?;
-    std::fs::rename(&tmp, path)
+    write_atomic(path, &stored.encode())
 }
 
 /// Captures the converged state of a run as a fixpoint artifact.
@@ -632,7 +627,3 @@ pub(crate) fn nodes_by_fub(nl: &Netlist) -> Vec<Vec<NodeId>> {
     }
     fub_nodes
 }
-
-// Re-export the artifact's error type so callers need not depend on the
-// netlist snapshot module directly.
-pub use seqavf_netlist::snapshot::SnapshotError as FixpointError;

@@ -29,6 +29,8 @@ use std::path::{Path, PathBuf};
 
 use seqavf_netlist::graph::Netlist;
 use seqavf_netlist::scc::LoopAnalysis;
+use seqavf_netlist::snapshot::write_atomic;
+use seqavf_netlist::Fnv1a64;
 use seqavf_obs::Collector;
 
 use crate::compile::{CompileStats, CompiledSweep, PatchStats};
@@ -73,33 +75,15 @@ pub fn cache_key_parts(content_digest: u64, mapping_text: &str, result_key: &str
     h.finish()
 }
 
-/// Incremental FNV-1a (64-bit).
-pub(crate) struct Fnv1a64(u64);
-
-impl Fnv1a64 {
-    pub(crate) fn new() -> Self {
-        Fnv1a64(0xcbf2_9ce4_8422_2325)
-    }
-
-    pub(crate) fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    pub(crate) fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
 /// An on-disk cache of compiled sweep artifacts.
 ///
-/// One directory, one `sweep-<key>.txt` artifact per key. Artifacts that
-/// fail to parse, embed a different configuration, or disagree with the
-/// requested netlist's node count are treated as misses (and overwritten
-/// by the fresh store) — corruption degrades to a recompute, never to a
-/// wrong answer.
+/// One directory, one sealed `seqavf-sweep/3` artifact
+/// (`sweep-<key>.bin`, see [`CompiledSweep::encode`]) per key, written
+/// atomically. Artifacts that fail their checksum or any decode check,
+/// embed a different result key, or disagree with the requested
+/// netlist's node count are treated as misses (and overwritten by the
+/// fresh store) — corruption degrades to a recompute, never to a wrong
+/// answer.
 #[derive(Debug, Clone)]
 pub struct SweepCache {
     dir: PathBuf,
@@ -116,7 +100,7 @@ impl SweepCache {
 
     /// The artifact path for a key.
     pub fn artifact_path(&self, key: u64) -> PathBuf {
-        self.dir.join(format!("sweep-{key:016x}.txt"))
+        self.dir.join(format!("sweep-{key:016x}.bin"))
     }
 
     /// The cache directory.
@@ -124,18 +108,18 @@ impl SweepCache {
         &self.dir
     }
 
-    /// Loads the artifact for `key` if present, parseable, configured as
+    /// Loads the artifact for `key` if present, intact, configured as
     /// requested, and shaped for a netlist of `node_count` nodes.
     pub fn load(&self, key: u64, config: &SartConfig, node_count: usize) -> Option<CompiledSweep> {
-        let text = std::fs::read_to_string(self.artifact_path(key)).ok()?;
-        let compiled = CompiledSweep::from_text(&text, config).ok()?;
+        let bytes = std::fs::read(self.artifact_path(key)).ok()?;
+        let compiled = CompiledSweep::decode(&bytes, config).ok()?;
         (compiled.node_count() == node_count).then_some(compiled)
     }
 
     /// Stores a compiled artifact under `key`.
     pub fn store(&self, key: u64, compiled: &CompiledSweep) -> Result<PathBuf, String> {
         let path = self.artifact_path(key);
-        std::fs::write(&path, compiled.to_text())
+        write_atomic(&path, &compiled.encode())
             .map_err(|e| format!("cannot write cache artifact {}: {e}", path.display()))?;
         Ok(path)
     }
@@ -487,33 +471,4 @@ pub fn run_sweep_with_loops_traced(
         stats: compiled.stats(),
         rows,
     })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fnv_matches_reference_vectors() {
-        // Standard FNV-1a 64 test vectors.
-        let mut h = Fnv1a64::new();
-        h.update(b"");
-        assert_eq!(h.finish(), 0xcbf2_9ce4_8422_2325);
-        let mut h = Fnv1a64::new();
-        h.update(b"a");
-        assert_eq!(h.finish(), 0xaf63_dc4c_8601_ec8c);
-        let mut h = Fnv1a64::new();
-        h.update(b"foobar");
-        assert_eq!(h.finish(), 0x85944171f73967e8);
-    }
-
-    #[test]
-    fn incremental_update_equals_one_shot() {
-        let mut a = Fnv1a64::new();
-        a.update(b"hello ");
-        a.update(b"world");
-        let mut b = Fnv1a64::new();
-        b.update(b"hello world");
-        assert_eq!(a.finish(), b.finish());
-    }
 }

@@ -194,10 +194,11 @@ proptest! {
         let engine = SartEngine::new(&nl, &StructureMapping::new(), SartConfig::default());
         let result = engine.run(&table);
         let compiled = CompiledSweep::compile(&result, &nl);
-        let text = compiled.to_text();
-        let back = CompiledSweep::from_text(&text, compiled.config())
-            .expect("serialized artifact parses");
+        let bytes = compiled.encode();
+        let back = CompiledSweep::decode(&bytes, compiled.config())
+            .expect("serialized artifact decodes");
         prop_assert_eq!(&back, &compiled);
+        prop_assert_eq!(back.encode(), bytes);
         let a = compiled.evaluate(&table);
         let b = back.evaluate(&table);
         for (x, y) in a.iter().zip(&b) {

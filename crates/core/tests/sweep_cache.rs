@@ -3,15 +3,21 @@
 //! fields — a single-gate mutation invalidates it, a byte-identical
 //! netlist parsed from a differently named file reuses it, and execution
 //! strategy knobs (`threads`, `incremental`) never invalidate it — and
-//! cache hits must reproduce bit-identical node AVFs.
+//! cache hits must reproduce bit-identical node AVFs. A damaged artifact
+//! must read as a miss, never as an answer.
 
 use std::path::{Path, PathBuf};
 
-use seqavf_core::engine::SartConfig;
+use seqavf_core::compile::{CompiledSweep, SWEEP_MAGIC};
+use seqavf_core::engine::{SartConfig, SartEngine};
+use seqavf_core::fixpoint::{artifact_key, mapping_digest};
 use seqavf_core::mapping::{PavfInputs, StructureMapping};
-use seqavf_core::sweep::{cache_key, run_sweep_traced, CacheStatus, SweepOptions};
+use seqavf_core::sweep::{
+    cache_key, cache_key_parts, run_sweep_traced, CacheStatus, SweepCache, SweepOptions,
+};
 use seqavf_netlist::flatten::parse_netlist;
 use seqavf_netlist::graph::Netlist;
+use seqavf_netlist::snapshot::{open_sealed, seal, Cursor};
 use seqavf_obs::Collector;
 
 const DESIGN: &str = r"
@@ -190,19 +196,172 @@ fn corrupt_artifact_degrades_to_a_miss() {
     assert_eq!(sweep(&nl, &config, &dir, &obs).cache, CacheStatus::Miss);
     // Clobber the stored artifact; the next run must recompute (and
     // overwrite it with a good copy), never error or return garbage.
-    let artifact = std::fs::read_dir(&dir)
-        .unwrap()
-        .filter_map(Result::ok)
-        .find(|e| e.file_name().to_string_lossy().starts_with("sweep-"))
-        .expect("artifact stored")
-        .path();
-    std::fs::write(&artifact, "seqavf-sweep/2\ngarbage\n").unwrap();
+    let artifact = stored_artifact(&dir);
+    std::fs::write(&artifact, "seqavf-sweep/3\ngarbage\n").unwrap();
     assert_eq!(sweep(&nl, &config, &dir, &obs).cache, CacheStatus::Miss);
-    // A stale pre-result-key artifact (v1 header) is likewise just a miss.
-    std::fs::write(&artifact, "seqavf-sweep/1\ngarbage\n").unwrap();
+    // A stale artifact of the retired text format is likewise just a miss.
+    std::fs::write(&artifact, "seqavf-sweep/2\nconfig loop=0.3\n").unwrap();
     assert_eq!(sweep(&nl, &config, &dir, &obs).cache, CacheStatus::Miss);
     assert_eq!(sweep(&nl, &config, &dir, &obs).cache, CacheStatus::Hit);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The single sealed artifact a one-key sweep leaves in `dir`.
+fn stored_artifact(dir: &Path) -> PathBuf {
+    let mut found: Vec<PathBuf> = std::fs::read_dir(dir)
+        .unwrap()
+        .filter_map(Result::ok)
+        .map(|e| e.path())
+        .filter(|p| p.to_string_lossy().ends_with(".bin"))
+        .collect();
+    assert_eq!(found.len(), 1, "expected one artifact, found {found:?}");
+    found.pop().unwrap()
+}
+
+/// Byte range of the slot section's payload. Slots are the last of the
+/// six sections, so skip the first five and the slot section's own tag
+/// byte and `u64` length; the payload ends at the 8-byte trailer.
+fn slot_section(bytes: &[u8]) -> std::ops::Range<usize> {
+    let mut c = Cursor::new(open_sealed(bytes, SWEEP_MAGIC, SWEEP_MAGIC).unwrap());
+    for tag in 1..=5 {
+        c.section(tag).unwrap();
+    }
+    let end = bytes.len() - 8;
+    end - (c.remaining() - 9)..end
+}
+
+/// Regression: the retired text codec had no checksum, so editing one
+/// slot line of a stored artifact loaded as a cache *hit* and changed the
+/// answer. A flipped bit in the slot section must now be a miss, and the
+/// recomputed rows must equal the first run's bit for bit.
+#[test]
+fn flipped_slot_bit_is_a_miss_not_a_wrong_answer() {
+    let dir = temp_cache("bitflip");
+    let nl = parse_netlist(DESIGN).unwrap();
+    let config = SartConfig::default();
+    let obs = Collector::disabled();
+    let first = sweep(&nl, &config, &dir, &obs);
+    assert_eq!(first.cache, CacheStatus::Miss);
+    let artifact = stored_artifact(&dir);
+    let mut bytes = std::fs::read(&artifact).unwrap();
+    // Pick a flip that, re-sealed, still decodes to a DAG with different
+    // AVFs: only the checksum stands between it and a wrong answer.
+    let tables: Vec<PavfInputs> = workloads().into_iter().map(|(_, t)| t).collect();
+    let stored = CompiledSweep::decode(&bytes, &config).unwrap();
+    let (pos, bit) = slot_section(&bytes)
+        .flat_map(|pos| (0..8).map(move |bit| (pos, bit)))
+        .find(|&(pos, bit)| {
+            let mut forged = bytes[..bytes.len() - 8].to_vec();
+            forged[pos] ^= 1 << bit;
+            seal(&mut forged);
+            CompiledSweep::decode(&forged, &config)
+                .is_ok_and(|dag| dag.evaluate_many(&tables, 1) != stored.evaluate_many(&tables, 1))
+        })
+        .expect("some slot bit flip decodes to different AVFs once re-sealed");
+    bytes[pos] ^= 1 << bit;
+    std::fs::write(&artifact, &bytes).unwrap();
+    let second = sweep(&nl, &config, &dir, &obs);
+    assert_eq!(second.cache, CacheStatus::Miss);
+    assert_eq!(first.rows.len(), second.rows.len());
+    for (a, b) in first.rows.iter().zip(&second.rows) {
+        assert_eq!(a.workload, b.workload);
+        for (x, y) in a.node_avfs.iter().zip(&b.node_avfs) {
+            assert_eq!(x.to_bits(), y.to_bits());
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Writers racing on one key never tear the artifact: every concurrent
+/// load is a miss or exactly one of the artifacts stored, and no temp
+/// file outlives its write.
+#[test]
+fn concurrent_stores_and_loads_see_whole_artifacts() {
+    let dir = temp_cache("race");
+    let cache = SweepCache::open(&dir).unwrap();
+    let config = SartConfig::default();
+    // Same node count and result key, different closed forms: each
+    // variant writes a different structure cell from `q3`.
+    let artifacts: Vec<CompiledSweep> = ["s2[0]", "s1[0]", "s3[0]"]
+        .iter()
+        .map(|cell| {
+            let text = DESIGN
+                .replace(".struct s2 1", ".struct s2 1\n  .struct s3 1")
+                .replace(".sw s2[0] q3", &format!(".sw {cell} q3"));
+            let nl = parse_netlist(&text).unwrap();
+            let result = SartEngine::new(&nl, &StructureMapping::new(), config.clone())
+                .run(&PavfInputs::new());
+            CompiledSweep::compile(&result, &nl)
+        })
+        .collect();
+    for (i, a) in artifacts.iter().enumerate() {
+        for b in &artifacts[i + 1..] {
+            assert_ne!(a.encode(), b.encode(), "variants must differ");
+        }
+    }
+    let node_count = artifacts[0].node_count();
+    let key = 0x5eed;
+    // Every thread starts its loop at once, so writes and reads overlap.
+    let start = std::sync::Barrier::new(artifacts.len() + 2);
+    std::thread::scope(|s| {
+        for a in &artifacts {
+            let (cache, start) = (&cache, &start);
+            s.spawn(move || {
+                start.wait();
+                for _ in 0..40 {
+                    cache.store(key, a).unwrap();
+                }
+            });
+        }
+        for _ in 0..2 {
+            s.spawn(|| {
+                start.wait();
+                for _ in 0..120 {
+                    if let Some(got) = cache.load(key, &config, node_count) {
+                        assert!(artifacts.contains(&got), "a load saw a torn artifact");
+                    }
+                }
+            });
+        }
+    });
+    let last = cache
+        .load(key, &config, node_count)
+        .expect("an artifact survives");
+    assert!(artifacts.contains(&last));
+    let left: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .filter_map(Result::ok)
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .collect();
+    assert_eq!(left, vec![format!("sweep-{key:016x}.bin")]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The key functions' values, recorded before they moved onto the shared
+/// `Fnv1a64`: existing fixpoint artifacts and cache entries keep their
+/// file names.
+#[test]
+fn key_functions_are_pinned() {
+    let nl = parse_netlist(DESIGN).unwrap();
+    let mut mapped = StructureMapping::new();
+    mapped.insert(nl.structure_ids().next().unwrap(), "uops_executed");
+    let map_text = "f.s1 uops_executed\n";
+    assert_eq!(mapped.to_text(&nl), map_text);
+    assert_eq!(
+        cache_key_parts(0x0123_4567_89ab_cdef, map_text, "loop=0.3"),
+        0xebb3_6821_7a93_e6de
+    );
+    assert_eq!(cache_key_parts(0, "", ""), 0x69d3_07cc_20f6_ef8d);
+    assert_eq!(
+        artifact_key("cachetest", map_text, "loop=0.3"),
+        0xf380_a331_b07d_4b4e
+    );
+    assert_eq!(artifact_key("", "", ""), 0x0832_8807_b4eb_6fed);
+    assert_eq!(mapping_digest(&nl, &mapped), 0xbfc9_87d4_4f9b_9128);
+    assert_eq!(
+        mapping_digest(&nl, &StructureMapping::new()),
+        0xcbf2_9ce4_8422_2325
+    );
 }
 
 #[test]

@@ -560,6 +560,14 @@ mod tests {
         let mut h2 = Fnv1a64::new();
         h2.update(b"foobar");
         assert_eq!(h2.finish(), 0x85944171f73967e8);
+        // The hash depends only on the concatenated stream, however it is
+        // split across `update` calls.
+        let mut split = Fnv1a64::new();
+        split.update(b"hello ");
+        split.update(b"world");
+        let mut whole = Fnv1a64::new();
+        whole.update(b"hello world");
+        assert_eq!(split.finish(), whole.finish());
     }
 
     #[test]

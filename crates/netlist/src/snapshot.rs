@@ -42,8 +42,17 @@
 //! [`SnapshotError`] — never a panic — so callers degrade to a recompute
 //! exactly like a sweep-cache miss. Old `seqavf-graph/1` files are
 //! rejected up front with [`SnapshotError::UnsupportedVersion`].
+//!
+//! The envelope is the container of every on-disk artifact, not just the
+//! graph's: `seqavf-core`'s fixpoint and compiled-sweep artifacts are
+//! written with [`put_section`], [`put_varint`] and [`seal`], read with
+//! [`open_sealed`] and [`Cursor`], and fail with [`SnapshotError`]. Every
+//! cache file goes to disk through [`write_atomic`].
 
 use std::fmt;
+use std::io;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::graph::{FubId, GateOp, Netlist, NodeId, NodeKind, SeqKind, StructId};
 use crate::intern::{Sym, SymbolTable, WideFnv64};
@@ -56,18 +65,6 @@ pub const MAGIC: &[u8] = b"seqavf-graph/2\n";
 /// but not [`MAGIC`] is a snapshot from another format version.
 const MAGIC_FAMILY: &[u8] = b"seqavf-graph/";
 
-/// Magic of the companion warm-start artifact: the converged relaxation
-/// fixpoint stored alongside a graph snapshot (`seqavf-fixpoint/1`). The
-/// payload is encoded by `seqavf-core` (it stores arena sets and walk
-/// annotations the netlist crate has no types for), but the envelope —
-/// magic, version gating, whole-file checksum — is this module's, shared
-/// through [`seal`] and [`open_sealed`] so every on-disk artifact family
-/// degrades identically on corruption.
-pub const FIXPOINT_MAGIC: &[u8] = b"seqavf-fixpoint/1\n";
-
-/// Version-family prefix of [`FIXPOINT_MAGIC`].
-pub const FIXPOINT_MAGIC_FAMILY: &[u8] = b"seqavf-fixpoint/";
-
 const TAG_DESIGN: u8 = 1;
 const TAG_SYMS: u8 = 2;
 const TAG_NODES: u8 = 3;
@@ -77,15 +74,16 @@ const TAG_EDGES: u8 = 6;
 const TAG_LOOPS: u8 = 7;
 const TAG_HEADER: u8 = 8;
 
-/// Why a snapshot could not be loaded. All variants are recoverable — the
-/// caller recomputes from source.
+/// Why an artifact could not be loaded. All variants are recoverable —
+/// the caller recomputes from source.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SnapshotError {
-    /// The file does not start with the `seqavf-graph/` magic family
-    /// (wrong file entirely).
+    /// The file does not start with the artifact's magic family (wrong
+    /// file entirely).
     BadMagic,
-    /// The file is a snapshot, but of a different format version (e.g. a
-    /// stale `seqavf-graph/1` cache entry). Rebuild and re-save.
+    /// The file is an artifact of the right family, but of a different
+    /// format version (e.g. a stale `seqavf-graph/1` cache entry). Rebuild
+    /// and re-save.
     UnsupportedVersion,
     /// The whole-file checksum trailer does not match (truncation or
     /// corruption).
@@ -100,21 +98,23 @@ pub enum SnapshotError {
     BadIndex,
     /// The rebuilt graph's content digest differs from the header.
     DigestMismatch,
+    /// The artifact was computed under a different result-affecting
+    /// configuration than the one requested.
+    ResultKeyMismatch,
 }
 
 impl fmt::Display for SnapshotError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SnapshotError::BadMagic => write!(f, "not a seqavf-graph snapshot"),
-            SnapshotError::UnsupportedVersion => {
-                write!(f, "unsupported snapshot version (expected seqavf-graph/2)")
-            }
-            SnapshotError::ChecksumMismatch => write!(f, "snapshot checksum mismatch"),
-            SnapshotError::Truncated => write!(f, "snapshot truncated"),
-            SnapshotError::BadSection(t) => write!(f, "unexpected snapshot section tag {t}"),
-            SnapshotError::BadSymbolTable => write!(f, "snapshot symbol table invalid"),
-            SnapshotError::BadIndex => write!(f, "snapshot index out of range"),
+            SnapshotError::BadMagic => write!(f, "not an artifact of the expected kind"),
+            SnapshotError::UnsupportedVersion => write!(f, "unsupported artifact version"),
+            SnapshotError::ChecksumMismatch => write!(f, "artifact checksum mismatch"),
+            SnapshotError::Truncated => write!(f, "artifact truncated"),
+            SnapshotError::BadSection(t) => write!(f, "unexpected artifact section tag {t}"),
+            SnapshotError::BadSymbolTable => write!(f, "artifact string or symbol table invalid"),
+            SnapshotError::BadIndex => write!(f, "artifact index out of range"),
             SnapshotError::DigestMismatch => write!(f, "snapshot content digest mismatch"),
+            SnapshotError::ResultKeyMismatch => write!(f, "artifact result key mismatch"),
         }
     }
 }
@@ -151,6 +151,12 @@ pub fn put_delta(out: &mut Vec<u8>, prev: usize, cur: usize) {
     put_varint(out, zigzag(cur as i64 - prev as i64));
 }
 
+/// Appends a length-prefixed string (read back by [`Cursor::string`]).
+pub fn put_str(out: &mut Vec<u8>, s: &str) {
+    put_varint(out, s.len() as u64);
+    out.extend_from_slice(s.as_bytes());
+}
+
 /// Appends a tagged, length-prefixed section.
 pub fn put_section(out: &mut Vec<u8>, tag: u8, payload: &[u8]) {
     out.push(tag);
@@ -168,9 +174,8 @@ pub fn seal(out: &mut Vec<u8>) {
 
 /// Validates the envelope of a sealed artifact — exact magic, version
 /// family, and the whole-file checksum trailer — and returns the body
-/// between magic and trailer. Shared by the graph snapshot and the
-/// fixpoint artifact so corruption degrades to the same recoverable
-/// errors everywhere.
+/// between magic and trailer. Shared by every artifact family so
+/// corruption degrades to the same recoverable errors everywhere.
 pub fn open_sealed<'a>(
     bytes: &'a [u8],
     magic: &[u8],
@@ -203,6 +208,31 @@ pub fn open_sealed<'a>(
         return Err(SnapshotError::ChecksumMismatch);
     }
     Ok(&body[magic.len()..])
+}
+
+/// Writes a cache file atomically: the bytes go to a temp sibling unique
+/// to this process and call, which is then renamed over `path`, so
+/// concurrent writers never interleave and readers see either the old
+/// file or the new one. Creates the parent directory first and removes
+/// the temp file on error. There is no fsync: a sealed artifact torn by
+/// a crash fails its checksum and reads as a miss.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    if let Some(dir) = path.parent() {
+        std::fs::create_dir_all(dir)?;
+    }
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(format!(
+        ".{}.{}.tmp",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
+    let tmp = PathBuf::from(tmp);
+    let written = std::fs::write(&tmp, bytes).and_then(|()| std::fs::rename(&tmp, path));
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    written
 }
 
 /// Every section's element count, written first so the loader can size
@@ -322,9 +352,7 @@ pub fn save(nl: &Netlist, loops: &LoopAnalysis) -> Vec<u8> {
     }
     put_section(&mut out, TAG_LOOPS, &p);
 
-    let mut h = WideFnv64::new();
-    h.update(&out);
-    put_u64(&mut out, h.finish());
+    seal(&mut out);
     out
 }
 
@@ -411,6 +439,25 @@ impl<'a> Cursor<'a> {
         }
     }
 
+    /// Reads a varint element count, rejecting any count the remaining
+    /// bytes could not back (every element takes at least one byte), so a
+    /// corrupt count never drives a huge allocation.
+    pub fn count(&mut self) -> Result<usize, SnapshotError> {
+        let n = usize::try_from(self.varint()?).map_err(|_| SnapshotError::BadIndex)?;
+        if n > self.remaining() {
+            return Err(SnapshotError::Truncated);
+        }
+        Ok(n)
+    }
+
+    /// Reads a length-prefixed UTF-8 string.
+    pub fn string(&mut self) -> Result<String, SnapshotError> {
+        let len = self.count()?;
+        std::str::from_utf8(self.take(len)?)
+            .map(str::to_owned)
+            .map_err(|_| SnapshotError::BadSymbolTable)
+    }
+
     /// A zigzag varint delta applied to `prev`, bounds-checked into
     /// `0..limit`.
     pub fn delta_index(&mut self, prev: usize, limit: usize) -> Result<usize, SnapshotError> {
@@ -435,9 +482,14 @@ impl<'a> Cursor<'a> {
         Ok(Cursor::new(self.take(len)?))
     }
 
-    /// Whether every byte has been consumed.
-    pub fn at_end(&self) -> bool {
-        self.pos == self.b.len()
+    /// Succeeds only when every byte has been consumed: bytes left after
+    /// a section's last field are corruption.
+    pub fn end(&self) -> Result<(), SnapshotError> {
+        if self.pos == self.b.len() {
+            Ok(())
+        } else {
+            Err(SnapshotError::BadIndex)
+        }
     }
 }
 
@@ -488,9 +540,7 @@ impl Header {
             }
             *c = v;
         }
-        if !s.at_end() {
-            return Err(SnapshotError::BadIndex);
-        }
+        s.end()?;
         let [nodes, edges, fubs, structs, syms, sym_bytes, loop_components] = counts;
         Ok(Header {
             nodes,
@@ -512,39 +562,8 @@ impl Header {
 /// version, failed checksum, truncation, invalid indices, or a digest that
 /// does not match the rebuilt graph. Corruption never panics.
 pub fn load(bytes: &[u8]) -> Result<(Netlist, LoopAnalysis), SnapshotError> {
-    if bytes.len() < MAGIC.len() + 16 {
-        return Err(if bytes.starts_with(MAGIC) || MAGIC.starts_with(bytes) {
-            SnapshotError::Truncated
-        } else if bytes.starts_with(MAGIC_FAMILY) {
-            SnapshotError::UnsupportedVersion
-        } else {
-            SnapshotError::BadMagic
-        });
-    }
-    if &bytes[..MAGIC.len()] != MAGIC {
-        return Err(if bytes.starts_with(MAGIC_FAMILY) {
-            SnapshotError::UnsupportedVersion
-        } else {
-            SnapshotError::BadMagic
-        });
-    }
     // Verify the whole-file checksum before trusting any section length.
-    let body = &bytes[..bytes.len() - 8];
-    let mut h = WideFnv64::new();
-    h.update(body);
-    // The length guard above makes this slice exactly 8 bytes, but a
-    // resident server cannot afford a panic path on untrusted input —
-    // degrade to a checksum error instead.
-    let trailer_bytes: [u8; 8] = match bytes[bytes.len() - 8..].try_into() {
-        Ok(b) => b,
-        Err(_) => return Err(SnapshotError::Truncated),
-    };
-    let trailer = u64::from_le_bytes(trailer_bytes);
-    if h.finish() != trailer {
-        return Err(SnapshotError::ChecksumMismatch);
-    }
-
-    let mut c = Cursor::new(&body[MAGIC.len()..]);
+    let mut c = Cursor::new(open_sealed(bytes, MAGIC, MAGIC_FAMILY)?);
     let header_digest = c.u64()?;
 
     let mut s = c.section(TAG_HEADER)?;
@@ -571,9 +590,7 @@ pub fn load(bytes: &[u8]) -> Result<(Netlist, LoopAnalysis), SnapshotError> {
         spans.push((start, len));
         expected_start = i64::from(start) + i64::from(len);
     }
-    if !s.at_end() {
-        return Err(SnapshotError::BadIndex);
-    }
+    s.end()?;
     let symbols = SymbolTable::from_raw(buf, spans).ok_or(SnapshotError::BadSymbolTable)?;
 
     let mut s = c.section(TAG_NODES)?;
@@ -601,9 +618,7 @@ pub fn load(bytes: &[u8]) -> Result<(Netlist, LoopAnalysis), SnapshotError> {
     for _ in 0..hdr.nodes {
         kinds.push(decode_kind(&mut s, hdr.structs)?);
     }
-    if !s.at_end() {
-        return Err(SnapshotError::BadIndex);
-    }
+    s.end()?;
 
     let mut s = c.section(TAG_FUBS)?;
     let mut fubs = Vec::with_capacity(hdr.fubs);
@@ -613,9 +628,7 @@ pub fn load(bytes: &[u8]) -> Result<(Netlist, LoopAnalysis), SnapshotError> {
         fubs.push(Sym::from_index(i));
         prev = i;
     }
-    if !s.at_end() {
-        return Err(SnapshotError::BadIndex);
-    }
+    s.end()?;
 
     let mut s = c.section(TAG_STRUCTS)?;
     let mut structures = Vec::with_capacity(hdr.structs);
@@ -643,9 +656,7 @@ pub fn load(bytes: &[u8]) -> Result<(Netlist, LoopAnalysis), SnapshotError> {
             cells,
         ));
     }
-    if !s.at_end() {
-        return Err(SnapshotError::BadIndex);
-    }
+    s.end()?;
 
     let mut s = c.section(TAG_EDGES)?;
     let mut fanin_off = Vec::with_capacity(hdr.nodes + 1);
@@ -668,9 +679,7 @@ pub fn load(bytes: &[u8]) -> Result<(Netlist, LoopAnalysis), SnapshotError> {
             fanin_dat.push(NodeId::from_index(i));
         }
     }
-    if !s.at_end() {
-        return Err(SnapshotError::BadIndex);
-    }
+    s.end()?;
 
     let mut s = c.section(TAG_LOOPS)?;
     let mut components = Vec::with_capacity(hdr.loop_components);
@@ -688,9 +697,8 @@ pub fn load(bytes: &[u8]) -> Result<(Netlist, LoopAnalysis), SnapshotError> {
         }
         components.push(comp);
     }
-    if !s.at_end() || !c.at_end() {
-        return Err(SnapshotError::BadIndex);
-    }
+    s.end()?;
+    c.end()?;
 
     let nl = Netlist::from_raw_parts(
         design, symbols, node_syms, kinds, fub_of, fubs, structures, fanin_off, fanin_dat,
@@ -804,7 +812,7 @@ mod tests {
         for &v in &vals {
             assert_eq!(c.varint().unwrap(), v);
         }
-        assert!(c.at_end());
+        assert_eq!(c.end(), Ok(()));
     }
 
     #[test]

@@ -87,8 +87,8 @@ pub struct ResidentConfig {
     /// `seqavf-graph/2` snapshots consulted (and written) on graph
     /// misses.
     pub graph_cache: Option<PathBuf>,
-    /// `--cache-dir` directory shared with the CLI: `seqavf-sweep/2`
-    /// artifacts consulted (and written) on sweep misses.
+    /// `--cache-dir` directory shared with the CLI: sealed
+    /// `seqavf-sweep/3` artifacts consulted (and written) on sweep misses.
     pub sweep_cache: Option<PathBuf>,
 }
 
@@ -383,10 +383,7 @@ impl Resident {
         let loops = find_loops_traced(&nl, &self.obs);
         if let Some(p) = &snap_path {
             self.obs.count("frontend.snapshot.miss", 1);
-            if let Some(dir) = p.parent() {
-                let _ = std::fs::create_dir_all(dir);
-            }
-            let _ = std::fs::write(p, snapshot::save(&nl, &loops));
+            let _ = snapshot::write_atomic(p, &snapshot::save(&nl, &loops));
         }
         Ok((nl, loops))
     }

@@ -280,9 +280,8 @@ pub mod flow {
         obs.count("frontend.snapshot.miss", 1);
         let design = generate_traced();
         let loops = find_loops_traced(&design.netlist, obs);
-        let _ = std::fs::create_dir_all(dir);
-        let _ = std::fs::write(&snap_path, snapshot::save(&design.netlist, &loops));
-        let _ = std::fs::write(&meta_path, meta_to_text(&design.meta));
+        let _ = snapshot::write_atomic(&snap_path, &snapshot::save(&design.netlist, &loops));
+        let _ = snapshot::write_atomic(&meta_path, meta_to_text(&design.meta).as_bytes());
         (design, Some(loops))
     }
 
