@@ -213,7 +213,8 @@ fn measure_edit(
     let cold_wall_ms = t0.elapsed().as_secs_f64() * 1e3;
 
     let t1 = Instant::now();
-    let (warm, status) = engine.run_warm_traced(inputs, stored, &seqavf_obs::Collector::disabled());
+    let (warm, status, _) =
+        engine.run_warm_patch_traced(inputs, stored, &seqavf_obs::Collector::disabled());
     let warm_wall_ms = t1.elapsed().as_secs_f64() * 1e3;
 
     let (seeded_fubs, dirty_fubs) = match status {

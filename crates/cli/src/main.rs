@@ -35,6 +35,7 @@
 
 mod args;
 
+use std::path::Path;
 use std::process::ExitCode;
 
 use args::Args;
@@ -42,14 +43,12 @@ use seqavf_core::engine::{SartConfig, SartEngine, WarmStatus};
 use seqavf_core::fixpoint;
 use seqavf_core::mapping::{PavfInputs, StructureMapping};
 use seqavf_core::report::SartSummary;
+use seqavf_core::sweep::KeyParts;
 use seqavf_netlist::exlif;
-use seqavf_netlist::flatten;
 use seqavf_netlist::graph::Netlist;
-use seqavf_netlist::scc::{find_loops_traced, LoopAnalysis};
-use seqavf_netlist::snapshot;
+use seqavf_netlist::scc::LoopAnalysis;
 use seqavf_netlist::synth::{generate, SynthConfig};
-use seqavf_netlist::verilog;
-use seqavf_netlist::Fnv1a64;
+use seqavf_netlist::DesignSource;
 use seqavf_obs::Collector;
 use seqavf_perf::pipeline::PerfConfig;
 use seqavf_workloads::suite::{standard_suite, SuiteConfig};
@@ -229,54 +228,28 @@ impl Obs {
     }
 }
 
-/// Loads a design, selecting the frontend by file extension: `.v`/`.sv`
-/// use the structural-Verilog parser, everything else the EXLIF parser.
-///
-/// When `cache` names a `--graph-cache` directory, the flattened graph and
-/// its loop analysis are stored there as a `seqavf-graph/2` snapshot keyed
-/// by the source text (and frontend), so a repeat run of the same file
-/// skips parse, flatten and SCC entirely. A missing, truncated or
-/// corrupted snapshot silently degrades to a fresh parse; a successful
-/// load bumps the `frontend.snapshot.hit` counter, a rebuild bumps
-/// `frontend.snapshot.miss`.
-fn load_design(
-    path: &str,
-    obs: &Collector,
-    cache: Option<&str>,
-) -> Result<(Netlist, Option<LoopAnalysis>), String> {
-    let text = read_file(path)?;
-    let is_verilog = path.ends_with(".v") || path.ends_with(".sv");
-    let snap_path = cache.map(|dir| {
-        let mut h = Fnv1a64::new();
-        h.update(if is_verilog { b"verilog" } else { b"exlif" });
-        h.update(&[0]);
-        h.update(text.as_bytes());
-        std::path::Path::new(dir).join(format!("graph-{:016x}.bin", h.finish()))
-    });
-    if let Some(p) = &snap_path {
-        if let Ok(bytes) = std::fs::read(p) {
-            if let Ok((nl, loops)) = snapshot::load(&bytes) {
-                obs.count("frontend.snapshot.hit", 1);
-                return Ok((nl, Some(loops)));
-            }
-        }
-    }
-    let result = if is_verilog {
-        verilog::parse_netlist_traced(&text, obs)
-    } else {
-        flatten::parse_netlist_traced(&text, obs)
-    };
-    let nl = result.map_err(|e| format!("parsing {path}: {e}"))?;
-    match snap_path {
-        None => Ok((nl, None)),
-        Some(p) => {
-            obs.count("frontend.snapshot.miss", 1);
-            let loops = find_loops_traced(&nl, obs);
-            // Best-effort store: a failed write only costs the next run a
-            // recompute, never the current one its answer.
-            let _ = snapshot::write_atomic(&p, &snapshot::save(&nl, &loops));
-            Ok((nl, Some(loops)))
-        }
+/// Loads `--design` through the shared graph tier
+/// ([`DesignSource::load`]), with `--graph-cache` as its snapshot
+/// directory: a repeat run of the same source skips parse, flatten and
+/// SCC entirely.
+fn load_design(args: &Args, obs: &Collector) -> Result<(Netlist, Option<LoopAnalysis>), String> {
+    let path = args.require("design")?;
+    DesignSource::read(path)
+        .map_err(|e| format!("reading {path}: {e}"))?
+        .load(args.get("graph-cache").map(Path::new), obs)
+        .map_err(|e| format!("parsing {path}: {e}"))
+}
+
+/// Prints which path a warm-start request took.
+fn print_warm(status: WarmStatus) {
+    match status {
+        WarmStatus::Warm {
+            seeded_fubs,
+            dirty_fubs,
+        } => println!(
+            "warm start: seeded {seeded_fubs} FUBs from stored fixpoint, {dirty_fubs} dirty"
+        ),
+        WarmStatus::Cold(reason) => println!("warm start: cold solve ({reason})"),
     }
 }
 
@@ -358,11 +331,7 @@ fn cmd_sart(args: &Args) -> Result<(), String> {
         &["global", "no-incremental", "metrics"],
     )?;
     let obs = Obs::from_args(args);
-    let (netlist, loops) = load_design(
-        args.require("design")?,
-        &obs.collector,
-        args.get("graph-cache"),
-    )?;
+    let (netlist, loops) = load_design(args, &obs.collector)?;
     let mapping = StructureMapping::from_text(&netlist, &read_file(args.require("map")?)?)?;
     let inputs: PavfInputs = serde_json::from_str(&read_file(args.require("pavf")?)?)
         .map_err(|e| format!("parsing pAVF table: {e}"))?;
@@ -381,40 +350,17 @@ fn cmd_sart(args: &Args) -> Result<(), String> {
     let result = match args.get("warm-start") {
         None => engine.run_traced(&inputs, &obs.collector),
         Some(dir) => {
-            let path = fixpoint::artifact_path(
-                std::path::Path::new(dir),
-                fixpoint::artifact_key(
-                    netlist.design_name(),
-                    &mapping.to_text(&netlist),
-                    &engine.config().result_key(),
-                ),
-            );
+            let keys = KeyParts::new(&netlist, &mapping, engine.config());
+            let path =
+                fixpoint::artifact_path(Path::new(dir), keys.fixpoint_key(netlist.design_name()));
             let stored = fixpoint::load(&path).unwrap_or_default();
-            let (result, warm) = match &stored {
-                Some(s) => engine.run_warm_traced(&inputs, s, &obs.collector),
-                None => (
-                    engine.run_traced(&inputs, &obs.collector),
-                    WarmStatus::Cold("no usable fixpoint artifact"),
-                ),
-            };
-            match warm {
-                WarmStatus::Warm {
-                    seeded_fubs,
-                    dirty_fubs,
-                } => {
-                    obs.collector.count("relax.warmstart.hit", 1);
-                    println!(
-                        "warm start: seeded {seeded_fubs} FUBs from stored fixpoint, {dirty_fubs} dirty"
-                    );
-                }
-                WarmStatus::Cold(reason) => {
-                    obs.collector.count("relax.warmstart.miss", 1);
-                    println!("warm start: cold solve ({reason})");
-                }
-            }
+            let prev = stored.as_ref().ok_or("no usable fixpoint artifact");
+            let (result, status, _, captured) =
+                engine.run_warm_start_traced(&inputs, prev, &obs.collector);
+            print_warm(status);
             // Refresh the artifact so the next edit of this design
             // re-solves warm against today's fixpoint.
-            if let Some(captured) = engine.capture_fixpoint(&result) {
+            if let Some(captured) = captured {
                 match fixpoint::store(&path, &captured) {
                     Ok(()) => println!("stored fixpoint artifact {}", path.display()),
                     Err(e) => eprintln!("seqavf: cannot store fixpoint artifact: {e}"),
@@ -505,11 +451,7 @@ fn cmd_sfi(args: &Args) -> Result<(), String> {
         &["metrics"],
     )?;
     let obs = Obs::from_args(args);
-    let (netlist, _loops) = load_design(
-        args.require("design")?,
-        &obs.collector,
-        args.get("graph-cache"),
-    )?;
+    let (netlist, _loops) = load_design(args, &obs.collector)?;
     let sample_n = args.num("sample", 100usize)?;
     let seqs: Vec<_> = netlist.seq_nodes().collect();
     let stride = (seqs.len() / sample_n.max(1)).max(1);
@@ -564,11 +506,7 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
         &["global", "no-incremental", "conservative", "metrics"],
     )?;
     let obs = Obs::from_args(args);
-    let (netlist, loops) = load_design(
-        args.require("design")?,
-        &obs.collector,
-        args.get("graph-cache"),
-    )?;
+    let (netlist, loops) = load_design(args, &obs.collector)?;
     let mapping = StructureMapping::from_text(&netlist, &read_file(args.require("map")?)?)?;
     let base_inputs: PavfInputs = serde_json::from_str(&read_file(args.require("pavf")?)?)
         .map_err(|e| format!("parsing pAVF table: {e}"))?;
@@ -620,15 +558,8 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
         CacheStatus::Miss => "cache miss (relaxed fresh, artifact stored)",
         CacheStatus::Hit => "cache hit (relaxation skipped)",
     };
-    match outcome.warm {
-        Some(WarmStatus::Warm {
-            seeded_fubs,
-            dirty_fubs,
-        }) => println!(
-            "warm start: seeded {seeded_fubs} FUBs from stored fixpoint, {dirty_fubs} dirty"
-        ),
-        Some(WarmStatus::Cold(reason)) => println!("warm start: cold solve ({reason})"),
-        None => {}
+    if let Some(status) = outcome.warm {
+        print_warm(status);
     }
     match outcome.patch {
         Some(PatchStatus::Patched(st)) => println!(
@@ -720,11 +651,7 @@ fn cmd_validate(args: &Args) -> Result<(), String> {
         &["global", "no-incremental", "no-derate", "metrics"],
     )?;
     let obs = Obs::from_args(args);
-    let (netlist, loops) = load_design(
-        args.require("design")?,
-        &obs.collector,
-        args.get("graph-cache"),
-    )?;
+    let (netlist, loops) = load_design(args, &obs.collector)?;
     let mapping = StructureMapping::from_text(&netlist, &read_file(args.require("map")?)?)?;
     // Without --pavf the analytical side runs under conservative inputs
     // (every boundary and port pAVF 1.0): structural vulnerability, which
@@ -755,7 +682,7 @@ fn cmd_validate(args: &Args) -> Result<(), String> {
         &mapping,
         &config,
         &inputs,
-        args.get("cache-dir").map(std::path::Path::new),
+        args.get("cache-dir").map(Path::new),
         loops.as_ref(),
         &obs.collector,
     )?;

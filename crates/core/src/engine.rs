@@ -311,33 +311,12 @@ impl<'nl> SartEngine<'nl> {
     /// degrades to a full cold solve — the returned [`WarmStatus`] says
     /// which path ran and why. Results are bit-identical to a cold run
     /// either way.
-    pub fn run_warm_traced(
-        &self,
-        inputs: &PavfInputs,
-        stored: &StoredFixpoint,
-        obs: &Collector,
-    ) -> (SartResult, WarmStatus) {
-        let (result, status, _) = self.run_warm_inner(inputs, stored, false, obs);
-        (result, status)
-    }
-
-    /// [`SartEngine::run_warm_traced`] without the small-design thread
-    /// clamp, mirroring [`SartEngine::run_exact`] for equivalence tests.
-    pub fn run_warm_exact(
-        &self,
-        inputs: &PavfInputs,
-        stored: &StoredFixpoint,
-    ) -> (SartResult, WarmStatus) {
-        let (result, status, _) = self.run_warm_inner(inputs, stored, true, &Collector::disabled());
-        (result, status)
-    }
-
-    /// [`SartEngine::run_warm_traced`] that additionally reports, per FUB,
-    /// whether the FUB is *patch-clean*: it was seeded from the stored
-    /// fixpoint AND the relaxation left every one of its annotations at
-    /// the seeded value. A patch-clean FUB's closed forms are exactly the
-    /// previous revision's, so a compiled sweep DAG built for that
-    /// revision can keep its ops verbatim (see
+    ///
+    /// Also reports, per FUB, whether the FUB is *patch-clean*: it was
+    /// seeded from the stored fixpoint AND the relaxation left every one
+    /// of its annotations at the seeded value. A patch-clean FUB's closed
+    /// forms are exactly the previous revision's, so a compiled sweep DAG
+    /// built for that revision can keep its ops verbatim (see
     /// [`crate::compile::CompiledSweep::patch_traced`]). The mask is
     /// `None` when the solve fell back to cold.
     pub fn run_warm_patch_traced(
@@ -357,6 +336,38 @@ impl<'nl> SartEngine<'nl> {
         stored: &StoredFixpoint,
     ) -> (SartResult, WarmStatus, Option<Vec<bool>>) {
         self.run_warm_inner(inputs, stored, true, &Collector::disabled())
+    }
+
+    /// The warm solve every surface runs: seeded from `prev`, the previous
+    /// revision's fixpoint ([`SartEngine::run_warm_patch_traced`]), or
+    /// cold when there is none (`Err` names why). Bumps
+    /// `relax.warmstart.hit` or `relax.warmstart.miss` and returns the
+    /// result, the path taken, the patch-clean mask and the converged
+    /// fixpoint (`None` if the relaxation did not converge); where
+    /// fixpoints are kept — a file for the CLI, the resident LRU for the
+    /// server — stays with the caller.
+    pub fn run_warm_start_traced(
+        &self,
+        inputs: &PavfInputs,
+        prev: Result<&StoredFixpoint, &'static str>,
+        obs: &Collector,
+    ) -> (
+        SartResult,
+        WarmStatus,
+        Option<Vec<bool>>,
+        Option<StoredFixpoint>,
+    ) {
+        let (result, status, clean) = match prev {
+            Ok(stored) => self.run_warm_patch_traced(inputs, stored, obs),
+            Err(reason) => (self.run_traced(inputs, obs), WarmStatus::Cold(reason), None),
+        };
+        let counter = match status {
+            WarmStatus::Warm { .. } => "relax.warmstart.hit",
+            WarmStatus::Cold(_) => "relax.warmstart.miss",
+        };
+        obs.count(counter, 1);
+        let fixpoint = self.capture_fixpoint(&result);
+        (result, status, clean, fixpoint)
     }
 
     fn run_warm_inner(

@@ -60,6 +60,6 @@ pub use numeric::{solve_parallel, NumericOutcome};
 pub use pavf::Pavf;
 pub use report::{FubAvfRow, SartSummary};
 pub use sweep::{
-    cache_key_parts, obtain_compiled_traced, obtain_compiled_warm_traced, run_sweep,
-    run_sweep_traced, CacheStatus, PatchStatus, SweepCache, SweepOptions, SweepOutcome,
+    cache_key_parts, obtain_compiled_traced, run_sweep, run_sweep_traced, solve_fresh_traced,
+    CacheStatus, FreshSolve, KeyParts, PatchStatus, SweepCache, SweepOptions, SweepOutcome,
 };

@@ -14,7 +14,7 @@
 use std::collections::BTreeMap;
 
 use seqavf_netlist::graph::{Netlist, StructId};
-use serde::{Deserialize, Serialize};
+use serde::{de_error, field, DeError, Deserialize, Serialize, Value};
 
 use crate::pavf::Pavf;
 
@@ -129,7 +129,7 @@ impl StructureMapping {
 }
 
 /// The measured inputs to a SART run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct PavfInputs {
     /// Port AVFs keyed by performance-model structure name.
     pub ports: BTreeMap<String, PortPavf>,
@@ -137,6 +137,26 @@ pub struct PavfInputs {
     /// name; used as the final AVF of structure cells ("the estimate value
     /// is discarded in favor of the computed value", §4.2).
     pub structure_avfs: BTreeMap<String, f64>,
+}
+
+/// Structure AVFs decode through [`Pavf`] — the same range check as the
+/// port pAVFs — so an out-of-range table is an error, never an AVF
+/// outside `[0, 1]`.
+impl Deserialize for PavfInputs {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let ports = Deserialize::from_value(field(v, "ports"))
+            .map_err(|e| de_error(format!("PavfInputs.ports: {e}")))?;
+        let structure_avfs: BTreeMap<String, Pavf> =
+            Deserialize::from_value(field(v, "structure_avfs"))
+                .map_err(|e| de_error(format!("PavfInputs.structure_avfs: {e}")))?;
+        Ok(PavfInputs {
+            ports,
+            structure_avfs: structure_avfs
+                .into_iter()
+                .map(|(name, avf)| (name, avf.value()))
+                .collect(),
+        })
+    }
 }
 
 impl PavfInputs {
@@ -193,6 +213,28 @@ mod tests {
         assert_eq!(m, m2);
         assert_eq!(m2.perf_name(sa), Some("rob"));
         assert_eq!(m2.len(), 2);
+    }
+
+    #[test]
+    fn pavf_tables_reject_out_of_range_values_at_decode() {
+        let ok = r#"{"ports":{"rob":{"read":0.5,"write":1.0}},"structure_avfs":{"rob":0.25}}"#;
+        let table: PavfInputs = serde_json::from_str(ok).unwrap();
+        assert_eq!(table.port("rob"), Some(PortPavf::new(0.5, 1.0)));
+        assert_eq!(table.structure_avf("rob"), Some(0.25));
+        let again: PavfInputs =
+            serde_json::from_str(&serde_json::to_string(&table).unwrap()).unwrap();
+        assert_eq!(again, table);
+        for bad in [
+            r#"{"ports":{"rob":{"read":-0.5,"write":0.5}},"structure_avfs":{}}"#,
+            r#"{"ports":{"rob":{"read":0.5,"write":1.5}},"structure_avfs":{}}"#,
+            r#"{"ports":{"rob":{"read":0.5}},"structure_avfs":{}}"#,
+            r#"{"ports":{},"structure_avfs":{"rob":7.0}}"#,
+            r#"{"ports":{},"structure_avfs":{"rob":-0.1}}"#,
+            r#"{"ports":{},"structure_avfs":{"rob":null}}"#,
+        ] {
+            let e = serde_json::from_str::<PavfInputs>(bad).unwrap_err();
+            assert!(e.to_string().contains("[0, 1]"), "{bad}: {e}");
+        }
     }
 
     #[test]

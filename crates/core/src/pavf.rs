@@ -9,14 +9,15 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::{de_error, DeError, Deserialize, Serialize, Value};
 
 /// A probability in `[0, 1]` that a bit carries ACE data.
 ///
 /// Construction clamps into range; `NaN` clamps to zero (the least
 /// conservative direction is never taken silently — `NaN` arises only from
 /// programming errors upstream and zero makes them visible in results).
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+/// Decoding does not clamp: see the [`Deserialize`] impl.
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize)]
 pub struct Pavf(f64);
 
 impl Pavf {
@@ -52,6 +53,24 @@ impl Pavf {
             other
         } else {
             self
+        }
+    }
+}
+
+/// The one decode-time check on measured probabilities: every port pAVF
+/// and structure AVF of a pAVF table (`--pavf` files, service request
+/// bodies) decodes through here. A value outside `[0, 1]`, or a
+/// non-finite one, is rejected rather than clamped — ACE output is always
+/// in range, so it means a malformed table.
+impl Deserialize for Pavf {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let p = f64::from_value(v)?;
+        if (0.0..=1.0).contains(&p) {
+            Ok(Pavf(p))
+        } else {
+            Err(de_error(format!(
+                "expected a probability in [0, 1], got {p:?}"
+            )))
         }
     }
 }
@@ -92,6 +111,18 @@ mod tests {
         assert_eq!(Pavf::new(-3.0), Pavf::ZERO);
         assert_eq!(Pavf::new(7.0), Pavf::ONE);
         assert_eq!(Pavf::new(f64::NAN), Pavf::ZERO);
+    }
+
+    #[test]
+    fn decoding_rejects_what_construction_would_clamp() {
+        for ok in ["0.0", "0.25", "1.0", "1"] {
+            let p: Pavf = serde_json::from_str(ok).unwrap();
+            assert_eq!(p.value(), ok.parse::<f64>().unwrap());
+        }
+        for bad in ["-0.5", "1.0000001", "7.0", "1e400", "-1e400", "null"] {
+            let e = serde_json::from_str::<Pavf>(bad).unwrap_err();
+            assert!(e.to_string().contains("[0, 1]"), "{bad}: {e}");
+        }
     }
 
     #[test]

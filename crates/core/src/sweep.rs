@@ -20,11 +20,15 @@
 //!    — while any netlist edit, mapping edit, or result-affecting
 //!    configuration change produces a different key and a fresh
 //!    relaxation.
+//! 3. [`solve_fresh_traced`] is that fresh relaxation after an edit:
+//!    warm-started from the previous revision's fixpoint, then patching
+//!    the previous revision's DAG. The server runs the same function.
 //!
 //! Observability: compilation records a `sweep.compile` span, every
 //! workload evaluation a `sweep.eval` span, and cache consultations bump
 //! the `sweep.cache.hit` / `sweep.cache.miss` counters.
 
+use std::borrow::Borrow;
 use std::path::{Path, PathBuf};
 
 use seqavf_netlist::graph::Netlist;
@@ -34,8 +38,8 @@ use seqavf_netlist::Fnv1a64;
 use seqavf_obs::Collector;
 
 use crate::compile::{CompileStats, CompiledSweep, PatchStats};
-use crate::engine::{SartConfig, SartEngine, SartResult, WarmStatus};
-use crate::fixpoint;
+use crate::engine::{SartConfig, SartEngine, WarmStatus};
+use crate::fixpoint::{self, StoredFixpoint};
 use crate::mapping::{PavfInputs, StructureMapping};
 
 /// The sweep-cache key: a 64-bit FNV-1a hash over the netlist's semantic
@@ -53,11 +57,7 @@ use crate::mapping::{PavfInputs, StructureMapping};
 /// performance-counter names — it changes the compiled DAG's `Struct`
 /// slots and therefore the evaluated AVFs.
 pub fn cache_key(nl: &Netlist, mapping: &StructureMapping, config: &SartConfig) -> u64 {
-    cache_key_parts(
-        nl.content_digest(),
-        &mapping.to_text(nl),
-        &config.result_key(),
-    )
+    KeyParts::new(nl, mapping, config).sweep_key(nl.content_digest())
 }
 
 /// [`cache_key`] from its already-extracted ingredients. The warm patch
@@ -73,6 +73,36 @@ pub fn cache_key_parts(content_digest: u64, mapping_text: &str, result_key: &str
     h.update(&[0]);
     h.update(result_key.as_bytes());
     h.finish()
+}
+
+/// The revision-independent ingredients of a design's cache keys — the
+/// structure-mapping text and the configuration's result key — rendered
+/// once and shared by the sweep key of the current revision, the sweep
+/// key of the previous one and the fixpoint key.
+#[derive(Debug, Clone)]
+pub struct KeyParts {
+    mapping_text: String,
+    result_key: String,
+}
+
+impl KeyParts {
+    /// Renders the mapping text and result key.
+    pub fn new(nl: &Netlist, mapping: &StructureMapping, config: &SartConfig) -> KeyParts {
+        KeyParts {
+            mapping_text: mapping.to_text(nl),
+            result_key: config.result_key(),
+        }
+    }
+
+    /// The sweep-cache key of the revision with this content digest.
+    pub fn sweep_key(&self, content_digest: u64) -> u64 {
+        cache_key_parts(content_digest, &self.mapping_text, &self.result_key)
+    }
+
+    /// The fixpoint key of a design ([`fixpoint::artifact_key`]).
+    pub fn fixpoint_key(&self, design_name: &str) -> u64 {
+        fixpoint::artifact_key(design_name, &self.mapping_text, &self.result_key)
+    }
 }
 
 /// An on-disk cache of compiled sweep artifacts.
@@ -253,160 +283,156 @@ pub fn obtain_compiled_traced(
     loops: Option<&LoopAnalysis>,
     obs: &Collector,
 ) -> Result<(CompiledSweep, CacheStatus), String> {
-    let (compiled, cache, _, _) = obtain_compiled_warm_traced(
-        nl,
-        mapping,
-        config,
-        base_inputs,
-        cache_dir,
-        None,
-        loops,
-        obs,
-    )?;
+    let opts = SweepOptions {
+        cache_dir: cache_dir.map(Path::to_path_buf),
+        ..SweepOptions::default()
+    };
+    let (compiled, cache, _) = obtain(nl, mapping, config, base_inputs, &opts, loops, obs)?;
     Ok((compiled, cache))
 }
 
-/// [`obtain_compiled_traced`] with an optional warm-start directory: when
-/// a fresh relaxation is needed and `warm_dir` holds a fixpoint artifact
-/// for this design (by name), mapping, and config, the relaxation is
-/// seeded from it (`relax.warmstart.hit`); any artifact problem falls
-/// back to a cold solve (`relax.warmstart.miss`). Either way, a converged
-/// fresh solve refreshes the artifact so the *next* edit starts warm.
+/// What [`solve_fresh_traced`] did besides building the DAG.
+#[derive(Debug, Clone, Copy)]
+pub struct FreshSolve {
+    /// Which solve path ran.
+    pub warm: WarmStatus,
+    /// Whether the previous revision's DAG was patched or a patch fell
+    /// back to a full recompile; `None` when the solve ran cold or the
+    /// caller has no DAG tier to look in.
+    pub patch: Option<PatchStatus>,
+    /// Nodes the relaxation walked.
+    pub walked_nodes: usize,
+}
+
+/// The fresh-solve ladder every edit path runs — the sweep driver and
+/// the server alike:
 ///
-/// When the warm solve succeeds *and* the cache still holds the previous
-/// revision's compiled DAG (addressed via the fixpoint artifact's stored
-/// content digest, [`cache_key_parts`]), the DAG is **patched** instead
-/// of recompiled — [`CompiledSweep::patch_traced`] re-lowers only the
-/// dirty cone — and the `sweep.patch.hit` counter bumps. Any patch
-/// precondition failure recompiles from scratch (`sweep.patch.
-/// full_rebuild`); the returned [`PatchStatus`] reports which happened.
-#[allow(clippy::too_many_arguments)]
-pub fn obtain_compiled_warm_traced(
+/// 1. the warm solve ([`SartEngine::run_warm_start_traced`]) from `prev`,
+///    the previous revision's fixpoint (`Err` names why there is none),
+///    whose converged fixpoint goes to `keep_fixpoint` before any DAG is
+///    built;
+/// 2. when it ran warm and the caller has a DAG tier (`old_dag`), the
+///    previous revision's compiled DAG, looked up by its sweep key — the
+///    stored fixpoint's content digest under `keys` — and node count;
+/// 3. [`CompiledSweep::patch_traced`] of that DAG (`sweep.patch.hit`),
+///    or, on any `Err` on the way, a full [`CompiledSweep::compile_traced`]
+///    (`sweep.patch.full_rebuild`).
+///
+/// Where fixpoints and DAGs are kept stays with the callers.
+pub fn solve_fresh_traced<D: Borrow<CompiledSweep>>(
+    engine: SartEngine,
+    base_inputs: &PavfInputs,
+    prev: Result<&StoredFixpoint, &'static str>,
+    keys: &KeyParts,
+    old_dag: Option<impl FnOnce(u64, usize) -> Result<D, &'static str>>,
+    keep_fixpoint: impl FnOnce(StoredFixpoint),
+    obs: &Collector,
+) -> (CompiledSweep, FreshSolve) {
+    let nl = engine.netlist();
+    let (result, status, clean, fixpoint) = engine.run_warm_start_traced(base_inputs, prev, obs);
+    // Building the DAG needs only the result: free the prepared
+    // propagation state first, so it never coexists with the new DAG.
+    drop(engine);
+    if let Some(fp) = fixpoint {
+        keep_fixpoint(fp);
+    }
+    let (patched, patch) = match (prev, &clean, old_dag) {
+        (Ok(fp), Some(clean), Some(lookup)) => {
+            let layout: Vec<(&str, usize)> = fp
+                .fubs
+                .iter()
+                .map(|f| (f.name.as_str(), f.fwd.len()))
+                .collect();
+            let attempt = lookup(keys.sweep_key(fp.content_digest), fp.node_count)
+                .and_then(|old| old.borrow().patch_traced(&result, nl, &layout, clean, obs));
+            match attempt {
+                Ok((dag, stats)) => {
+                    obs.count("sweep.patch.hit", 1);
+                    (Some(dag), Some(PatchStatus::Patched(stats)))
+                }
+                Err(reason) => {
+                    obs.count("sweep.patch.full_rebuild", 1);
+                    (None, Some(PatchStatus::Rebuilt(reason)))
+                }
+            }
+        }
+        _ => (None, None),
+    };
+    let compiled = patched.unwrap_or_else(|| CompiledSweep::compile_traced(&result, nl, obs));
+    let fresh = FreshSolve {
+        warm: status,
+        patch,
+        walked_nodes: result.outcome.total_walked_nodes(),
+    };
+    (compiled, fresh)
+}
+
+/// The library's cache tiers around [`solve_fresh_traced`]: the
+/// [`SweepCache`] artifact for this revision, else a fresh solve — cold
+/// without [`SweepOptions::warm_start`], else seeded from and refreshing
+/// the fixpoint file there, patching from the cache's artifact for the
+/// previous revision — stored back when the cache is enabled.
+fn obtain(
     nl: &Netlist,
     mapping: &StructureMapping,
     config: &SartConfig,
     base_inputs: &PavfInputs,
-    cache_dir: Option<&Path>,
-    warm_dir: Option<&Path>,
+    opts: &SweepOptions,
     loops: Option<&LoopAnalysis>,
     obs: &Collector,
-) -> Result<
-    (
-        CompiledSweep,
-        CacheStatus,
-        Option<WarmStatus>,
-        Option<PatchStatus>,
-    ),
-    String,
-> {
-    type Solved = (
-        SartResult,
-        Option<WarmStatus>,
-        Option<fixpoint::StoredFixpoint>,
-        Option<Vec<bool>>,
-    );
-    let solve = || -> Solved {
-        let engine = match loops {
-            Some(l) => SartEngine::new_with_loops_traced(nl, mapping, config.clone(), l, obs),
-            None => SartEngine::new_traced(nl, mapping, config.clone(), obs),
-        };
-        match warm_dir {
-            None => (engine.run_traced(base_inputs, obs), None, None, None),
-            Some(dir) => {
-                let path = fixpoint::artifact_path(
-                    dir,
-                    fixpoint::artifact_key(
-                        nl.design_name(),
-                        &mapping.to_text(nl),
-                        &config.result_key(),
-                    ),
-                );
-                let stored = fixpoint::load(&path).unwrap_or_default();
-                let (result, warm, clean) = match &stored {
-                    Some(s) => engine.run_warm_patch_traced(base_inputs, s, obs),
-                    None => (
-                        engine.run_traced(base_inputs, obs),
-                        WarmStatus::Cold("no usable fixpoint artifact"),
-                        None,
-                    ),
-                };
-                match warm {
-                    WarmStatus::Warm { .. } => obs.count("relax.warmstart.hit", 1),
-                    WarmStatus::Cold(_) => obs.count("relax.warmstart.miss", 1),
-                }
-                // Best-effort refresh: the next run should warm-start from
-                // *this* design's fixpoint.
-                if let Some(captured) = engine.capture_fixpoint(&result) {
-                    let _ = fixpoint::store(&path, &captured);
-                }
-                (result, Some(warm), stored, clean)
-            }
-        }
-    };
-    match cache_dir {
-        None => {
-            let (result, warm, _, _) = solve();
-            Ok((
-                CompiledSweep::compile_traced(&result, nl, obs),
-                CacheStatus::Disabled,
-                warm,
-                None,
-            ))
-        }
+) -> Result<(CompiledSweep, CacheStatus, Option<FreshSolve>), String> {
+    let keys = KeyParts::new(nl, mapping, config);
+    let cache = match &opts.cache_dir {
+        None => None,
         Some(dir) => {
             let store = SweepCache::open(dir)?;
-            let key = cache_key(nl, mapping, config);
-            match store.load(key, config, nl.node_count()) {
-                Some(c) => {
-                    obs.count("sweep.cache.hit", 1);
-                    Ok((c, CacheStatus::Hit, None, None))
-                }
-                None => {
-                    obs.count("sweep.cache.miss", 1);
-                    let (result, warm, stored, clean) = solve();
-                    let mut patch = None;
-                    let compiled = match (&warm, &stored, &clean) {
-                        (Some(WarmStatus::Warm { .. }), Some(s), Some(mask)) => {
-                            let attempt = store
-                                .load(
-                                    cache_key_parts(
-                                        s.content_digest,
-                                        &mapping.to_text(nl),
-                                        &config.result_key(),
-                                    ),
-                                    config,
-                                    s.node_count,
-                                )
-                                .ok_or("no cached DAG for the previous revision")
-                                .and_then(|old| {
-                                    let layout: Vec<(&str, usize)> = s
-                                        .fubs
-                                        .iter()
-                                        .map(|f| (f.name.as_str(), f.fwd.len()))
-                                        .collect();
-                                    old.patch_traced(&result, nl, &layout, mask, obs)
-                                });
-                            match attempt {
-                                Ok((patched, stats)) => {
-                                    obs.count("sweep.patch.hit", 1);
-                                    patch = Some(PatchStatus::Patched(stats));
-                                    patched
-                                }
-                                Err(reason) => {
-                                    obs.count("sweep.patch.full_rebuild", 1);
-                                    patch = Some(PatchStatus::Rebuilt(reason));
-                                    CompiledSweep::compile_traced(&result, nl, obs)
-                                }
-                            }
-                        }
-                        _ => CompiledSweep::compile_traced(&result, nl, obs),
-                    };
-                    store.store(key, &compiled)?;
-                    Ok((compiled, CacheStatus::Miss, warm, patch))
-                }
+            let key = keys.sweep_key(nl.content_digest());
+            if let Some(c) = store.load(key, config, nl.node_count()) {
+                obs.count("sweep.cache.hit", 1);
+                return Ok((c, CacheStatus::Hit, None));
             }
+            obs.count("sweep.cache.miss", 1);
+            Some((store, key))
         }
-    }
+    };
+    let new_engine = || match loops {
+        Some(l) => SartEngine::new_with_loops_traced(nl, mapping, config.clone(), l, obs),
+        None => SartEngine::new_traced(nl, mapping, config.clone(), obs),
+    };
+    let (compiled, fresh) = match &opts.warm_start {
+        None => {
+            let result = new_engine().run_traced(base_inputs, obs);
+            (CompiledSweep::compile_traced(&result, nl, obs), None)
+        }
+        Some(dir) => {
+            let path = fixpoint::artifact_path(dir, keys.fixpoint_key(nl.design_name()));
+            let stored = fixpoint::load(&path).unwrap_or_default();
+            let old_dag = cache.as_ref().map(|(store, _)| {
+                |key, nodes| {
+                    store
+                        .load(key, config, nodes)
+                        .ok_or("no cached DAG for the previous revision")
+                }
+            });
+            let prev = stored.as_ref().ok_or("no usable fixpoint artifact");
+            // Best-effort refresh: the next run should warm-start from
+            // *this* design's fixpoint.
+            let keep = |fp| {
+                let _ = fixpoint::store(&path, &fp);
+            };
+            let (compiled, fresh) =
+                solve_fresh_traced(new_engine(), base_inputs, prev, &keys, old_dag, keep, obs);
+            (compiled, Some(fresh))
+        }
+    };
+    let status = match cache {
+        None => CacheStatus::Disabled,
+        Some((store, key)) => {
+            store.store(key, &compiled)?;
+            CacheStatus::Miss
+        }
+    };
+    Ok((compiled, status, fresh))
 }
 
 /// [`run_sweep_traced`] with an optional precomputed loop analysis (e.g.
@@ -423,16 +449,7 @@ pub fn run_sweep_with_loops_traced(
     loops: Option<&LoopAnalysis>,
     obs: &Collector,
 ) -> Result<SweepOutcome, String> {
-    let (compiled, cache, warm, patch) = obtain_compiled_warm_traced(
-        nl,
-        mapping,
-        config,
-        base_inputs,
-        opts.cache_dir.as_deref(),
-        opts.warm_start.as_deref(),
-        loops,
-        obs,
-    )?;
+    let (compiled, cache, fresh) = obtain(nl, mapping, config, base_inputs, opts, loops, obs)?;
 
     let tables: Vec<PavfInputs> = workloads.iter().map(|(_, t)| t.clone()).collect();
     let avfs = compiled.evaluate_many_traced(&tables, opts.threads, obs);
@@ -466,8 +483,8 @@ pub fn run_sweep_with_loops_traced(
         .collect();
     Ok(SweepOutcome {
         cache,
-        warm,
-        patch,
+        warm: fresh.map(|f| f.warm),
+        patch: fresh.and_then(|f| f.patch),
         stats: compiled.stats(),
         rows,
     })

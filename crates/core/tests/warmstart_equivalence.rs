@@ -89,7 +89,7 @@ proptest! {
             let config = SartConfig { threads, ..SartConfig::default() };
             let engine = SartEngine::new(&nl, &mapping, config);
             let cold = engine.run_exact(&inputs);
-            let (warm, status) = engine.run_warm_exact(&inputs, &stored);
+            let (warm, status, _) = engine.run_warm_patch_exact(&inputs, &stored);
             match status {
                 WarmStatus::Warm { seeded_fubs, dirty_fubs } => {
                     prop_assert!(seeded_fubs > 0, "no FUB seeded at {threads} threads");
@@ -157,8 +157,8 @@ fn unedited_warm_resolve_walks_nothing() {
     let nl = flatten::parse_netlist(&base).unwrap();
     let engine = SartEngine::new(&nl, &mapping, SartConfig::default());
     let cold = engine.run(&inputs);
-    let (warm, status) =
-        engine.run_warm_traced(&inputs, &stored, &seqavf_obs::Collector::disabled());
+    let (warm, status, _) =
+        engine.run_warm_patch_traced(&inputs, &stored, &seqavf_obs::Collector::disabled());
     match status {
         WarmStatus::Warm {
             seeded_fubs,
@@ -186,8 +186,8 @@ fn one_gate_edit_walks_fewer_nodes_than_cold() {
     let nl = flatten::parse_netlist(&edited).unwrap();
     let engine = SartEngine::new(&nl, &mapping, SartConfig::default());
     let cold = engine.run(&inputs);
-    let (warm, status) =
-        engine.run_warm_traced(&inputs, &stored, &seqavf_obs::Collector::disabled());
+    let (warm, status, _) =
+        engine.run_warm_patch_traced(&inputs, &stored, &seqavf_obs::Collector::disabled());
     assert!(
         matches!(status, WarmStatus::Warm { dirty_fubs: 1, .. }),
         "one gate flip must dirty exactly one FUB: {status:?}"
@@ -216,8 +216,8 @@ fn result_key_mismatch_falls_back_to_cold() {
         ..SartConfig::default()
     };
     let engine = SartEngine::new(&nl, &mapping, config.clone());
-    let (warm, status) =
-        engine.run_warm_traced(&inputs, &stored, &seqavf_obs::Collector::disabled());
+    let (warm, status, _) =
+        engine.run_warm_patch_traced(&inputs, &stored, &seqavf_obs::Collector::disabled());
     assert!(
         matches!(status, WarmStatus::Cold(_)),
         "result_key mismatch must refuse the seed: {status:?}"

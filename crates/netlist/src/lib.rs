@@ -18,6 +18,8 @@
 //!   state-machine feedback loops (§4.3).
 //! - [`snapshot`] — the `seqavf-graph/2` versioned binary format for
 //!   caching flattened graphs (plus their loop analysis) on disk.
+//! - [`source`] — the one loader from a design file (EXLIF or Verilog,
+//!   by extension) to its graph, through an optional snapshot directory.
 //! - [`synth`] — a seeded generator of processor-shaped synthetic designs
 //!   (pipelines, logical joins, distribution splits, FSM loops, control
 //!   registers) standing in for the proprietary Intel Xeon RTL.
@@ -47,6 +49,7 @@ pub mod graph;
 pub mod intern;
 pub mod scc;
 pub mod snapshot;
+pub mod source;
 pub mod stats;
 pub mod synth;
 pub mod verilog;
@@ -55,3 +58,4 @@ pub use error::{BuildError, ExlifError};
 pub use graph::{FubId, GateOp, Netlist, NetlistBuilder, NodeId, NodeKind, SeqKind, StructId};
 pub use intern::{Fnv1a64, Sym, SymbolTable, WideFnv64};
 pub use snapshot::SnapshotError;
+pub use source::DesignSource;

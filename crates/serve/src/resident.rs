@@ -4,12 +4,12 @@
 //! Two tiers of residency, keyed by the digests the on-disk caches
 //! already use so warm state and disk artifacts agree about identity:
 //!
-//! * **Graphs** — keyed by an FNV-1a hash of `(frontend tag, source
-//!   text)`, the exact key the CLI's `--graph-cache` snapshot files use.
-//!   A resident entry holds the flattened [`Netlist`], its
-//!   [`LoopAnalysis`], and the structure mapping it was loaded with. The
-//!   key doubles as the `design_ref` token clients echo back to skip
-//!   file IO entirely.
+//! * **Graphs** — keyed by [`DesignSource::key`], the key that also
+//!   names the `--graph-cache` snapshot files, loaded through the same
+//!   [`DesignSource::load`] the CLI uses. A resident entry holds the
+//!   flattened [`Netlist`], its [`LoopAnalysis`], and the structure
+//!   mapping it was loaded with. The key doubles as the `design_ref`
+//!   token clients echo back to skip file IO entirely.
 //! * **Compiled sweeps** — keyed by [`seqavf_core::sweep::cache_key`]
 //!   (netlist content digest × mapping × result-affecting config), each
 //!   an [`Arc<CompiledSweep>`] so evaluation proceeds after the LRU lock
@@ -20,19 +20,23 @@
 //! insert wins), but a cold load never stalls warm traffic. Disk caches
 //! (`--graph-cache`, `--cache-dir`) are consulted between the LRU and a
 //! full recompute, so a server restart warms from the same artifacts the
-//! batch CLI writes.
+//! batch CLI writes. A full recompute runs the sweep driver's own
+//! fresh-solve ladder ([`solve_fresh_traced`]) with the resident
+//! fixpoints as its warm-start tier.
 
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
 use seqavf_core::compile::{CompiledSweep, SeqStats};
 use seqavf_core::engine::{SartConfig, SartEngine, WarmStatus};
-use seqavf_core::fixpoint::{self, StoredFixpoint};
+use seqavf_core::fixpoint::StoredFixpoint;
 use seqavf_core::mapping::{PavfInputs, StructureMapping};
-use seqavf_core::sweep::{cache_key, cache_key_parts, PatchStatus, SweepCache};
+use seqavf_core::sweep::{
+    cache_key, solve_fresh_traced, FreshSolve, KeyParts, PatchStatus, SweepCache,
+};
 use seqavf_netlist::graph::Netlist;
 use seqavf_netlist::scc::{find_loops_traced, LoopAnalysis};
-use seqavf_netlist::{flatten, snapshot, verilog, Fnv1a64};
+use seqavf_netlist::DesignSource;
 use seqavf_obs::Collector;
 
 use crate::api::{
@@ -121,42 +125,12 @@ pub struct Resident {
     cfg: ResidentConfig,
     graphs: Mutex<Lru<Arc<LoadedDesign>>>,
     sweeps: Mutex<Lru<Arc<CompiledSweep>>>,
-    /// Converged fixpoints, keyed by [`fixpoint::artifact_key`] — which
+    /// Converged fixpoints, keyed by [`KeyParts::fixpoint_key`] — which
     /// deliberately hashes the design *name* (not its content digest),
     /// so an edited revision of the same design resolves to the same
     /// entry and can seed its re-solve from the previous fixpoint.
     fixpoints: Mutex<Lru<Arc<StoredFixpoint>>>,
     obs: Collector,
-}
-
-/// [`Resident::resolve_sweep`]'s result: the DAG, the residency tier it
-/// came from (`"hit"`/`"miss"`), and — only when this call actually ran
-/// a relaxation — the warm status and walked-node count.
-type ResolvedSweep = (
-    Arc<CompiledSweep>,
-    &'static str,
-    Option<(WarmStatus, usize)>,
-);
-
-/// [`ResolvedSweep`] plus how the DAG was built on a fresh relaxation:
-/// `Some(Patched)`/`Some(Rebuilt)` when a previous revision's DAG was
-/// available to patch from, `None` on a plain compile or residency hit.
-type PatchedSweep = (
-    Arc<CompiledSweep>,
-    &'static str,
-    Option<(WarmStatus, usize)>,
-    Option<PatchStatus>,
-);
-
-/// The `design_ref` key: FNV-1a over the frontend tag and source text —
-/// byte-compatible with the CLI's `--graph-cache` snapshot file naming,
-/// so both tools address the same snapshot for the same source.
-pub fn design_key(text: &str, is_verilog: bool) -> u64 {
-    let mut h = Fnv1a64::new();
-    h.update(if is_verilog { b"verilog" } else { b"exlif" });
-    h.update(&[0]);
-    h.update(text.as_bytes());
-    h.finish()
 }
 
 impl Resident {
@@ -209,12 +183,7 @@ impl Resident {
         // An explicit map_path always wins; warm requests without one
         // reuse the mapping the design was loaded with.
         let mapping = match &req.map_path {
-            Some(path) => {
-                let text = std::fs::read_to_string(path)
-                    .map_err(|e| ApiError::bad_request(format!("reading map {path}: {e}")))?;
-                StructureMapping::from_text(&design.netlist, &text)
-                    .map_err(|e| ApiError::bad_request(format!("parsing map {path}: {e}")))?
-            }
+            Some(path) => read_mapping(path, &design.netlist)?,
             None => design.mapping.clone(),
         };
         let config = self.resolve_config(req.config.as_ref())?;
@@ -223,7 +192,8 @@ impl Resident {
             .clone()
             .unwrap_or_else(|| req.tables[0].inputs.clone());
 
-        let (compiled, sweep_cache, _) = self.resolve_sweep(&design, &mapping, &config, &base)?;
+        let (compiled, sweep_cache, _) =
+            self.resolve_sweep_with_donor(&design, &mapping, &config, &base, None);
 
         // Evaluate the whole batch, then summarize each workload exactly
         // the way `run_sweep` does so the service's rows are bit-identical
@@ -319,24 +289,17 @@ impl Resident {
         let path = req.design_path.as_deref().ok_or_else(|| {
             ApiError::bad_request("missing design: give design_path or a resident design_ref")
         })?;
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| ApiError::bad_request(format!("reading design {path}: {e}")))?;
-        let is_verilog = path.ends_with(".v") || path.ends_with(".sv");
-        let key = design_key(&text, is_verilog);
+        let source = read_design(path)?;
+        let key = source.key();
         if let Some(d) = lock(&self.graphs).get(key) {
             self.obs.count("serve.graph.hit", 1);
             return Ok((key, Arc::clone(d), "hit"));
         }
         // Cold: parse (or restore a snapshot) without holding the lock.
         self.obs.count("serve.graph.miss", 1);
-        let (netlist, loops) = self.load_graph(path, &text, is_verilog, key)?;
+        let (netlist, loops) = self.load_graph(path, &source)?;
         let mapping = match &req.map_path {
-            Some(mp) => {
-                let mtext = std::fs::read_to_string(mp)
-                    .map_err(|e| ApiError::bad_request(format!("reading map {mp}: {e}")))?;
-                StructureMapping::from_text(&netlist, &mtext)
-                    .map_err(|e| ApiError::bad_request(format!("parsing map {mp}: {e}")))?
-            }
+            Some(mp) => read_mapping(mp, &netlist)?,
             None => StructureMapping::new(),
         };
         let design = Arc::new(LoadedDesign {
@@ -353,75 +316,38 @@ impl Resident {
         Ok((key, design, "miss"))
     }
 
-    /// Loads the graph for `key` from the snapshot disk tier or a full
-    /// parse + loop analysis, writing the snapshot back on a parse.
+    /// Loads a design's graph through the shared snapshot tier
+    /// ([`DesignSource::load`]); resident designs always carry their loop
+    /// analysis, so an uncached parse runs it here.
     fn load_graph(
         &self,
         path: &str,
-        text: &str,
-        is_verilog: bool,
-        key: u64,
+        source: &DesignSource,
     ) -> Result<(Netlist, LoopAnalysis), ApiError> {
-        let snap_path = self
-            .cfg
-            .graph_cache
-            .as_ref()
-            .map(|dir| dir.join(format!("graph-{key:016x}.bin")));
-        if let Some((nl, loops)) = snap_path.as_ref().and_then(|p| {
-            let bytes = std::fs::read(p).ok()?;
-            snapshot::load(&bytes).ok()
-        }) {
-            self.obs.count("frontend.snapshot.hit", 1);
-            return Ok((nl, loops));
-        }
-        let nl = if is_verilog {
-            verilog::parse_netlist_traced(text, &self.obs)
-        } else {
-            flatten::parse_netlist_traced(text, &self.obs)
-        }
-        .map_err(|e| ApiError::bad_request(format!("parsing {path}: {e}")))?;
-        let loops = find_loops_traced(&nl, &self.obs);
-        if let Some(p) = &snap_path {
-            self.obs.count("frontend.snapshot.miss", 1);
-            let _ = snapshot::write_atomic(p, &snapshot::save(&nl, &loops));
-        }
+        let (nl, loops) = source
+            .load(self.cfg.graph_cache.as_deref(), &self.obs)
+            .map_err(|e| ApiError::bad_request(format!("parsing {path}: {e}")))?;
+        let loops = loops.unwrap_or_else(|| find_loops_traced(&nl, &self.obs));
         Ok((nl, loops))
     }
 
-    /// Resolves the compiled sweep DAG for `(design, mapping, config)`,
-    /// relaxing fresh on a full miss. Returns `(dag, "hit"|"miss",
-    /// fresh-relax telemetry)` — the third element is `Some((warm status,
-    /// walked nodes))` only when this call actually ran a relaxation.
+    /// Resolves the compiled sweep DAG for `(design, mapping, config)`:
+    /// the resident LRU (`"hit"`), then the disk tier shared with the
+    /// batch CLI's `--cache-dir`, then a fresh solve through the sweep
+    /// driver's ladder ([`solve_fresh_traced`]) — both `"miss"`. Only a
+    /// fresh solve returns what it did.
     ///
-    /// A fresh relaxation warm-starts from the resident fixpoint of the
-    /// same `(design name, mapping, config)` identity when one exists —
+    /// The fresh solve warm-starts from the resident fixpoint of the same
+    /// `(design name, mapping, config)` identity when one exists —
     /// typically left behind by the previous revision of an edited
-    /// design — and refreshes that fixpoint entry on success. Every
-    /// engine-level guard (digest mismatch, config mismatch) falls back
-    /// to a cold solve, so the warm path is a latency optimization with
-    /// bit-identical results.
-    fn resolve_sweep(
-        &self,
-        design: &LoadedDesign,
-        mapping: &StructureMapping,
-        config: &SartConfig,
-        base: &PavfInputs,
-    ) -> Result<ResolvedSweep, ApiError> {
-        let (c, tier, fresh, _) =
-            self.resolve_sweep_with_donor(design, mapping, config, base, None)?;
-        Ok((c, tier, fresh))
-    }
-
-    /// [`Resident::resolve_sweep`] with an optional **patch donor**: the
-    /// superseded revision's compiled DAG, keyed by the cache key it was
-    /// resident under. When a full miss warm-starts successfully, the DAG
-    /// is *patched* from the previous revision instead of recompiled —
-    /// donor first, then the disk tier's artifact for the old key, then a
-    /// full recompile ([`CompiledSweep::patch_traced`]'s fallback ladder).
-    /// The donor is only trusted when its key equals the key the stored
-    /// fixpoint's revision would compile to — same content digest,
-    /// mapping, and result-affecting config — so a patch can never graft
-    /// ops from an unrelated artifact.
+    /// design — and refreshes that entry. When it runs warm, the DAG is
+    /// patched from the previous revision's: `donor` first — the
+    /// superseded revision's DAG, keyed by the cache key it was resident
+    /// under, trusted only when that key equals the key the stored
+    /// fixpoint's revision compiles to, so a patch can never graft ops
+    /// from an unrelated artifact — then the disk tier's artifact for the
+    /// old key. Every guard that fails falls back to a cold solve or a
+    /// full recompile, bit-identical either way.
     ///
     /// The patched (or compiled) DAG is fully constructed *before* the
     /// LRU insert publishes it: in-flight evaluations hold their own
@@ -434,111 +360,73 @@ impl Resident {
         config: &SartConfig,
         base: &PavfInputs,
         donor: Option<(u64, Arc<CompiledSweep>)>,
-    ) -> Result<PatchedSweep, ApiError> {
+    ) -> (Arc<CompiledSweep>, &'static str, Option<FreshSolve>) {
         let nl = &design.netlist;
-        let key = cache_key(nl, mapping, config);
+        let keys = KeyParts::new(nl, mapping, config);
+        let key = keys.sweep_key(nl.content_digest());
         if let Some(c) = lock(&self.sweeps).get(key) {
             self.obs.count("serve.cache.hit", 1);
-            return Ok((Arc::clone(c), "hit", None, None));
+            return (Arc::clone(c), "hit", None);
         }
         self.obs.count("serve.cache.miss", 1);
-        // Disk tier, shared with the batch CLI's --cache-dir.
         let disk = self
             .cfg
             .sweep_cache
             .as_ref()
             .and_then(|dir| SweepCache::open(dir).ok());
-        if let Some(c) = disk
+        let (compiled, fresh) = match disk
             .as_ref()
             .and_then(|s| s.load(key, config, nl.node_count()))
         {
-            self.obs.count("sweep.cache.hit", 1);
-            let c = Arc::new(c);
-            if lock(&self.sweeps).insert(key, Arc::clone(&c)).is_some() {
-                self.obs.count("serve.evict.sweep", 1);
+            Some(c) => {
+                self.obs.count("sweep.cache.hit", 1);
+                (Arc::new(c), None)
             }
-            return Ok((c, "miss", None, None));
-        }
-        // Full miss: relax — the cached-frontend cold path, seeded from
-        // the resident fixpoint when one matches.
-        let engine = SartEngine::new_with_loops_traced(
-            nl,
-            mapping,
-            config.clone(),
-            &design.loops,
-            &self.obs,
-        );
-        let fp_key =
-            fixpoint::artifact_key(nl.design_name(), &mapping.to_text(nl), &config.result_key());
-        let stored = lock(&self.fixpoints).get(fp_key).map(Arc::clone);
-        let (result, warm, clean) = match &stored {
-            Some(fp) => engine.run_warm_patch_traced(base, fp, &self.obs),
-            None => (
-                engine.run_traced(base, &self.obs),
-                WarmStatus::Cold("no resident fixpoint"),
-                None,
-            ),
+            None => {
+                let engine = SartEngine::new_with_loops_traced(
+                    nl,
+                    mapping,
+                    config.clone(),
+                    &design.loops,
+                    &self.obs,
+                );
+                let fp_key = keys.fixpoint_key(nl.design_name());
+                let stored = lock(&self.fixpoints).get(fp_key).map(Arc::clone);
+                let old_dag = |old_key, nodes| {
+                    donor
+                        .filter(|(k, _)| *k == old_key)
+                        .map(|(_, dag)| dag)
+                        .or_else(|| {
+                            let s = disk.as_ref()?;
+                            s.load(old_key, config, nodes).map(Arc::new)
+                        })
+                        .ok_or("no DAG resident or on disk for the previous revision")
+                };
+                let prev = stored.as_deref().ok_or("no resident fixpoint");
+                let keep = |fp| {
+                    lock(&self.fixpoints).insert(fp_key, Arc::new(fp));
+                };
+                let (compiled, fresh) =
+                    solve_fresh_traced(engine, base, prev, &keys, Some(old_dag), keep, &self.obs);
+                let counter = match fresh.warm {
+                    WarmStatus::Warm { .. } => "serve.warmstart.hit",
+                    WarmStatus::Cold(_) => "serve.warmstart.miss",
+                };
+                self.obs.count(counter, 1);
+                if let Some(s) = &disk {
+                    self.obs.count("sweep.cache.miss", 1);
+                    let _ = s.store(key, &compiled);
+                }
+                (Arc::new(compiled), Some(fresh))
+            }
         };
-        match &warm {
-            WarmStatus::Warm { .. } => self.obs.count("serve.warmstart.hit", 1),
-            WarmStatus::Cold(_) => self.obs.count("serve.warmstart.miss", 1),
-        }
-        let walked = result.outcome.total_walked_nodes();
-        if let Some(fp) = engine.capture_fixpoint(&result) {
-            lock(&self.fixpoints).insert(fp_key, Arc::new(fp));
-        }
-        // Obtain the DAG: patch the previous revision's when the warm
-        // solve proved the dirty cone, else compile from scratch.
-        let mut patch = None;
-        let mut compiled: Option<CompiledSweep> = None;
-        if let (WarmStatus::Warm { .. }, Some(fp), Some(mask)) = (&warm, &stored, &clean) {
-            let old_key = cache_key_parts(
-                fp.content_digest,
-                &mapping.to_text(nl),
-                &config.result_key(),
-            );
-            let old = donor
-                .filter(|(k, _)| *k == old_key)
-                .map(|(_, dag)| dag)
-                .or_else(|| {
-                    disk.as_ref()
-                        .and_then(|s| s.load(old_key, config, fp.node_count))
-                        .map(Arc::new)
-                });
-            let layout: Vec<(&str, usize)> = fp
-                .fubs
-                .iter()
-                .map(|f| (f.name.as_str(), f.fwd.len()))
-                .collect();
-            let attempt = old
-                .ok_or("no DAG resident or on disk for the previous revision")
-                .and_then(|dag| dag.patch_traced(&result, nl, &layout, mask, &self.obs));
-            match attempt {
-                Ok((patched, stats)) => {
-                    self.obs.count("sweep.patch.hit", 1);
-                    patch = Some(PatchStatus::Patched(stats));
-                    compiled = Some(patched);
-                }
-                Err(reason) => {
-                    self.obs.count("sweep.patch.full_rebuild", 1);
-                    patch = Some(PatchStatus::Rebuilt(reason));
-                }
-            }
-        }
-        let compiled = Arc::new(
-            compiled.unwrap_or_else(|| CompiledSweep::compile_traced(&result, nl, &self.obs)),
-        );
-        if let Some(s) = &disk {
-            self.obs.count("sweep.cache.miss", 1);
-            let _ = s.store(key, &compiled);
-        }
         if lock(&self.sweeps)
             .insert(key, Arc::clone(&compiled))
             .is_some()
         {
             self.obs.count("serve.evict.sweep", 1);
         }
-        Ok((compiled, "miss", Some((warm, walked)), patch))
+        (compiled, "miss", fresh)
     }
 
     /// Builds the effective [`SartConfig`], validating every override.
@@ -582,10 +470,8 @@ impl Resident {
     ) -> Result<DesignUpdateResponse, ApiError> {
         let config = self.resolve_config(req.config.as_ref())?;
         let path = &req.design_path;
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| ApiError::bad_request(format!("reading design {path}: {e}")))?;
-        let is_verilog = path.ends_with(".v") || path.ends_with(".sv");
-        let key = design_key(&text, is_verilog);
+        let source = read_design(path)?;
+        let key = source.key();
 
         // The revision being superseded, if it is still resident.
         let prev = match &req.prev_ref {
@@ -597,17 +483,12 @@ impl Resident {
             None => None,
         };
 
-        let (netlist, loops) = self.load_graph(path, &text, is_verilog, key)?;
+        let (netlist, loops) = self.load_graph(path, &source)?;
         // An explicit map_path wins; otherwise the previous revision's
         // mapping carries across by structure name (names are the
         // edit-stable identity the whole warm path is built on).
         let mapping = match &req.map_path {
-            Some(mp) => {
-                let mtext = std::fs::read_to_string(mp)
-                    .map_err(|e| ApiError::bad_request(format!("reading map {mp}: {e}")))?;
-                StructureMapping::from_text(&netlist, &mtext)
-                    .map_err(|e| ApiError::bad_request(format!("parsing map {mp}: {e}")))?
-            }
+            Some(mp) => read_mapping(mp, &netlist)?,
             None => match &prev {
                 Some((_, d)) => {
                     StructureMapping::from_text(&netlist, &d.mapping.to_text(&d.netlist)).map_err(
@@ -650,37 +531,29 @@ impl Resident {
         });
 
         let base = req.base_inputs.clone().unwrap_or_default();
-        let (_, _, fresh, patch) =
-            self.resolve_sweep_with_donor(&design, &mapping, &config, &base, donor)?;
+        let (_, _, fresh) = self.resolve_sweep_with_donor(&design, &mapping, &config, &base, donor);
         let node_count = design.netlist.node_count() as u64;
         let (mode, reason, seeded_fubs, dirty_fubs, walked_nodes) = match &fresh {
-            Some((
+            // The edited design's DAG was already resident (idempotent
+            // re-POST) or on disk: nothing relaxed, nothing walked.
+            None => ("resident", None, 0, 0, 0),
+            Some(f) => match f.warm {
                 WarmStatus::Warm {
                     seeded_fubs,
                     dirty_fubs,
-                },
-                walked,
-            )) => (
-                "warm",
-                None,
-                *seeded_fubs as u64,
-                *dirty_fubs as u64,
-                *walked,
-            ),
-            Some((WarmStatus::Cold(r), walked)) => ("cold", Some((*r).to_owned()), 0, 0, *walked),
-            // The edited design's DAG was already resident (idempotent
-            // re-POST): nothing relaxed, nothing walked.
-            None => ("resident", None, 0, 0, 0),
+                } => ("warm", None, seeded_fubs, dirty_fubs, f.walked_nodes),
+                WarmStatus::Cold(r) => ("cold", Some(r.to_owned()), 0, 0, f.walked_nodes),
+            },
         };
-        let (dag, dag_reason, ops_patched, ops_orphaned) = match patch {
-            Some(PatchStatus::Patched(st)) => (
+        let (dag, dag_reason, ops_patched, ops_orphaned) = match fresh.map(|f| f.patch) {
+            Some(Some(PatchStatus::Patched(st))) => (
                 "patched",
                 None,
                 st.nodes_patched() as u64,
                 st.ops_orphaned as u64,
             ),
-            Some(PatchStatus::Rebuilt(r)) => ("rebuilt", Some(r.to_owned()), 0, 0),
-            None if fresh.is_some() => ("compiled", None, 0, 0),
+            Some(Some(PatchStatus::Rebuilt(r))) => ("rebuilt", Some(r.to_owned()), 0, 0),
+            Some(None) => ("compiled", None, 0, 0),
             None => ("resident", None, 0, 0),
         };
         Ok(DesignUpdateResponse {
@@ -688,8 +561,8 @@ impl Resident {
             prev_ref: req.prev_ref.clone(),
             mode: mode.to_owned(),
             reason,
-            seeded_fubs,
-            dirty_fubs,
+            seeded_fubs: seeded_fubs as u64,
+            dirty_fubs: dirty_fubs as u64,
             walked_nodes: walked_nodes as u64,
             node_count,
             dag: dag.to_owned(),
@@ -698,6 +571,20 @@ impl Resident {
             ops_orphaned,
         })
     }
+}
+
+/// Reads a request's design file; the frontend follows the extension.
+fn read_design(path: &str) -> Result<DesignSource, ApiError> {
+    DesignSource::read(path)
+        .map_err(|e| ApiError::bad_request(format!("reading design {path}: {e}")))
+}
+
+/// Reads a request's structure-mapping file against `nl`.
+fn read_mapping(path: &str, nl: &Netlist) -> Result<StructureMapping, ApiError> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| ApiError::bad_request(format!("reading map {path}: {e}")))?;
+    StructureMapping::from_text(nl, &text)
+        .map_err(|e| ApiError::bad_request(format!("parsing map {path}: {e}")))
 }
 
 /// Per-FUB mean AVFs for one workload's node table.
@@ -730,8 +617,8 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 mod tests {
     use super::*;
     use crate::api::NamedTable;
-    use seqavf_netlist::exlif;
     use seqavf_netlist::synth::{generate, SynthConfig};
+    use seqavf_netlist::{exlif, flatten};
 
     fn scratch(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("seqavf-serve-test-{name}"));

@@ -511,9 +511,16 @@ mod tests {
         assert!(body.contains("/nope"));
         let (status, _) = client::post_json(addr, "/healthz", "{}").unwrap();
         assert_eq!(status, 405);
-        let (status, body) = client::post_json(addr, "/v1/avf", "not json").unwrap();
-        assert_eq!(status, 400);
-        assert!(body.contains("cannot parse request"), "{body}");
+        // An out-of-range pAVF table is a malformed body, not a design to
+        // evaluate: it must fail to decode before any file is read.
+        let out_of_range = r#"{"design_path":"absent.exlif","tables":[{"workload":"w",
+            "inputs":{"ports":{"f.s1":{"read":-0.5,"write":-0.5}},
+            "structure_avfs":{"f.s1":7.0}}}]}"#;
+        for body in ["not json", out_of_range] {
+            let (status, text) = client::post_json(addr, "/v1/avf", body).unwrap();
+            assert_eq!(status, 400);
+            assert!(text.contains("cannot parse request"), "{text}");
+        }
         server.shutdown();
         server.join();
     }
