@@ -1,7 +1,7 @@
 //! E18 — cross-run warm-start latency (`BENCH_9.json`).
 //!
 //! The interactive-edit scenario: a design is solved once and its
-//! converged fixpoint captured as a `seqavf-fixpoint/1` artifact; then
+//! converged fixpoint captured as a `seqavf-fixpoint/2` artifact; then
 //! the designer edits the netlist and re-solves. The warm path diffs
 //! per-FUB content digests against the artifact, seeds the relaxation
 //! with the stored annotations, and re-walks only the dirty cone —
@@ -70,7 +70,7 @@ pub struct DesignPoint {
     pub nodes: usize,
     /// FUB partitions.
     pub fubs: usize,
-    /// Encoded `seqavf-fixpoint/1` artifact size in bytes.
+    /// Encoded `seqavf-fixpoint/2` artifact size in bytes.
     pub artifact_bytes: usize,
     /// Base-revision cold solve (the one that paid for the artifact).
     pub base_solve_ms: f64,

@@ -250,7 +250,7 @@ impl CompiledSweep {
     /// `self` is the DAG compiled for the previous revision; `result` is
     /// the new revision's warm-relaxed result; `old_fubs` is the previous
     /// revision's FUB layout (name and node count, in FUB-id order, as
-    /// recorded by the `seqavf-fixpoint/1` artifact); `clean` marks the
+    /// recorded by the `seqavf-fixpoint/2` artifact); `clean` marks the
     /// new FUBs whose annotations the warm solve left exactly at the
     /// seeded values ([`crate::engine::SartEngine::run_warm_patch_traced`]).
     ///

@@ -292,7 +292,7 @@ impl<'nl> SartEngine<'nl> {
         self.mapping_digest
     }
 
-    /// Packages a converged result as a `seqavf-fixpoint/1` artifact for
+    /// Packages a converged result as a `seqavf-fixpoint/2` artifact for
     /// a later warm start. `None` when the relaxation did not converge.
     pub fn capture_fixpoint(&self, result: &SartResult) -> Option<StoredFixpoint> {
         fixpoint::capture(

@@ -1,4 +1,4 @@
-//! The `seqavf-fixpoint/1` artifact: a converged relaxation state
+//! The `seqavf-fixpoint/2` artifact: a converged relaxation state
 //! persisted across runs so an edited design re-solves at the cost of its
 //! change cone instead of a cold flood.
 //!
@@ -35,9 +35,11 @@ use crate::arena::{SetId, TermId, TermKind};
 use crate::engine::SartResult;
 use crate::walk::{BoundaryDeps, Propagator};
 
-/// Format magic of the fixpoint artifact, bumped whenever the layout
-/// changes.
-const FIXPOINT_MAGIC: &[u8] = b"seqavf-fixpoint/1\n";
+/// Format magic of the fixpoint artifact, bumped whenever the layout or
+/// the meaning of a stored value changes. `/2`: per-FUB digests fold the
+/// interner's name hashes ([`Netlist::fub_digests`]), so a `/1` file's
+/// digests would match no FUB.
+const FIXPOINT_MAGIC: &[u8] = b"seqavf-fixpoint/2\n";
 
 /// Version-family prefix of [`FIXPOINT_MAGIC`].
 const FIXPOINT_MAGIC_FAMILY: &[u8] = b"seqavf-fixpoint/";
@@ -84,7 +86,7 @@ pub struct StoredBoundary {
     pub bwd_consumers: Vec<u32>,
 }
 
-/// A decoded (or about-to-be-encoded) `seqavf-fixpoint/1` artifact.
+/// A decoded (or about-to-be-encoded) `seqavf-fixpoint/2` artifact.
 ///
 /// Stored set ids use the arena's canonical numbering: `0` is the empty
 /// set, `1` is `{TOP}` (both implicit), and id `s >= 2` indexes
@@ -128,7 +130,7 @@ pub struct SeedPlan {
 }
 
 impl StoredFixpoint {
-    /// Serializes to the sealed `seqavf-fixpoint/1` wire format.
+    /// Serializes to the sealed `seqavf-fixpoint/2` wire format.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(
             64 + self.design.len()

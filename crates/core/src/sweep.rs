@@ -202,7 +202,7 @@ pub struct SweepOptions {
     pub threads: usize,
     /// Artifact-cache directory; `None` disables the cache.
     pub cache_dir: Option<PathBuf>,
-    /// Warm-start directory holding `seqavf-fixpoint/1` artifacts
+    /// Warm-start directory holding `seqavf-fixpoint/2` artifacts
     /// (see [`crate::fixpoint`]); `None` always relaxes cold. Only
     /// consulted when a fresh relaxation actually runs — a compiled-DAG
     /// cache hit skips relaxation entirely and needs no seed.

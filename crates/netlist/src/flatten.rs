@@ -8,31 +8,41 @@
 //! internal nets renamed `fub.inst.net`, and formal input ports substituted
 //! by the actual nets of the instantiating scope.
 //!
-//! # Parallel pipeline
+//! # Pipeline
 //!
-//! Flattening runs as four phases so that FUBs expand and references
-//! resolve on worker threads while every identifier is interned exactly
+//! Flattening runs as four phases. Every identifier is interned exactly
 //! once, and the output is bit-identical at any thread count:
 //!
-//! 1. **Expand (parallel, per FUB)** — walk each FUB's AST into a flat
-//!    event list. Workers only read the parse-time [`SymbolTable`]; they
-//!    never intern, so no synchronization is needed.
-//! 2. **Merge (sequential, FUB order)** — replay the event lists in
-//!    document order: intern hierarchical names, create nodes/structures,
-//!    and resolve structure-write targets. All table mutation happens here,
-//!    so symbol and node ids are independent of the thread count.
-//! 3. **Resolve (parallel, chunked)** — look up every fan-in reference
-//!    (substitution chain → scope-local → design-global). Pure reads.
-//! 4. **Connect (sequential)** — surface the first error in document
-//!    order, apply edges in order, and validate via
-//!    [`NetlistBuilder::finish`].
+//! 1. **Expand (parallel, per FUB)** — walk each FUB's AST into its
+//!    scopes (the FUB root plus one per instance) and the statements to
+//!    create, each tagged with its scope and borrowed from the AST.
+//!    Workers only read the parse-time [`SymbolTable`]; they never intern,
+//!    so no synchronization is needed.
+//! 2. **Merge (sequential, FUB order)** — in document order: intern
+//!    hierarchical names, create nodes and structures, and resolve
+//!    structure-write targets. Each definition is recorded as (scope,
+//!    local name, node) and each fan-in reference, after its
+//!    formal-substitution walk, as (scope, local name). All table mutation
+//!    happens here, so symbol and node ids are independent of the thread
+//!    count.
+//! 3. **Resolve (sequential, per scope)** — definitions and references are
+//!    grouped by scope, and each scope's references are answered from one
+//!    dense table indexed by parse-time [`Sym`] and stamped with the scope;
+//!    the first definition of a name in a scope wins. Such a hit is the
+//!    node named `prefix + name`. A miss — a dotted name into a child
+//!    instance, a structure cell `st[3]`, a cross-FUB `other.net`, a name
+//!    another scope spells the same way — probes the interner: first for
+//!    `prefix + name`, then, for a dotted name, for `name` design-wide.
+//! 4. **Connect (sequential)** — surface the first unresolved reference in
+//!    document order, add edges in order, free the resolution scratch, and
+//!    validate via [`NetlistBuilder::finish`].
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::error::{ExlifError, ExlifErrorKind};
 use crate::exlif::{self, DesignAst, FubAst, ModelAst, Stmt};
-use crate::graph::{FubId, GateOp, Netlist, NetlistBuilder, NodeId, NodeKind, SeqKind, StructId};
+use crate::graph::{FubId, Netlist, NetlistBuilder, NodeId, NodeKind, StructId};
 use crate::intern::{Sym, SymbolTable};
 
 /// Maximum worker count picked by [`build_netlist`] when the caller does
@@ -41,99 +51,75 @@ const MAX_DEFAULT_THREADS: usize = 8;
 
 /// Minimum estimated flat-statement count before
 /// [`build_netlist_threaded`] engages worker threads. Below this the
-/// spawn/join overhead of the expand and resolve phases exceeds the work
-/// they split — BENCH_5 measured a 0.67× *slowdown* on the ~3k-node
-/// reference design — so small ASTs take the sequential path.
+/// spawn/join overhead of the expand phase exceeds the work it splits —
+/// BENCH_5 measured a 0.67× *slowdown* on the ~3k-node reference design —
+/// so small ASTs take the sequential path.
 const PARALLEL_WORK_THRESHOLD: usize = 20_000;
+
+/// Stamp of a resolution-table slot no scope has written.
+const NO_SCOPE: u32 = u32::MAX;
 
 /// A scope recorded during expansion, local to one FUB's expansion.
 #[derive(Debug)]
-struct ScopeRec {
+struct ScopeRec<'a> {
     /// Parent scope index within the same expansion (`None` for the FUB
     /// root).
     parent: Option<u32>,
     /// Instance name introducing this scope (`None` for the FUB root,
     /// whose prefix is the FUB name itself).
     inst: Option<Sym>,
-    /// Formal input name → raw actual reference (resolved in `parent`).
-    /// Later bindings of the same formal overwrite earlier ones.
-    subst: Vec<(Sym, Sym)>,
-}
-
-/// One flattened statement, recorded in document order. `scope` indexes
-/// the expansion-local scope list.
-#[derive(Debug)]
-enum Event {
-    Input {
-        scope: u32,
-        name: Sym,
-    },
-    Output {
-        scope: u32,
-        name: Sym,
-        src: Sym,
-    },
-    Struct {
-        scope: u32,
-        name: Sym,
-        width: u32,
-    },
-    StructWrite {
-        scope: u32,
-        structure: Sym,
-        bit: u32,
-        src: Sym,
-    },
-    Gate {
-        scope: u32,
-        op: GateOp,
-        out: Sym,
-        ins: Vec<Sym>,
-    },
-    Seq {
-        scope: u32,
-        kind: SeqKind,
-        out: Sym,
-        d: Sym,
-        en: Option<Sym>,
-    },
+    /// The instance's `(formal, actual)` connections, borrowed from the
+    /// AST; an actual resolves in `parent`, and a later binding of the
+    /// same formal overrides an earlier one.
+    conns: &'a [(Sym, Sym)],
 }
 
 /// Result of expanding one FUB on a worker.
 #[derive(Debug)]
-struct FubExpansion {
-    scopes: Vec<ScopeRec>,
-    events: Vec<Event>,
+struct FubExpansion<'a> {
+    scopes: Vec<ScopeRec<'a>>,
+    /// Every statement to create, in document order, with its
+    /// expansion-local scope index. Never a `.subckt`.
+    stmts: Vec<(u32, &'a Stmt)>,
     /// First eager error (unknown model/port, recursive model). Expansion
-    /// stops at the error, so every recorded event precedes it in document
-    /// order — the merge phase replays events first and reports whichever
-    /// failure comes first.
+    /// stops at the error, so every recorded statement precedes it in
+    /// document order — the merge phase replays statements first and
+    /// reports whichever failure comes first.
     err: Option<ExlifError>,
 }
 
 /// A scope after merging: prefix interned, parent index global.
 #[derive(Debug)]
-struct GlobalScope {
+struct GlobalScope<'a> {
     /// Absolute name prefix including trailing dot (e.g. `"f0."`,
     /// `"f0.u0."`).
     prefix: Sym,
-    parent: Option<usize>,
-    subst: Vec<(Sym, Sym)>,
+    parent: Option<u32>,
+    conns: &'a [(Sym, Sym)],
 }
 
-/// A net reference awaiting resolution (EXLIF allows forward references).
+/// A name as one scope spells it: a definition's local name, or a fan-in
+/// reference after its formal-substitution walk.
 #[derive(Debug, Clone, Copy)]
-struct Ref {
+struct Local {
     /// Global scope index.
-    scope: usize,
+    scope: u32,
+    /// Parse-time symbol of the name.
     raw: Sym,
 }
 
-/// A node plus its unresolved fan-in references, in connection order.
-#[derive(Debug)]
-struct FlatConn {
-    node: NodeId,
-    ins: Vec<Ref>,
+/// Everything the merge records for resolution and connection.
+#[derive(Debug, Default)]
+struct Merged<'a> {
+    scopes: Vec<GlobalScope<'a>>,
+    /// Definitions in document order, with the node each created.
+    defs: Vec<(Local, NodeId)>,
+    /// Fan-in references in document order. Connection `c` drives node
+    /// `conn_node[c]` from `refs[conn_off[c]..conn_off[c + 1]]`.
+    refs: Vec<Local>,
+    conn_off: Vec<u32>,
+    conn_node: Vec<NodeId>,
+    structs_by_sym: HashMap<Sym, StructId>,
 }
 
 fn err0(kind: ExlifErrorKind) -> ExlifError {
@@ -164,12 +150,12 @@ fn default_threads() -> usize {
 /// [`build_netlist`] with an explicit worker-thread count (`0` and `1`
 /// both mean sequential). Output is bit-identical for every `threads`
 /// value: node ids, symbol ids, edge order, and error selection are all
-/// decided in the sequential merge/connect phases.
+/// decided in the sequential merge, resolve and connect phases.
 ///
 /// `threads` is a *ceiling*, not a demand: designs whose estimated flat
 /// size falls below the parallel crossover run sequentially regardless
 /// (see [`estimated_flat_stmts`]). Benchmarks and equivalence tests that
-/// must exercise the parallel phases on small inputs use
+/// must exercise the parallel expansion on small inputs use
 /// [`build_netlist_threaded_exact`].
 pub fn build_netlist_threaded(ast: &DesignAst, threads: usize) -> Result<Netlist, ExlifError> {
     let threads = if threads > 1 && estimated_flat_stmts(ast) < PARALLEL_WORK_THRESHOLD {
@@ -238,68 +224,38 @@ fn model_work(
 
 /// [`build_netlist_threaded`] without the small-design sequential
 /// fallback: the requested thread count is honoured exactly (clamped only
-/// to the available work items). This is the hook for thread-equivalence
-/// proptests and crossover benchmarks, which need the parallel phases to
-/// actually run on arbitrarily small inputs.
+/// to the number of FUBs). This is the hook for thread-equivalence
+/// proptests and crossover benchmarks, which need the parallel expansion
+/// to actually run on arbitrarily small inputs.
 pub fn build_netlist_threaded_exact(
     ast: &DesignAst,
     threads: usize,
 ) -> Result<Netlist, ExlifError> {
-    let models: HashMap<Sym, &ModelAst> = ast.models.iter().map(|m| (m.name, m)).collect();
+    let mut builder = NetlistBuilder::with_symbols(ast.name.clone(), ast.symbols.clone());
+    // The scratch of phases 1–4 is freed when `build_into` returns,
+    // before validation builds the CSR arrays.
+    build_into(ast, threads, &mut builder)?;
+    builder.finish().map_err(|e| err0(e.into()))
+}
 
-    // Phase 1: expand every FUB (parallel, read-only).
-    let n_fubs = ast.fubs.len();
-    let workers = threads.max(1).min(n_fubs.max(1));
-    let mut expansions: Vec<Option<FubExpansion>> = (0..n_fubs).map(|_| None).collect();
-    if workers <= 1 {
-        for (i, fub) in ast.fubs.iter().enumerate() {
-            expansions[i] = Some(expand_fub(fub, &models, &ast.symbols));
-        }
-    } else {
-        let next = AtomicUsize::new(0);
-        let models_ref = &models;
-        let ast_ref = ast;
-        let next_ref = &next;
-        let collected: Vec<Vec<(usize, FubExpansion)>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    s.spawn(move || {
-                        let mut local = Vec::new();
-                        loop {
-                            let i = next_ref.fetch_add(1, Ordering::Relaxed);
-                            if i >= n_fubs {
-                                break;
-                            }
-                            local.push((
-                                i,
-                                expand_fub(&ast_ref.fubs[i], models_ref, &ast_ref.symbols),
-                            ));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("flatten worker panicked"))
-                .collect()
-        });
-        for (i, exp) in collected.into_iter().flatten() {
-            expansions[i] = Some(exp);
-        }
-    }
+/// Phases 1–4: expands, merges, resolves and connects every FUB into
+/// `builder`.
+fn build_into(
+    ast: &DesignAst,
+    threads: usize,
+    builder: &mut NetlistBuilder,
+) -> Result<(), ExlifError> {
+    let expansions = expand_all(ast, threads);
 
     // Phase 2: merge (sequential). All interning and id assignment lives
     // here, which is what makes the pipeline thread-count-invariant.
-    let mut builder = NetlistBuilder::with_symbols(ast.name.clone(), ast.symbols.clone());
-    let mut scopes: Vec<GlobalScope> = Vec::new();
-    let mut flat: Vec<FlatConn> = Vec::new();
-    let mut structs_by_sym: HashMap<Sym, StructId> = HashMap::new();
-    for (fub_idx, slot) in expansions.iter_mut().enumerate() {
-        let exp = slot.take().expect("every FUB expanded");
-        let fub_ast = &ast.fubs[fub_idx];
+    let mut m = Merged {
+        conn_off: vec![0],
+        ..Merged::default()
+    };
+    for (fub_ast, exp) in ast.fubs.iter().zip(expansions) {
         let fub = builder.add_fub_sym(fub_ast.name);
-        let base = scopes.len();
+        let base = u32::try_from(m.scopes.len()).expect("scope count fits u32");
         for rec in exp.scopes {
             let (prefix, parent) = match rec.inst {
                 None => (
@@ -307,8 +263,8 @@ pub fn build_netlist_threaded_exact(
                     None,
                 ),
                 Some(inst) => {
-                    let parent = base + rec.parent.expect("child scope has a parent") as usize;
-                    let parent_prefix = scopes[parent].prefix;
+                    let parent = base + rec.parent.expect("child scope has a parent");
+                    let parent_prefix = m.scopes[parent as usize].prefix;
                     (
                         builder
                             .symbols_mut()
@@ -317,74 +273,99 @@ pub fn build_netlist_threaded_exact(
                     )
                 }
             };
-            scopes.push(GlobalScope {
+            m.scopes.push(GlobalScope {
                 prefix,
                 parent,
-                subst: rec.subst,
+                conns: rec.conns,
             });
         }
-        replay_events(
-            exp.events,
-            base,
-            fub,
-            &mut builder,
-            &scopes,
-            &mut flat,
-            &mut structs_by_sym,
-        )?;
-        // Worker errors come after every replayed event in document order.
+        for &(scope, stmt) in &exp.stmts {
+            m.replay(base + scope, stmt, fub, builder)?;
+        }
+        // Worker errors come after every replayed statement in document
+        // order.
         if let Some(e) = exp.err {
             return Err(e);
         }
     }
 
-    // Phase 3: resolve references (parallel, read-only).
-    let mut resolved: Vec<Option<Result<Vec<NodeId>, ExlifError>>> =
-        (0..flat.len()).map(|_| None).collect();
-    let workers = threads.max(1).min(flat.len().max(1));
-    if workers <= 1 {
-        for (conn, out) in flat.iter().zip(resolved.iter_mut()) {
-            *out = Some(resolve_conn(&builder, &scopes, conn));
-        }
-    } else {
-        let chunk = flat.len().div_ceil(workers);
-        let builder_ref = &builder;
-        let scopes_ref = &scopes;
-        std::thread::scope(|s| {
-            for (fslice, rslice) in flat.chunks(chunk).zip(resolved.chunks_mut(chunk)) {
-                s.spawn(move || {
-                    for (conn, out) in fslice.iter().zip(rslice.iter_mut()) {
-                        *out = Some(resolve_conn(builder_ref, scopes_ref, conn));
-                    }
-                });
-            }
-        });
-    }
+    // Phase 3: resolve every reference.
+    let resolved = m.resolve(builder, ast.symbols.len());
 
-    // Phase 4: first error in document order wins; connect in order.
-    for (conn, res) in flat.iter().zip(resolved) {
-        let ids = res.expect("every connection resolved")?;
-        for id in ids {
-            builder.connect(id, conn.node);
+    // Phase 4: the first unresolved reference in document order wins;
+    // otherwise connect in order.
+    if let Some(i) = resolved.iter().position(Option::is_none) {
+        let raw = builder.symbols().resolve(m.refs[i].raw).to_owned();
+        return Err(err0(ExlifErrorKind::UndefinedNet(raw)));
+    }
+    for (c, &node) in m.conn_node.iter().enumerate() {
+        for from in &resolved[m.conn_off[c] as usize..m.conn_off[c + 1] as usize] {
+            builder.connect(from.expect("every reference resolved"), node);
         }
     }
-    builder.finish().map_err(|e| err0(e.into()))
+    Ok(())
 }
 
-/// Phase-1 worker: expands one FUB into scope records and events without
-/// touching the symbol table.
-fn expand_fub(
-    fub: &FubAst,
-    models: &HashMap<Sym, &ModelAst>,
+/// Phase 1: expands every FUB, on up to `threads` workers pulling FUBs
+/// from a shared cursor. Returns the expansions in FUB order.
+fn expand_all(ast: &DesignAst, threads: usize) -> Vec<FubExpansion<'_>> {
+    let models: HashMap<Sym, &ModelAst> = ast.models.iter().map(|m| (m.name, m)).collect();
+    let n_fubs = ast.fubs.len();
+    let workers = threads.max(1).min(n_fubs.max(1));
+    if workers <= 1 {
+        return ast
+            .fubs
+            .iter()
+            .map(|fub| expand_fub(fub, &models, &ast.symbols))
+            .collect();
+    }
+    let next = AtomicUsize::new(0);
+    let (models, next) = (&models, &next);
+    let collected: Vec<Vec<(usize, FubExpansion<'_>)>> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                s.spawn(move || {
+                    let mut local = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n_fubs {
+                            break;
+                        }
+                        local.push((i, expand_fub(&ast.fubs[i], models, &ast.symbols)));
+                    }
+                    local
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("flatten worker panicked"))
+            .collect()
+    });
+    let mut expansions: Vec<Option<FubExpansion<'_>>> = (0..n_fubs).map(|_| None).collect();
+    for (i, exp) in collected.into_iter().flatten() {
+        expansions[i] = Some(exp);
+    }
+    expansions
+        .into_iter()
+        .map(|e| e.expect("every FUB expanded"))
+        .collect()
+}
+
+/// Phase-1 worker: expands one FUB into scope records and statements
+/// without touching the symbol table.
+fn expand_fub<'a>(
+    fub: &'a FubAst,
+    models: &HashMap<Sym, &'a ModelAst>,
     symbols: &SymbolTable,
-) -> FubExpansion {
+) -> FubExpansion<'a> {
     let mut exp = FubExpansion {
         scopes: vec![ScopeRec {
             parent: None,
             inst: None,
-            subst: Vec::new(),
+            conns: &[],
         }],
-        events: Vec::new(),
+        stmts: Vec::new(),
         err: None,
     };
     let mut model_stack: Vec<Sym> = Vec::new();
@@ -394,140 +375,88 @@ fn expand_fub(
     exp
 }
 
-fn expand_stmts(
-    stmts: &[Stmt],
+fn expand_stmts<'a>(
+    stmts: &'a [Stmt],
     scope: u32,
-    models: &HashMap<Sym, &ModelAst>,
+    models: &HashMap<Sym, &'a ModelAst>,
     symbols: &SymbolTable,
-    exp: &mut FubExpansion,
+    exp: &mut FubExpansion<'a>,
     model_stack: &mut Vec<Sym>,
 ) -> Result<(), ExlifError> {
     for stmt in stmts {
-        match stmt {
-            Stmt::Input(name) => exp.events.push(Event::Input { scope, name: *name }),
-            Stmt::Output { name, src } => exp.events.push(Event::Output {
-                scope,
-                name: *name,
-                src: *src,
-            }),
-            Stmt::Struct { name, width } => exp.events.push(Event::Struct {
-                scope,
-                name: *name,
-                width: *width,
-            }),
-            Stmt::StructWrite {
-                structure,
-                bit,
-                src,
-            } => exp.events.push(Event::StructWrite {
-                scope,
-                structure: *structure,
-                bit: *bit,
-                src: *src,
-            }),
-            Stmt::Gate { op, out, ins } => exp.events.push(Event::Gate {
-                scope,
-                op: *op,
-                out: *out,
-                ins: ins.clone(),
-            }),
-            Stmt::Seq { kind, out, d, en } => exp.events.push(Event::Seq {
-                scope,
-                kind: *kind,
-                out: *out,
-                d: *d,
-                en: *en,
-            }),
-            Stmt::Subckt { model, inst, conns } => {
-                let m = models.get(model).ok_or_else(|| {
-                    err0(ExlifErrorKind::UnknownModel(
-                        symbols.resolve(*model).to_owned(),
-                    ))
-                })?;
-                if model_stack.contains(model) {
-                    return Err(err0(ExlifErrorKind::RecursiveModel(
-                        symbols.resolve(*model).to_owned(),
-                    )));
-                }
-                let mut subst: Vec<(Sym, Sym)> = Vec::with_capacity(conns.len());
-                for &(formal, actual) in conns {
-                    if !m.inputs.contains(&formal) {
-                        return Err(err0(ExlifErrorKind::UnknownPort {
-                            model: symbols.resolve(*model).to_owned(),
-                            port: symbols.resolve(formal).to_owned(),
-                        }));
-                    }
-                    match subst.iter_mut().find(|(f, _)| *f == formal) {
-                        Some(entry) => entry.1 = actual,
-                        None => subst.push((formal, actual)),
-                    }
-                }
-                let child = u32::try_from(exp.scopes.len()).expect("scope count fits u32");
-                exp.scopes.push(ScopeRec {
-                    parent: Some(scope),
-                    inst: Some(*inst),
-                    subst,
-                });
-                model_stack.push(*model);
-                expand_stmts(&m.stmts, child, models, symbols, exp, model_stack)?;
-                model_stack.pop();
-            }
+        let Stmt::Subckt { model, inst, conns } = stmt else {
+            exp.stmts.push((scope, stmt));
+            continue;
+        };
+        let m = models.get(model).ok_or_else(|| {
+            err0(ExlifErrorKind::UnknownModel(
+                symbols.resolve(*model).to_owned(),
+            ))
+        })?;
+        if model_stack.contains(model) {
+            return Err(err0(ExlifErrorKind::RecursiveModel(
+                symbols.resolve(*model).to_owned(),
+            )));
         }
+        if let Some(&(formal, _)) = conns.iter().find(|(f, _)| !m.inputs.contains(f)) {
+            return Err(err0(ExlifErrorKind::UnknownPort {
+                model: symbols.resolve(*model).to_owned(),
+                port: symbols.resolve(formal).to_owned(),
+            }));
+        }
+        let child = u32::try_from(exp.scopes.len()).expect("scope count fits u32");
+        exp.scopes.push(ScopeRec {
+            parent: Some(scope),
+            inst: Some(*inst),
+            conns,
+        });
+        model_stack.push(*model);
+        expand_stmts(&m.stmts, child, models, symbols, exp, model_stack)?;
+        model_stack.pop();
     }
     Ok(())
 }
 
-/// Phase-2 replay: creates nodes and structures for one FUB's events in
-/// document order.
-fn replay_events(
-    events: Vec<Event>,
-    base: usize,
-    fub: FubId,
-    builder: &mut NetlistBuilder,
-    scopes: &[GlobalScope],
-    flat: &mut Vec<FlatConn>,
-    structs_by_sym: &mut HashMap<Sym, StructId>,
-) -> Result<(), ExlifError> {
-    for ev in events {
-        match ev {
-            Event::Input { scope, name } => {
-                let prefix = scopes[base + scope as usize].prefix;
-                let abs = builder.symbols_mut().intern_join(prefix, name);
-                builder.add_node_sym(abs, NodeKind::Input, fub);
+impl Merged<'_> {
+    /// Phase-2 replay of one statement in global scope `scope`: creates
+    /// its node (or structure) and records its definition and references.
+    fn replay(
+        &mut self,
+        scope: u32,
+        stmt: &Stmt,
+        fub: FubId,
+        builder: &mut NetlistBuilder,
+    ) -> Result<(), ExlifError> {
+        let prefix = self.scopes[scope as usize].prefix;
+        let mut define = |m: &mut Self, raw: Sym, kind: NodeKind| {
+            let abs = builder.symbols_mut().intern_join(prefix, raw);
+            let node = builder.add_node_sym(abs, kind, fub);
+            m.defs.push((Local { scope, raw }, node));
+            node
+        };
+        match *stmt {
+            Stmt::Input(name) => {
+                define(self, name, NodeKind::Input);
             }
-            Event::Output { scope, name, src } => {
-                let gscope = base + scope as usize;
-                let abs = builder
-                    .symbols_mut()
-                    .intern_join(scopes[gscope].prefix, name);
-                let node = builder.add_node_sym(abs, NodeKind::Output, fub);
-                flat.push(FlatConn {
-                    node,
-                    ins: vec![Ref {
-                        scope: gscope,
-                        raw: src,
-                    }],
-                });
+            Stmt::Output { name, src } => {
+                let node = define(self, name, NodeKind::Output);
+                self.conn(node, scope, [src]);
             }
-            Event::Struct { scope, name, width } => {
-                let prefix = scopes[base + scope as usize].prefix;
+            Stmt::Struct { name, width } => {
                 let abs = builder.symbols_mut().intern_join(prefix, name);
                 let sid = builder.add_structure_sym(abs, width, fub);
-                structs_by_sym.insert(abs, sid);
+                self.structs_by_sym.insert(abs, sid);
             }
-            Event::StructWrite {
-                scope,
+            Stmt::StructWrite {
                 structure,
                 bit,
                 src,
             } => {
-                let gscope = base + scope as usize;
-                let abs = builder
+                let sid = builder
                     .symbols()
-                    .lookup_join(scopes[gscope].prefix, structure);
-                let sid = abs
-                    .and_then(|a| structs_by_sym.get(&a))
-                    .or_else(|| structs_by_sym.get(&structure))
+                    .lookup_join(prefix, structure)
+                    .and_then(|a| self.structs_by_sym.get(&a))
+                    .or_else(|| self.structs_by_sym.get(&structure))
                     .copied()
                     .ok_or_else(|| {
                         err0(ExlifErrorKind::UndefinedNet(
@@ -544,113 +473,123 @@ fn replay_events(
                         },
                     )));
                 }
-                let cell = builder.structure_cell(sid, bit);
-                flat.push(FlatConn {
-                    node: cell,
-                    ins: vec![Ref {
-                        scope: gscope,
-                        raw: src,
-                    }],
-                });
+                self.conn(builder.structure_cell(sid, bit), scope, [src]);
             }
-            Event::Gate {
-                scope,
-                op,
-                out,
-                ins,
-            } => {
-                let gscope = base + scope as usize;
-                let abs = builder
-                    .symbols_mut()
-                    .intern_join(scopes[gscope].prefix, out);
-                let node = builder.add_node_sym(abs, NodeKind::Comb(op), fub);
-                flat.push(FlatConn {
-                    node,
-                    ins: ins
-                        .into_iter()
-                        .map(|raw| Ref { scope: gscope, raw })
-                        .collect(),
-                });
+            Stmt::Gate { op, out, ref ins } => {
+                let node = define(self, out, NodeKind::Comb(op));
+                self.conn(node, scope, ins.iter().copied());
             }
-            Event::Seq {
-                scope,
-                kind,
-                out,
-                d,
-                en,
-            } => {
-                let gscope = base + scope as usize;
-                let abs = builder
-                    .symbols_mut()
-                    .intern_join(scopes[gscope].prefix, out);
-                let node = builder.add_node_sym(
-                    abs,
+            Stmt::Seq { kind, out, d, en } => {
+                let node = define(
+                    self,
+                    out,
                     NodeKind::Seq {
                         kind,
                         has_enable: en.is_some(),
                     },
-                    fub,
                 );
-                let mut ins = vec![Ref {
-                    scope: gscope,
-                    raw: d,
-                }];
-                if let Some(en) = en {
-                    ins.push(Ref {
-                        scope: gscope,
-                        raw: en,
-                    });
+                self.conn(node, scope, std::iter::once(d).chain(en));
+            }
+            Stmt::Subckt { .. } => unreachable!("expansion never emits a .subckt"),
+        }
+        Ok(())
+    }
+
+    /// Records a connection driving `node` from `raws` as spelled in
+    /// `scope`, each after its formal-substitution walk: a formal of the
+    /// scope's instance becomes its actual, spelled in the parent scope.
+    fn conn(&mut self, node: NodeId, scope: u32, raws: impl IntoIterator<Item = Sym>) {
+        for mut raw in raws {
+            let mut scope = scope;
+            loop {
+                let sc = &self.scopes[scope as usize];
+                match sc.conns.iter().rev().find(|(f, _)| *f == raw) {
+                    Some(&(_, actual)) => {
+                        scope = sc.parent.expect("substitution implies a parent scope");
+                        raw = actual;
+                    }
+                    None => break,
                 }
-                flat.push(FlatConn { node, ins });
+            }
+            self.refs.push(Local { scope, raw });
+        }
+        self.conn_off
+            .push(u32::try_from(self.refs.len()).expect("reference count fits u32"));
+        self.conn_node.push(node);
+    }
+
+    /// Phase 3: the node each reference names, `None` when it names none.
+    /// `parse_syms` bounds the symbols a local name can be: the parse-time
+    /// table's length.
+    fn resolve(&self, builder: &NetlistBuilder, parse_syms: usize) -> Vec<Option<NodeId>> {
+        let n_scopes = self.scopes.len();
+        let (def_off, def_idx) = group_by_scope(n_scopes, self.defs.iter().map(|(l, _)| l.scope));
+        let (ref_off, ref_idx) = group_by_scope(n_scopes, self.refs.iter().map(|l| l.scope));
+        // Slot per parse-time symbol: (scope that wrote it, its node).
+        let mut table: Vec<(u32, NodeId)> = vec![(NO_SCOPE, NodeId::from_index(0)); parse_syms];
+        let mut resolved = vec![None; self.refs.len()];
+        for s in 0..n_scopes {
+            let stamp = s as u32;
+            for &d in &def_idx[def_off[s] as usize..def_off[s + 1] as usize] {
+                let (local, node) = self.defs[d as usize];
+                let slot = &mut table[local.raw.index()];
+                if slot.0 != stamp {
+                    *slot = (stamp, node);
+                }
+            }
+            let prefix = self.scopes[s].prefix;
+            for &r in &ref_idx[ref_off[s] as usize..ref_off[s + 1] as usize] {
+                let raw = self.refs[r as usize].raw;
+                let (written_by, node) = table[raw.index()];
+                resolved[r as usize] = if written_by == stamp {
+                    Some(node)
+                } else {
+                    resolve_by_name(builder, prefix, raw)
+                };
             }
         }
+        resolved
     }
-    Ok(())
 }
 
-/// Phase-3 worker: resolves one node's fan-in references (pure reads).
-fn resolve_conn(
-    builder: &NetlistBuilder,
-    scopes: &[GlobalScope],
-    conn: &FlatConn,
-) -> Result<Vec<NodeId>, ExlifError> {
-    conn.ins
-        .iter()
-        .map(|r| resolve_ref(builder, scopes, r.scope, r.raw))
-        .collect()
+/// Groups items by scope with a stable counting sort: the items of scope
+/// `s` are `idx[off[s]..off[s + 1]]`, in their original order.
+fn group_by_scope(
+    n_scopes: usize,
+    scopes: impl Iterator<Item = u32> + Clone,
+) -> (Vec<u32>, Vec<u32>) {
+    let mut off = vec![0u32; n_scopes + 1];
+    for s in scopes.clone() {
+        off[s as usize + 1] += 1;
+    }
+    for s in 0..n_scopes {
+        off[s + 1] += off[s];
+    }
+    let mut cursor = off[..n_scopes].to_vec();
+    let mut idx = vec![0u32; off[n_scopes] as usize];
+    for (i, s) in scopes.enumerate() {
+        let c = &mut cursor[s as usize];
+        idx[*c as usize] = i as u32;
+        *c += 1;
+    }
+    (off, idx)
 }
 
-/// Resolves a reference: formal substitution first (walking up the scope
-/// chain), then scope-local, then design-global. Misses never intern.
-fn resolve_ref(
-    builder: &NetlistBuilder,
-    scopes: &[GlobalScope],
-    mut scope: usize,
-    mut raw: Sym,
-) -> Result<NodeId, ExlifError> {
-    loop {
-        let sc = &scopes[scope];
-        match sc.subst.iter().find(|(f, _)| *f == raw) {
-            Some(&(_, actual)) => {
-                scope = sc.parent.expect("substitution implies a parent scope");
-                raw = actual;
-            }
-            None => break,
-        }
+/// The name path for a reference the scope's table misses: the node
+/// named `prefix + raw`, else, for a dotted `raw`, the node named `raw`.
+/// Misses never intern.
+fn resolve_by_name(builder: &NetlistBuilder, prefix: Sym, raw: Sym) -> Option<NodeId> {
+    if let Some(id) = builder
+        .symbols()
+        .lookup_join(prefix, raw)
+        .and_then(|abs| builder.lookup_sym(abs))
+    {
+        return Some(id);
     }
-    let sc = &scopes[scope];
-    if let Some(abs) = builder.symbols().lookup_join(sc.prefix, raw) {
-        if let Some(id) = builder.lookup_sym(abs) {
-            return Ok(id);
-        }
+    if builder.symbols().resolve(raw).contains('.') {
+        return builder.lookup_sym(raw);
     }
-    let raw_str = builder.symbols().resolve(raw);
-    if raw_str.contains('.') {
-        if let Some(id) = builder.lookup_sym(raw) {
-            return Ok(id);
-        }
-    }
-    Err(err0(ExlifErrorKind::UndefinedNet(raw_str.to_owned())))
+    None
 }
 
 /// Convenience: [`exlif::parse`] followed by [`build_netlist`].

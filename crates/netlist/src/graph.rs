@@ -18,6 +18,7 @@
 //! report and trace boundaries.
 
 use std::fmt;
+use std::sync::OnceLock;
 
 use serde::{Deserialize, Serialize};
 
@@ -313,7 +314,7 @@ impl NodeKind {
 }
 
 /// Declaration of an ACE-modeled structure: a named bank of storage cells.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct StructureDecl {
     name: String,
     sym: Sym,
@@ -349,6 +350,19 @@ impl StructureDecl {
     }
 }
 
+impl PartialEq for StructureDecl {
+    /// Compares name, width, FUB and cells. The interned symbol is left
+    /// out: its id depends on what else the table interned first.
+    fn eq(&self, other: &Self) -> bool {
+        self.name == other.name
+            && self.width == other.width
+            && self.fub == other.fub
+            && self.cells == other.cells
+    }
+}
+
+impl Eq for StructureDecl {}
+
 const NO_NODE: u32 = u32::MAX;
 
 /// Incremental builder for a [`Netlist`].
@@ -364,7 +378,9 @@ pub struct NetlistBuilder {
     node_of_sym: Vec<u32>,
     kinds: Vec<NodeKind>,
     fub_of: Vec<FubId>,
-    fanin: Vec<Vec<NodeId>>,
+    /// Edges as `(to, from)` pairs in [`NetlistBuilder::connect`] order;
+    /// [`NetlistBuilder::finish`] sorts them into the fan-in CSR.
+    edges: Vec<(NodeId, NodeId)>,
     fubs: Vec<Sym>,
     structures: Vec<StructureDecl>,
     duplicate: Option<Sym>,
@@ -387,7 +403,7 @@ impl NetlistBuilder {
             node_of_sym: Vec::new(),
             kinds: Vec::new(),
             fub_of: Vec::new(),
-            fanin: Vec::new(),
+            edges: Vec::new(),
             fubs: Vec::new(),
             structures: Vec::new(),
             duplicate: None,
@@ -443,7 +459,6 @@ impl NetlistBuilder {
         self.syms.push(sym);
         self.kinds.push(kind);
         self.fub_of.push(fub);
-        self.fanin.push(Vec::new());
         id
     }
 
@@ -497,8 +512,14 @@ impl NetlistBuilder {
     /// Adds a directed edge `from -> to` (i.e. `from` becomes a fan-in of
     /// `to`). For [`NodeKind::Seq`] nodes with an enable, connect the data
     /// net first and the enable net last.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `to` is not a node of this builder. An unknown `from` is
+    /// reported by [`NetlistBuilder::finish`].
     pub fn connect(&mut self, from: NodeId, to: NodeId) {
-        self.fanin[to.index()].push(from);
+        assert!(to.index() < self.kinds.len(), "edge into unknown node {to}");
+        self.edges.push((to, from));
     }
 
     /// Looks up a node by name.
@@ -532,15 +553,18 @@ impl NetlistBuilder {
     /// Returns the first violation found among: duplicate names, dangling
     /// edge endpoints, gate/sequential arity, inputs with fan-in, and
     /// combinational cycles.
-    pub fn finish(self) -> Result<Netlist, BuildError> {
+    pub fn finish(mut self) -> Result<Netlist, BuildError> {
         if let Some(sym) = self.duplicate {
             return Err(BuildError::DuplicateName(
                 self.symbols.resolve(sym).to_owned(),
             ));
         }
         let n = self.kinds.len();
+        // The edge list is dropped as soon as the CSR holds its edges.
+        let (fanin_off, fanin_dat) = fanin_csr(n, &std::mem::take(&mut self.edges));
         // Arity and endpoint validation.
-        for (i, ins) in self.fanin.iter().enumerate() {
+        for i in 0..n {
+            let ins = &fanin_dat[fanin_off[i] as usize..fanin_off[i + 1] as usize];
             for from in ins {
                 if from.index() >= n {
                     return Err(BuildError::UnknownNode(from.index() as u32));
@@ -586,16 +610,7 @@ impl NetlistBuilder {
                 NodeKind::StructCell { .. } => {}
             }
         }
-        self.check_comb_cycles()?;
-
-        // Freeze adjacency into CSR form.
-        let mut fanin_off = Vec::with_capacity(n + 1);
-        let mut fanin_dat = Vec::new();
-        fanin_off.push(0u32);
-        for ins in &self.fanin {
-            fanin_dat.extend_from_slice(ins);
-            fanin_off.push(fanin_dat.len() as u32);
-        }
+        self.check_comb_cycles(&fanin_off, &fanin_dat)?;
         let (fanout_off, fanout_dat) = transpose_csr(n, &fanin_off, &fanin_dat);
 
         let seq_count = self.kinds.iter().filter(|k| k.is_sequential()).count();
@@ -615,11 +630,12 @@ impl NetlistBuilder {
             fanout_off,
             fanout_dat,
             seq_count,
+            digest: OnceLock::new(),
         })
     }
 
     /// Detects cycles that pass through combinational nodes only.
-    fn check_comb_cycles(&self) -> Result<(), BuildError> {
+    fn check_comb_cycles(&self, fanin_off: &[u32], fanin_dat: &[NodeId]) -> Result<(), BuildError> {
         // Iterative three-color DFS over comb-only edges.
         const WHITE: u8 = 0;
         const GRAY: u8 = 1;
@@ -635,7 +651,7 @@ impl NetlistBuilder {
             stack.push((start, 0));
             while let Some(top) = stack.last_mut() {
                 let v = top.0;
-                let ins = &self.fanin[v];
+                let ins = &fanin_dat[fanin_off[v] as usize..fanin_off[v + 1] as usize];
                 if top.1 < ins.len() {
                     let u = ins[top.1].index();
                     top.1 += 1;
@@ -662,6 +678,26 @@ impl NetlistBuilder {
         }
         Ok(())
     }
+}
+
+/// Sorts `(to, from)` edges into a fan-in CSR with a stable counting sort:
+/// each node's fan-ins keep their order in `edges`.
+fn fanin_csr(n: usize, edges: &[(NodeId, NodeId)]) -> (Vec<u32>, Vec<NodeId>) {
+    let mut fanin_off = vec![0u32; n + 1];
+    for (to, _) in edges {
+        fanin_off[to.index() + 1] += 1;
+    }
+    for i in 0..n {
+        fanin_off[i + 1] += fanin_off[i];
+    }
+    let mut cursor: Vec<u32> = fanin_off[..n].to_vec();
+    let mut fanin_dat = vec![NodeId(0); edges.len()];
+    for &(to, from) in edges {
+        let c = &mut cursor[to.index()];
+        fanin_dat[*c as usize] = from;
+        *c += 1;
+    }
+    (fanin_off, fanin_dat)
 }
 
 /// Transposes a CSR fan-in adjacency into fan-out form (shared by the
@@ -712,6 +748,8 @@ pub struct Netlist {
     fanout_off: Vec<u32>,
     fanout_dat: Vec<NodeId>,
     seq_count: usize,
+    /// [`Netlist::content_digest`], computed on first use.
+    digest: OnceLock<u64>,
 }
 
 impl Netlist {
@@ -842,8 +880,13 @@ impl Netlist {
     /// that names no node (e.g. raw source tokens) does not contribute.
     ///
     /// The sweep-artifact cache keys on this digest, and the binary
-    /// snapshot embeds it for integrity checking.
+    /// snapshot embeds it for integrity checking. The graph is immutable,
+    /// so the digest is computed on first use and kept.
     pub fn content_digest(&self) -> u64 {
+        *self.digest.get_or_init(|| self.compute_content_digest())
+    }
+
+    fn compute_content_digest(&self) -> u64 {
         let mut h = Fnv1a64::new();
         let mut scratch = Vec::with_capacity(16);
         h.update(self.design.as_bytes());
@@ -879,7 +922,7 @@ impl Netlist {
     }
 
     /// Per-FUB content digests for cross-run change detection (the
-    /// `seqavf-fixpoint/1` warm-start artifact). Each FUB's digest covers
+    /// `seqavf-fixpoint/2` warm-start artifact). Each FUB's digest covers
     /// everything that can change the walk behavior of *its* nodes:
     ///
     /// - the FUB name and, per node in dense-id order: the node name, its
@@ -888,21 +931,24 @@ impl Netlist {
     /// - the node's loop membership (an edit elsewhere can thread a new
     ///   sequential feedback loop through an untouched FUB, changing its
     ///   nodes' roles — the flag makes that visible as a digest change),
-    /// - the full fan-in *and* fan-out lists by node name. Fan-out names
-    ///   matter because the backward walk reads fan-out annotations: a
-    ///   removed cross-FUB consumer edge changes this FUB's backward
-    ///   values while leaving its fan-ins untouched.
+    /// - the full fan-in *and* fan-out lists by node name, each with its
+    ///   length. Fan-out names matter because the backward walk reads
+    ///   fan-out annotations: a removed cross-FUB consumer edge changes
+    ///   this FUB's backward values while leaving its fan-ins untouched.
     ///
     /// Names, not ids, identify neighbours: node ids shift when unrelated
     /// FUBs grow or shrink, but an untouched FUB keeps its names, local
-    /// order, and wiring — and therefore its digest.
+    /// order, and wiring — and therefore its digest. Each name enters as
+    /// the [`Fnv1a64`] hash its symbol table stored when interning it
+    /// ([`SymbolTable::name_hash`]), so no name is hashed twice.
     pub fn fub_digests(&self, loops: &LoopAnalysis) -> Vec<u64> {
+        let name = |sym: Sym| self.symbols.name_hash(sym).to_le_bytes();
         let mut hs: Vec<Fnv1a64> = self
             .fubs
             .iter()
             .map(|&f| {
                 let mut h = Fnv1a64::new();
-                h.update(self.symbols.resolve(f).as_bytes());
+                h.update(&name(f));
                 h.update(&[0xFE]);
                 h
             })
@@ -910,8 +956,7 @@ impl Netlist {
         for i in 0..self.kinds.len() {
             let id = NodeId::from_index(i);
             let h = &mut hs[self.fub_of[i].index()];
-            h.update(self.symbols.resolve(self.syms[i]).as_bytes());
-            h.update(&[0]);
+            h.update(&name(self.syms[i]));
             match self.kinds[i] {
                 NodeKind::Input => h.update(&[1]),
                 NodeKind::Output => h.update(&[2]),
@@ -929,23 +974,18 @@ impl Netlist {
                 NodeKind::StructCell { structure, bit } => {
                     let decl = &self.structures[structure.index()];
                     h.update(&[5]);
-                    h.update(decl.name.as_bytes());
-                    h.update(&[0]);
+                    h.update(&name(decl.sym));
                     h.update(&bit.to_le_bytes());
                     h.update(&decl.width.to_le_bytes());
                 }
             }
             h.update(&[0x10 | u8::from(loops.is_loop_node(id))]);
-            for &from in self.fanin(id) {
-                h.update(self.symbols.resolve(self.syms[from.index()]).as_bytes());
-                h.update(&[1]);
+            for adj in [self.fanin(id), self.fanout(id)] {
+                h.update(&(adj.len() as u32).to_le_bytes());
+                for &n in adj {
+                    h.update(&name(self.syms[n.index()]));
+                }
             }
-            h.update(&[0xFD]);
-            for &to in self.fanout(id) {
-                h.update(self.symbols.resolve(self.syms[to.index()]).as_bytes());
-                h.update(&[2]);
-            }
-            h.update(&[0xFC]);
         }
         hs.into_iter().map(|h| h.finish()).collect()
     }
@@ -1023,6 +1063,7 @@ impl Netlist {
             fanout_off,
             fanout_dat,
             seq_count,
+            digest: OnceLock::new(),
         }
     }
 }
@@ -1250,13 +1291,9 @@ mod tests {
         assert_eq!(StructId::from_index(1).to_string(), "s1");
     }
 
-    #[test]
-    fn content_digest_tracks_semantics_not_interner_state() {
-        let nl1 = simple().finish().unwrap();
-        // Same graph built with extra junk interned first.
-        let mut b = NetlistBuilder::new("t");
-        b.symbols_mut().intern("unused_token");
-        b.symbols_mut().intern("another_one");
+    /// [`simple`] plus a two-cell structure written by `q` and read by
+    /// a gate, built into `b`.
+    fn with_structure(mut b: NetlistBuilder) -> Netlist {
         let fub = b.add_fub("f0");
         let i = b.add_node("in", NodeKind::Input, fub);
         let g = b.add_node("g", NodeKind::Comb(GateOp::Not), fub);
@@ -1269,14 +1306,32 @@ mod tests {
             fub,
         );
         let o = b.add_node("out", NodeKind::Output, fub);
+        let st = b.add_structure("st", 2, fub);
+        let r = b.add_node("r", NodeKind::Comb(GateOp::Buf), fub);
         b.connect(i, g);
         b.connect(g, q);
         b.connect(q, o);
-        let nl2 = b.finish().unwrap();
+        b.connect(q, b.structure_cell(st, 1));
+        b.connect(b.structure_cell(st, 0), r);
+        b.finish().unwrap()
+    }
+
+    #[test]
+    fn content_digest_tracks_semantics_not_interner_state() {
+        let nl1 = with_structure(NetlistBuilder::new("t"));
+        // Same graph built with extra junk interned first: every symbol
+        // id, the structure's included, differs from `nl1`'s.
+        let mut b = NetlistBuilder::new("t");
+        b.symbols_mut().intern("unused_token");
+        b.symbols_mut().intern("another_one");
+        let nl2 = with_structure(b);
+        let st = nl1.lookup_structure("st").unwrap();
+        assert_ne!(nl1.structure(st).sym(), nl2.structure(st).sym());
         assert_eq!(nl1, nl2);
         assert_eq!(nl1.content_digest(), nl2.content_digest());
 
         // A one-gate change moves the digest.
+        let nl1 = simple().finish().unwrap();
         let mut b = simple();
         let fub = FubId::from_index(0);
         let extra = b.add_node("extra", NodeKind::Comb(GateOp::Not), fub);
@@ -1285,5 +1340,49 @@ mod tests {
         let nl3 = b.finish().unwrap();
         assert_ne!(nl1, nl3);
         assert_ne!(nl1.content_digest(), nl3.content_digest());
+    }
+
+    #[test]
+    fn fanins_keep_connect_order_across_interleaved_edges() {
+        let mut b = NetlistBuilder::new("t");
+        let fub = b.add_fub("f0");
+        let a = b.add_node("a", NodeKind::Input, fub);
+        let c = b.add_node("c", NodeKind::Input, fub);
+        let m = b.add_node("m", NodeKind::Comb(GateOp::Mux), fub);
+        let x = b.add_node("x", NodeKind::Comb(GateOp::Xor), fub);
+        b.connect(c, m);
+        b.connect(a, x);
+        b.connect(a, m);
+        b.connect(m, x);
+        b.connect(c, m);
+        let nl = b.finish().unwrap();
+        assert_eq!(nl.fanin(m), &[c, a, c]);
+        assert_eq!(nl.fanin(x), &[a, m]);
+        assert_eq!(nl.fanout(a), &[m, x]);
+        assert_eq!(nl.fanout(c), &[m, m]);
+    }
+
+    #[test]
+    fn unknown_fanin_is_reported_by_finish() {
+        let mut b = simple();
+        let g = b.lookup("g").unwrap();
+        b.connect(NodeId::from_index(99), g);
+        assert_eq!(b.finish().unwrap_err(), BuildError::UnknownNode(99));
+    }
+
+    #[test]
+    #[should_panic(expected = "edge into unknown node")]
+    fn edge_into_unknown_node_panics() {
+        let mut b = simple();
+        let g = b.lookup("g").unwrap();
+        b.connect(g, NodeId::from_index(99));
+    }
+
+    #[test]
+    fn content_digest_is_kept_across_clones() {
+        let nl = simple().finish().unwrap();
+        let d = nl.content_digest();
+        assert_eq!(nl.clone().content_digest(), d);
+        assert_eq!(nl.compute_content_digest(), d);
     }
 }

@@ -177,7 +177,8 @@ pub struct SymbolTable {
     buf: Vec<u8>,
     /// `(start, len)` into `buf`, indexed by `Sym`.
     spans: Vec<(u32, u32)>,
-    /// Cached hash per symbol (used for rehash and fast rejection).
+    /// Cached hash per symbol (used for rehash, fast rejection, and
+    /// [`SymbolTable::name_hash`]).
     hashes: Vec<u64>,
     /// Open-addressed slot table holding `Sym` indices; power-of-two size.
     slots: Vec<u32>,
@@ -209,6 +210,13 @@ impl SymbolTable {
         let (start, len) = self.spans[sym.index()];
         std::str::from_utf8(&self.buf[start as usize..(start + len) as usize])
             .expect("interned bytes are valid UTF-8")
+    }
+
+    /// The [`Fnv1a64`] hash of a symbol's string, stored when it was
+    /// interned: digests over names fold this instead of hashing the
+    /// bytes again.
+    pub fn name_hash(&self, sym: Sym) -> u64 {
+        self.hashes[sym.index()]
     }
 
     fn span_bytes(&self, sym: Sym) -> &[u8] {
@@ -503,6 +511,23 @@ mod tests {
         assert_eq!(t.lookup_join(child, net), Some(abs));
         assert_eq!(t.lookup("f0.u1.q"), Some(abs));
         assert_eq!(t.len(), n);
+    }
+
+    #[test]
+    fn name_hash_is_the_fnv_of_the_string() {
+        let mut t = SymbolTable::new();
+        let fub = t.intern("f0");
+        let root = t.intern_prefix(None, fub);
+        let cell = t.intern_bit(root, 12);
+        for sym in [fub, root, cell] {
+            let mut h = Fnv1a64::new();
+            h.update(t.resolve(sym).as_bytes());
+            assert_eq!(t.name_hash(sym), h.finish());
+        }
+        // A table rebuilt from raw storage stores the same hashes.
+        let (buf, spans) = t.raw();
+        let t2 = SymbolTable::from_raw(buf.to_vec(), spans.to_vec()).unwrap();
+        assert_eq!(t2.name_hash(cell), t.name_hash(cell));
     }
 
     #[test]
