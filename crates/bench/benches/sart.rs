@@ -134,7 +134,7 @@ fn bench_netlist_generation(c: &mut Criterion) {
 
 fn bench_relax_thread_scaling(c: &mut Criterion) {
     // The tentpole scaling curve: one full SART solve (dominated by the
-    // sharded relaxation) at 1/2/4/8 worker threads over the same design.
+    // parallel relaxation) at 1/2/4/8 worker threads over the same design.
     // On a multi-core host expect ≥2× at 4 threads; every point produces
     // bit-identical annotations (checked in tests and by the
     // `thread_scaling` harness binary).

@@ -1,4 +1,4 @@
-//! E12 — sharded relaxation wall time vs worker-thread count.
+//! E12 — parallel relaxation wall time vs worker-thread count.
 //! Usage: `thread_scaling [--scale full]`.
 use seqavf_bench::common::{emit, Scale};
 

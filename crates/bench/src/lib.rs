@@ -18,7 +18,7 @@
 //! | [`symbolic`] | §5.2 — closed-form re-evaluation vs full re-run |
 //! | [`ablations`] | §4/§5.1 design-choice ablations |
 //! | [`scaling`] | §1/§5.2 — SART cost vs design size |
-//! | [`threads`] | sharded relaxation wall time vs worker-thread count |
+//! | [`threads`] | parallel relaxation wall time vs worker-thread count |
 //! | [`incremental`] | incremental dirty-FUB sweeps vs full sweeps |
 //! | [`frontend`] | zero-copy frontend vs binary graph-snapshot load |
 //! | [`production`] | thread-scaling curves and peak RSS at 100k+-node scale |

@@ -98,7 +98,7 @@ pub struct ScalePoint {
     /// the parity check; ≈1.0 when the fallback engages.
     pub small_scale_parity: f64,
     /// Relaxation thread curve via [`SartEngine::run_exact`] (the raw
-    /// sharded machinery, no sequential fallback).
+    /// parallel machinery, no sequential fallback).
     pub relax: Vec<PhasePoint>,
     /// Relaxation via the *public* entry at 8 threads — equals the
     /// 1-thread time when the small-design clamp engages.
@@ -335,7 +335,7 @@ pub fn measure_point(label: &str, config: &SynthConfig, repeats: usize) -> Scale
     let mapping = StructureMapping::from_pairs(design.meta.structure_map.clone());
     let inputs = PavfInputs::new();
 
-    // Relaxation curve on the raw sharded machinery (`run_exact`), with
+    // Relaxation curve on the raw parallel machinery (`run_exact`), with
     // the AVF identity check folded in.
     let mut relax_points = Vec::new();
     let mut relax_1t = f64::INFINITY;

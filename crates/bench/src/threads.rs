@@ -1,11 +1,11 @@
-//! **E12 — relaxation thread scaling**: wall-clock of the sharded
-//! parallel relaxation engine versus worker-thread count.
+//! **E12 — relaxation thread scaling**: wall-clock of the parallel
+//! relaxation engine versus worker-thread count.
 //!
 //! The per-FUB walks of one relaxation iteration read cross-FUB values
 //! only from the iteration-start snapshot, so they are data parallel;
-//! `seqavf-core` fans them out over scoped workers with per-worker arena
-//! shards that are canonicalized into the shared arena at the iteration
-//! barrier. This study sweeps the thread count on one design, measures
+//! `seqavf-core` fans them out over scoped workers and interns the
+//! moved term masks into the shared arena at the iteration barrier.
+//! This study sweeps the thread count on one design, measures
 //! relaxation wall time (from the engine's own per-iteration telemetry,
 //! so preparation and resolution cost are excluded), and *checks* the
 //! bit-identity contract: every thread count must produce exactly the

@@ -49,7 +49,7 @@ pub struct SartConfig {
     /// Worker threads for the partitioned relaxation and batch
     /// re-evaluation. Every thread count produces bit-identical
     /// annotations and `SetId` numbering (see [`crate::relax`]); `1`
-    /// runs the sharded engine inline.
+    /// walks every FUB on the calling thread.
     pub threads: usize,
 }
 
@@ -168,9 +168,7 @@ impl<'nl> SartEngine<'nl> {
     ) -> Self {
         let mut span = obs.span("sart.prepare");
         let roles = classify(nl, loops, &config.ctrl_patterns);
-        // Size the arena for the worst case relaxation interns — one set
-        // per direction per node — so production-scale runs never rehash.
-        let mut arena = UnionArena::with_capacity(nl.node_count());
+        let mut arena = UnionArena::new();
         let prep = prepare(nl, roles, mapping, &mut arena);
         // Per-FUB content digests and the mapping digest anchor cross-run
         // warm starts (see `crate::fixpoint`); both are cheap relative to
@@ -796,8 +794,7 @@ mod tests {
                 ..SartConfig::default()
             },
         );
-        // Bit-identical SetId annotations and AVFs, per the sharded-arena
-        // contract.
+        // Bit-identical SetId annotations and AVFs at any thread count.
         assert_eq!(seq.fwd, par.fwd);
         assert_eq!(seq.bwd, par.bwd);
         assert_eq!(seq.arena.len(), par.arena.len());

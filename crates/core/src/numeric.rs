@@ -12,7 +12,8 @@
 //! 2. **Parallelism** — per-iteration FUB passes are independent given the
 //!    FUBIO snapshot (Jacobi relaxation), so they parallelize trivially
 //!    with scoped threads. The symbolic engine parallelizes the same way
-//!    via per-worker arena shards (see [`crate::relax`]).
+//!    over term bitmasks, interned at the iteration barrier (see
+//!    [`crate::relax`]).
 
 use seqavf_netlist::graph::NodeId;
 

@@ -16,76 +16,89 @@
 //! exact, input-independent criterion available because the propagation is
 //! symbolic.
 //!
-//! # Parallelism: sharded arenas with a canonicalizing barrier
+//! # Term bitmasks, interned at the barrier
 //!
-//! Because every cross-FUB edge reads from the iteration-start snapshot
-//! (Jacobi relaxation), the per-FUB walks of one iteration are data
-//! parallel. The obstacle to running them concurrently is the hash-consing
-//! [`UnionArena`]: walks intern new term sets, and a shared arena would
-//! need locking on the hot path.
+//! §5.2 builds every closed form as a union of pAVF terms, and a design
+//! has few terms (37 on the 102k-node reference design). While it relaxes,
+//! the loop therefore carries each node's forward and backward annotation
+//! as a fixed-width bitmask of `⌈terms/64⌉` words, bit `t` standing for
+//! term `t`: union is a word-wise OR, and TOP (term 0, bit 0) absorbs
+//! every other bit, exactly as in the [`UnionArena`]. The width is chosen
+//! once per run and the walk is generic over it, so a design of up to 64
+//! terms runs scalar code over one-word masks; a wider design runs the
+//! same walk at a runtime width. Masks live in flat vectors, so a wide
+//! mask costs no allocation of its own.
 //!
-//! [`relax_partitioned`] instead gives each worker a private *shard* arena.
-//! A worker walks its FUBs interning locally (importing snapshot and
-//! source sets by term content, memoized per shared id), and at the end of
-//! the iteration the main thread canonicalizes every walked node's final
-//! term set into the shared arena in deterministic FUB/topological order.
-//! Canonical [`SetId`]s therefore depend only on the netlist and inputs —
-//! never on the thread count — so the parallel engine is bit-identical to
-//! the sequential one (which runs the very same shard machinery inline).
-//! Shard-local intermediate sets (partial unions) die with the shard and
-//! never pollute the shared arena. FUBs are assigned to workers by
-//! longest-processing-time scheduling over per-FUB topo sizes; only the
-//! grouping depends on that choice, never the results.
+//! Walks intern nothing. At the iteration barrier the main thread visits
+//! exactly the annotations whose mask moved, in a fixed order — FUB
+//! ascending, forward before backward, topological position ascending —
+//! and maps each mask to its canonical [`SetId`] through a mask→id index,
+//! interning the set into the shared arena on first sight. Canonical ids
+//! therefore depend only on the netlist and inputs, never on the thread
+//! count, and a skipped node — whose mask could not have moved — never
+//! needs an id at all.
 //!
-//! # Incremental dirty-FUB sweeps
+//! # Parallelism
 //!
-//! A FUB's walk is a pure function of its own sources and the boundary
-//! annotations it reads across the partition (recorded in
-//! [`BoundaryDeps`] during preparation). After the first sweep, a FUB can
-//! therefore only produce new annotations if one of those boundary values
-//! changed in the previous sweep. The incremental mode exploits this at
-//! two granularities:
+//! Every cross-FUB read sees the iteration-start mask (Jacobi relaxation),
+//! even when the same worker already walked the FUB it reads from, so the
+//! per-FUB walks of one iteration are data parallel. FUBs are spread over
+//! workers by longest-processing-time scheduling over their topological
+//! sizes; each worker writes only its own FUBs' scratch masks and
+//! worklists, which the barrier then reads in place. Only the grouping
+//! depends on the schedule, never the results.
 //!
-//! * **FUB level** — at every iteration barrier it diffs exactly the
-//!   cross-FUB-read boundary nodes against a sparse snapshot and marks the
-//!   consumer FUBs dirty; the next sweep walks only dirty FUBs while clean
-//!   FUBs keep their annotations untouched.
-//! * **Node level** — inside a dirty FUB, recomputation is confined to the
-//!   cone of the change: a node is re-evaluated only if one of its reads
-//!   moved — a cross-FUB boundary value that changed at the last barrier,
-//!   or a same-FUB predecessor recomputed to a new set earlier in this
-//!   sweep. Change propagation stops as soon as a recomputed node
-//!   reproduces its previous set, so the walked frontier shrinks with the
-//!   residual instead of staying FUB-sized.
+//! # Change worklists
 //!
-//! Results are bit-identical to full sweeps, including [`SetId`]
-//! numbering: a skipped node's annotation equals what a recompute would
-//! produce (same inputs, same deterministic walk), so the full engine's
-//! canonicalization of it is an arena no-op — new shared sets only ever
-//! arise at recomputed-and-changed nodes, which both modes intern in the
-//! same ascending FUB/topological order. The per-sweep
-//! `changed_sets`/`max_delta` telemetry is identical too, because skipped
-//! nodes contribute zero changes either way.
+//! A node's walk is a pure function of its reads, so it needs recomputing
+//! only when one of them moved. Each FUB keeps one pending bitset per walk
+//! direction over its topological positions (its slice of
+//! [`Prepared::fub_topo`]):
 //!
-//! [`UnionArena`]: crate::arena::UnionArena
+//! * a recompute whose mask moved marks its readers in the same FUB —
+//!   forward, the fan-outs with no fixed forward source; backward, the
+//!   fan-ins with no fixed backward source, unless the node's backward
+//!   contribution is overridden — which the walk, visiting positions in
+//!   topological (forward) or reverse (backward) order, reaches later in
+//!   the same sweep;
+//! * at the barrier, a moved boundary value (one of the
+//!   [`BoundaryDeps`] reads) marks its readers in other FUBs for the next
+//!   sweep.
+//!
+//! A FUB with a pending bit is exactly a FUB one of whose boundary reads
+//! changed (§5.2 re-walks only what a changed FUBIO value reaches), and
+//! inside it only the change cone is recomputed: propagation stops where a
+//! recompute reproduces its previous mask. The first sweep floods every
+//! node of a cold solve, or only the edited FUBs of a warm start
+//! ([`relax_partitioned_warm`]).
+//!
+//! Incremental sweeps are bit-identical to full sweeps, including
+//! [`SetId`] numbering and the per-sweep `changed_sets`, `max_delta` and
+//! `fub_seq_mean` telemetry: a skipped node would reproduce its mask, and
+//! both modes intern and count only moved masks, in the same order.
+//!
 //! [`BoundaryDeps`]: crate::walk::BoundaryDeps
+//! [`Prepared::fub_topo`]: crate::walk::Prepared::fub_topo
 
+use std::borrow::BorrowMut;
 use std::collections::HashMap;
+use std::hash::Hash;
+use std::marker::PhantomData;
 use std::time::Instant;
 
-use seqavf_netlist::graph::{FubId, NodeId};
+use seqavf_netlist::graph::{FubId, Netlist, NodeId};
 use seqavf_obs::{Collector, FieldValue};
 
-use crate::arena::{SetId, UnionArena};
-use crate::walk::{BoundaryDeps, Propagator};
+use crate::arena::{SetId, TermId, UnionArena};
+use crate::walk::Propagator;
 
 /// Minimum node count before [`relax_partitioned`] engages worker
-/// threads. Below this the per-iteration spawn/join and shard
-/// canonicalization overhead exceeds the work the walks split — BENCH_6
-/// measured 8 threads at 0.46× and 32 threads at 0.40× of the sequential
-/// wall time on the ~3k-node reference design — so small designs take the
-/// sequential path regardless of the requested thread count. Same rule as
-/// the flatten crossover in `seqavf-netlist`.
+/// threads. Below this the per-iteration spawn/join overhead exceeds the
+/// work the walks split — BENCH_6 measured 8 threads at 0.46× and 32
+/// threads at 0.40× of the sequential wall time on the ~3k-node reference
+/// design — so small designs take the sequential path regardless of the
+/// requested thread count. Same rule as the flatten crossover in
+/// `seqavf-netlist`.
 pub const RELAX_PARALLEL_WORK_THRESHOLD: usize = 20_000;
 
 /// Per-iteration convergence telemetry.
@@ -155,233 +168,392 @@ impl RelaxOutcome {
     }
 }
 
-/// The annotations one worker recomputed for one FUB: `(topo index,
-/// shard-local set)` pairs in ascending topological order, one list per
-/// walk direction. Nodes absent from both lists kept their previous
-/// annotations (skipped by the change-cone rule).
-struct FubAnnotations {
-    fub: FubId,
-    fwd: Vec<(u32, SetId)>,
-    bwd: Vec<(u32, SetId)>,
+/// A term set while relaxing: bit `t % 64` of word `t / 64` is term `t`.
+/// The type fixes the width: a one-word array gives the walk a scalar
+/// copy for designs of up to 64 terms, a boxed slice covers wider
+/// designs at a runtime width. Node and set masks are stored flat in a
+/// [`MaskVec`]; a `Mask` value is only a walk's accumulator or an index
+/// key.
+trait Mask: Eq + Hash + BorrowMut<[u64]> + Send + Sync {
+    /// Words per mask in a run of `words`-word masks: a constant for
+    /// arrays, so the one-word walk indexes at compile-time offsets.
+    fn width(words: usize) -> usize;
+    /// The empty set over `words` words (arrays ignore `words`).
+    fn empty(words: usize) -> Self;
+    fn words(&self) -> &[u64] {
+        self.borrow()
+    }
+    fn words_mut(&mut self) -> &mut [u64] {
+        self.borrow_mut()
+    }
 }
 
-/// One worker's share of an iteration: its shard arena, the recomputed
-/// annotations of every FUB it walked, and how many nodes it actually
-/// re-evaluated (in either direction).
-struct ShardOutput {
-    shard: UnionArena,
-    fubs: Vec<FubAnnotations>,
-    walked: usize,
+impl<const W: usize> Mask for [u64; W] {
+    fn width(_: usize) -> usize {
+        W
+    }
+    fn empty(_: usize) -> Self {
+        [0; W]
+    }
 }
 
-/// The boundary-read annotations that changed at the last iteration
-/// barrier, indexed by node. Workers consult these to decide whether a
-/// cross-FUB read forces a recompute; [`mark_dirty`] refreshes every
-/// boundary-read entry at each barrier (non-boundary entries stay false
-/// forever).
-struct ChangedMaps {
-    fwd: Vec<bool>,
-    bwd: Vec<bool>,
+impl Mask for Box<[u64]> {
+    fn width(words: usize) -> usize {
+        words
+    }
+    fn empty(words: usize) -> Self {
+        vec![0; words].into_boxed_slice()
+    }
 }
 
-/// Reusable per-worker walk state, allocated once per relaxation run
-/// instead of once per sweep: the node-count-sized scratch vectors plus
-/// the shared→shard set-translation memo.
-struct Scratch {
-    local_f: Vec<SetId>,
-    local_b: Vec<SetId>,
-    /// Whether the node was recomputed (`*_fresh`) and whether that
-    /// recompute produced a new set (`*_changed`) in the current sweep.
-    /// Like the value vectors, entries are written before they are read
-    /// within a FUB walk, so no per-sweep clearing is needed.
-    f_fresh: Vec<bool>,
-    b_fresh: Vec<bool>,
-    f_changed: Vec<bool>,
-    b_changed: Vec<bool>,
-    /// Shared-arena `SetId` → shard `SetId`. Valid for one sweep only
-    /// (every sweep builds a fresh shard arena), cleared at sweep start.
-    memo: HashMap<SetId, SetId>,
+/// A vector of masks in one flat allocation: slot `i` is words
+/// `i * w .. (i + 1) * w` with `w = M::width(words)`, so wide masks cost
+/// neither an allocation nor a pointer chase each.
+struct MaskVec<M> {
+    words: usize,
+    bits: Vec<u64>,
+    mask: PhantomData<M>,
 }
 
-impl Scratch {
-    fn new(node_count: usize) -> Scratch {
-        // The fill values are never read: within a FUB walk, `fub_topo`
-        // guarantees same-FUB fan-in/fan-out entries were written earlier
-        // in the same sweep, and cross-FUB edges never read the scratch.
-        let top = UnionArena::new().top();
-        Scratch {
-            local_f: vec![top; node_count],
-            local_b: vec![top; node_count],
-            f_fresh: vec![false; node_count],
-            b_fresh: vec![false; node_count],
-            f_changed: vec![false; node_count],
-            b_changed: vec![false; node_count],
-            memo: HashMap::new(),
+impl<M: Mask> MaskVec<M> {
+    /// `len` empty masks.
+    fn new(words: usize, len: usize) -> MaskVec<M> {
+        MaskVec {
+            words,
+            bits: vec![0; len * M::width(words)],
+            mask: PhantomData,
+        }
+    }
+
+    #[inline]
+    fn get(&self, i: usize) -> &[u64] {
+        let w = M::width(self.words);
+        &self.bits[i * w..(i + 1) * w]
+    }
+
+    #[inline]
+    fn get_mut(&mut self, i: usize) -> &mut [u64] {
+        let w = M::width(self.words);
+        &mut self.bits[i * w..(i + 1) * w]
+    }
+
+    fn push(&mut self, m: &[u64]) {
+        self.bits.extend_from_slice(m);
+    }
+
+    /// The masks of `ids`, in order, taken from the set masks `sets`.
+    fn gather(sets: &MaskVec<M>, ids: &[SetId]) -> MaskVec<M> {
+        let mut v = MaskVec {
+            words: sets.words,
+            bits: Vec::with_capacity(ids.len() * M::width(sets.words)),
+            mask: PhantomData,
+        };
+        for s in ids {
+            v.push(sets.get(s.index()));
+        }
+        v
+    }
+}
+
+/// `acc ∪= v`.
+#[inline]
+fn or_into(acc: &mut [u64], v: &[u64]) {
+    for (a, b) in acc.iter_mut().zip(v) {
+        *a |= *b;
+    }
+}
+
+/// Collapses a union containing TOP to `{TOP}`, as the arena does.
+#[inline]
+fn absorb_top(w: &mut [u64]) {
+    if w[0] & 1 != 0 {
+        w.fill(0);
+        w[0] = 1;
+    }
+}
+
+#[inline]
+fn bit(bits: &[u64], k: usize) -> bool {
+    bits[k / 64] >> (k % 64) & 1 != 0
+}
+
+#[inline]
+fn set_bit(bits: &mut [u64], k: usize) {
+    bits[k / 64] |= 1 << (k % 64);
+}
+
+/// The set bits of `bits`, ascending.
+fn ones(bits: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    bits.iter().enumerate().flat_map(|(w, &word)| {
+        let mut rest = word;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let b = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                w * 64 + b
+            })
+        })
+    })
+}
+
+/// The interned sets as masks: `set_mask[s]` is the mask of `SetId` `s`
+/// and `ids` its inverse. `set_val[s]` is `UnionArena::eval` of `s`
+/// under the run's term values, so telemetry read from it is
+/// bit-identical to evaluating the arena.
+struct SetIndex<M> {
+    set_mask: MaskVec<M>,
+    ids: HashMap<M, SetId>,
+    set_val: Vec<f64>,
+}
+
+impl<M: Mask> SetIndex<M> {
+    fn new(arena: &UnionArena, words: usize, values: &[f64]) -> SetIndex<M> {
+        let mut set_mask = MaskVec::new(words, arena.len());
+        let mut ids = HashMap::with_capacity(arena.len());
+        for s in 0..arena.len() {
+            let mut m = M::empty(words);
+            for t in arena.terms(SetId::from_index(s)) {
+                set_bit(m.words_mut(), t.index());
+            }
+            set_mask.get_mut(s).copy_from_slice(m.words());
+            ids.insert(m, SetId::from_index(s));
+        }
+        SetIndex {
+            set_mask,
+            ids,
+            set_val: arena.eval_all(values),
+        }
+    }
+
+    /// The canonical id of `m`, interning its terms into `arena` on first
+    /// sight.
+    fn id(&mut self, m: &[u64], arena: &mut UnionArena, values: &[f64]) -> SetId {
+        if let Some(&id) = self.ids.get(m) {
+            return id;
+        }
+        let terms: Vec<TermId> = ones(m).map(TermId::from_index).collect();
+        let id = arena.intern_terms(&terms);
+        assert_eq!(
+            id.index(),
+            self.set_val.len(),
+            "every arena set is indexed, so a new mask is a new set"
+        );
+        self.set_mask.push(m);
+        self.set_val.push(arena.eval(id, values));
+        let mut key = M::empty(self.set_mask.words);
+        key.words_mut().copy_from_slice(m);
+        self.ids.insert(key, id);
+        id
+    }
+}
+
+/// One FUB's change worklists, one bit per position of its topological
+/// order: `pending_*` marks the recomputes a sweep still owes, `moved_*`
+/// the recomputes of this sweep whose mask differs from the
+/// iteration-start mask.
+struct Worklist {
+    pending_f: Vec<u64>,
+    pending_b: Vec<u64>,
+    moved_f: Vec<u64>,
+    moved_b: Vec<u64>,
+}
+
+impl Worklist {
+    fn new(len: usize) -> Worklist {
+        let words = len.div_ceil(64);
+        Worklist {
+            pending_f: vec![0; words],
+            pending_b: vec![0; words],
+            moved_f: vec![0; words],
+            moved_b: vec![0; words],
+        }
+    }
+
+    fn is_pending(&self) -> bool {
+        self.pending_f
+            .iter()
+            .chain(&self.pending_b)
+            .any(|&w| w != 0)
+    }
+
+    /// Marks all `len` positions pending in both directions.
+    fn flood(&mut self, len: usize) {
+        for bits in [&mut self.pending_f, &mut self.pending_b] {
+            let spare = bits.len() * 64 - len;
+            bits.fill(!0);
+            if let Some(last) = bits.last_mut() {
+                *last >>= spare;
+            }
         }
     }
 }
 
-/// Translates a shared-arena set into the shard. Memoized per shared id,
-/// so each distinct snapshot/source set is content-hashed at most once
-/// per sweep instead of once per reading edge.
-fn import(
-    memo: &mut HashMap<SetId, SetId>,
-    shard: &mut UnionArena,
-    shared: &UnionArena,
-    s: SetId,
-) -> SetId {
-    *memo
-        .entry(s)
-        .or_insert_with(|| shard.intern_terms(shared.terms(s)))
+/// One FUB's recomputed masks by topological position. An entry is valid
+/// in the sweep that set its pending bit; the barrier reads the moved
+/// ones in place. Allocated on the calling thread before any worker
+/// starts: allocating it lazily inside the workers slowed every later
+/// request of a resident server (serve-query benchmark, 2-vCPU host).
+struct Scratch<M> {
+    next_f: MaskVec<M>,
+    next_b: MaskVec<M>,
 }
 
-/// Walks a slice of FUBs against the iteration-start annotations,
-/// interning every recomputed set into a private shard arena. Mirrors
+/// Relax-local view of the annotations: the set index plus the
+/// iteration-start (Jacobi snapshot) mask of every node.
+struct Masks<M> {
+    words: usize,
+    sets: SetIndex<M>,
+    cur_f: MaskVec<M>,
+    cur_b: MaskVec<M>,
+}
+
+/// Each node's position in its FUB's topological order.
+fn positions(fub_topo: &[Vec<NodeId>], node_count: usize) -> Vec<u32> {
+    let mut pos = vec![0u32; node_count];
+    for order in fub_topo {
+        for (k, n) in order.iter().enumerate() {
+            pos[n.index()] = k as u32;
+        }
+    }
+    pos
+}
+
+/// Recomputes the pending nodes of one FUB against the iteration-start
+/// masks — forward in topological order, then backward in reverse — and
+/// returns how many nodes it recomputed in either direction. Mirrors
 /// [`Propagator::forward_pass`]/[`Propagator::backward_pass`] exactly,
-/// including the conservative TOP for zero-fanin non-source nodes.
+/// including the conservative TOP for zero-fanin non-source nodes. New
+/// masks land in `scratch`, the moved ones are flagged in `list`, and no
+/// pending bit is left behind.
 ///
-/// Unless `force_all` is set (full sweeps, and the flooding first sweep
-/// of an incremental run), a node is re-evaluated only if one of its
-/// reads moved: a cross-FUB boundary value flagged in `changed`, or a
-/// same-FUB neighbour recomputed to a new set earlier in this sweep.
-/// Skipped nodes keep their shared annotations — by purity of the walk,
-/// recomputing them would reproduce those sets exactly.
-///
-/// The propagator's own `fwd`/`bwd` vectors serve directly as the Jacobi
-/// snapshot: the barrier mutates them only after every worker of the
-/// sweep has finished, so no per-iteration clone is needed.
-fn walk_fubs_sharded(
+/// A same-FUB read takes this sweep's mask when the read node was
+/// recomputed (its pending bit is set, and topological order put it
+/// first), the iteration-start mask otherwise; a cross-FUB read always
+/// takes the iteration-start mask.
+fn walk_fub<M: Mask>(
     prop: &Propagator<'_>,
-    fubs: &[FubId],
-    scratch: &mut Scratch,
-    changed: &ChangedMaps,
-    force_all: bool,
-) -> ShardOutput {
+    pos: &[u32],
+    masks: &Masks<M>,
+    fub: FubId,
+    list: &mut Worklist,
+    scratch: &mut Scratch<M>,
+) -> usize {
     let nl = prop.nl;
-    let shared = &prop.arena;
-    let (snap_f, snap_b) = (&prop.fwd, &prop.bwd);
-    // Worst case this shard interns a set per direction per node it
-    // walks; sizing from the shard's FUB topologies skips the rehashes.
-    let shard_nodes: usize = fubs
-        .iter()
-        .map(|f| prop.prep.fub_topo[f.index()].len())
-        .sum();
-    let mut shard = UnionArena::with_capacity(shard_nodes);
-    scratch.memo.clear();
-    let Scratch {
-        local_f,
-        local_b,
-        f_fresh,
-        b_fresh,
-        f_changed,
-        b_changed,
-        memo,
-    } = scratch;
-    let mut out = Vec::with_capacity(fubs.len());
-    let mut walked = 0usize;
-    for &fub in fubs {
-        let order = &prop.prep.fub_topo[fub.index()];
-        let mut fwd_new: Vec<(u32, SetId)> = Vec::new();
-        let mut bwd_new: Vec<(u32, SetId)> = Vec::new();
-        for (k, &node) in order.iter().enumerate() {
-            let i = node.index();
-            let needs = force_all
-                || (prop.prep.fwd_source[i].is_none()
-                    && nl.fanin(node).iter().any(|&f| {
-                        if nl.fub(f) == fub {
-                            f_changed[f.index()]
-                        } else {
-                            changed.fwd[f.index()]
-                        }
-                    }));
-            if !needs {
-                f_fresh[i] = false;
-                f_changed[i] = false;
-                continue;
+    let prep = &prop.prep;
+    let order = &prep.fub_topo[fub.index()];
+    let set_mask = &masks.sets.set_mask;
+    let Worklist {
+        pending_f,
+        pending_b,
+        moved_f,
+        moved_b,
+    } = list;
+    let Scratch { next_f, next_b } = scratch;
+    let top = set_mask.get(prop.arena.top().index());
+    let mut acc = M::empty(masks.words);
+    for w in 0..pending_f.len() {
+        let mut from = 0u32;
+        while from < 64 {
+            // Re-read the word: recomputes mark later positions pending.
+            let rest = pending_f[w] >> from << from;
+            if rest == 0 {
+                break;
             }
-            let v = if let Some(s) = prop.prep.fwd_source[i] {
-                import(memo, &mut shard, shared, s)
-            } else if nl.fanin(node).is_empty() {
-                shard.top()
+            let b = rest.trailing_zeros();
+            from = b + 1;
+            let k = w * 64 + b as usize;
+            let node = order[k];
+            let i = node.index();
+            let fanin = nl.fanin(node);
+            let v = acc.words_mut();
+            if let Some(s) = prep.fwd_source[i] {
+                v.copy_from_slice(set_mask.get(s.index()));
+            } else if fanin.is_empty() {
+                v.copy_from_slice(top);
             } else {
-                let mut acc = shard.empty();
-                for &f in nl.fanin(node) {
-                    let v = if nl.fub(f) == fub && f_fresh[f.index()] {
-                        local_f[f.index()]
+                v.fill(0);
+                for &f in fanin {
+                    let j = f.index();
+                    let p = pos[j] as usize;
+                    let m = if nl.fub(f) == fub && bit(pending_f, p) {
+                        next_f.get(p)
                     } else {
-                        import(memo, &mut shard, shared, snap_f[f.index()])
+                        masks.cur_f.get(j)
                     };
-                    acc = shard.union2(acc, v);
+                    or_into(v, m);
                 }
-                acc
-            };
-            local_f[i] = v;
-            f_fresh[i] = true;
-            f_changed[i] = v != import(memo, &mut shard, shared, snap_f[i]);
-            fwd_new.push((k as u32, v));
-        }
-        for (k, &node) in order.iter().enumerate().rev() {
-            let i = node.index();
-            let needs = force_all
-                || (prop.prep.bwd_source[i].is_none()
-                    && nl.fanout(node).iter().any(|&m| {
-                        prop.prep.bwd_contrib[m.index()].is_none()
-                            && if nl.fub(m) == fub {
-                                b_changed[m.index()]
-                            } else {
-                                changed.bwd[m.index()]
-                            }
-                    }));
-            if needs {
-                let v = if let Some(s) = prop.prep.bwd_source[i] {
-                    import(memo, &mut shard, shared, s)
-                } else {
-                    let mut acc = shard.empty();
-                    for &m in nl.fanout(node) {
-                        let v = if let Some(c) = prop.prep.bwd_contrib[m.index()] {
-                            import(memo, &mut shard, shared, c)
-                        } else if nl.fub(m) == fub && b_fresh[m.index()] {
-                            local_b[m.index()]
-                        } else {
-                            import(memo, &mut shard, shared, snap_b[m.index()])
-                        };
-                        acc = shard.union2(acc, v);
+                absorb_top(v);
+            }
+            if acc.words() != masks.cur_f.get(i) {
+                set_bit(moved_f, k);
+                for &m in nl.fanout(node) {
+                    if nl.fub(m) == fub && prep.fwd_source[m.index()].is_none() {
+                        set_bit(pending_f, pos[m.index()] as usize);
                     }
-                    acc
-                };
-                local_b[i] = v;
-                b_fresh[i] = true;
-                b_changed[i] = v != import(memo, &mut shard, shared, snap_b[i]);
-                bwd_new.push((k as u32, v));
-            } else {
-                b_fresh[i] = false;
-                b_changed[i] = false;
+                }
             }
-            if f_fresh[i] || b_fresh[i] {
-                walked += 1;
-            }
+            next_f.get_mut(k).copy_from_slice(acc.words());
         }
-        // Collected in reverse topological order; the barrier interns in
-        // ascending order to match the full engine's id assignment.
-        bwd_new.reverse();
-        out.push(FubAnnotations {
-            fub,
-            fwd: fwd_new,
-            bwd: bwd_new,
-        });
     }
-    ShardOutput {
-        shard,
-        fubs: out,
-        walked,
+    for w in (0..pending_b.len()).rev() {
+        let mut below = 64u32;
+        while below > 0 {
+            let rest = pending_b[w] & (u64::MAX >> (64 - below));
+            if rest == 0 {
+                break;
+            }
+            let b = 63 - rest.leading_zeros();
+            below = b;
+            let k = w * 64 + b as usize;
+            let node = order[k];
+            let i = node.index();
+            let v = acc.words_mut();
+            if let Some(s) = prep.bwd_source[i] {
+                v.copy_from_slice(set_mask.get(s.index()));
+            } else {
+                v.fill(0);
+                for &m in nl.fanout(node) {
+                    let j = m.index();
+                    let p = pos[j] as usize;
+                    let c = if let Some(c) = prep.bwd_contrib[j] {
+                        set_mask.get(c.index())
+                    } else if nl.fub(m) == fub && bit(pending_b, p) {
+                        next_b.get(p)
+                    } else {
+                        masks.cur_b.get(j)
+                    };
+                    or_into(v, c);
+                }
+                absorb_top(v);
+            }
+            if acc.words() != masks.cur_b.get(i) {
+                set_bit(moved_b, k);
+                if prep.bwd_contrib[i].is_none() {
+                    for &p in nl.fanin(node) {
+                        if nl.fub(p) == fub && prep.bwd_source[p.index()].is_none() {
+                            set_bit(pending_b, pos[p.index()] as usize);
+                        }
+                    }
+                }
+            }
+            next_b.get_mut(k).copy_from_slice(acc.words());
+        }
     }
+    let walked = pending_f
+        .iter()
+        .zip(pending_b.iter())
+        .map(|(f, b)| (f | b).count_ones() as usize)
+        .sum();
+    pending_f.fill(0);
+    pending_b.fill(0);
+    walked
 }
 
 /// Longest-processing-time assignment of FUBs to `workers` groups,
 /// weighted by per-FUB topo size: biggest FUB first, each to the
 /// least-loaded worker. Keeps sweeps balanced even when the incremental
 /// dirty set is a skewed slice of the design. Only the grouping depends
-/// on this choice — the barrier canonicalizes in ascending FUB order
+/// on this choice — the barrier interns in ascending FUB order
 /// regardless, so results are unaffected.
 fn lpt_partition(fubs: &[FubId], fub_topo: &[Vec<NodeId>], workers: usize) -> Vec<Vec<FubId>> {
     let mut order: Vec<FubId> = fubs.to_vec();
@@ -399,137 +571,192 @@ fn lpt_partition(fubs: &[FubId], fub_topo: &[Vec<NodeId>], workers: usize) -> Ve
     parts
 }
 
-/// One relaxation sweep over `active` (which must be ascending by FUB id):
-/// walk the FUBs concurrently when `threads > 1`, then canonicalize the
-/// shard results into the shared arena at the iteration barrier, diffing
-/// each recomputed node against its previous annotation in the same pass.
-///
-/// Returns `(changed_sets, max_delta, recomputed_nodes)`.
-fn sharded_sweep(
-    prop: &mut Propagator<'_>,
+/// Walks the pending nodes of every FUB in `active`, concurrently when
+/// `threads > 1`, and returns the nodes recomputed.
+fn walk_sweep<M: Mask>(
+    prop: &Propagator<'_>,
+    pos: &[u32],
+    masks: &Masks<M>,
+    lists: &mut [Worklist],
+    scratch: &mut [Scratch<M>],
     active: &[FubId],
     threads: usize,
-    scratch: &mut [Scratch],
-    values: &[f64],
-    changed_maps: &ChangedMaps,
-    force_all: bool,
-) -> (usize, f64, usize) {
-    if active.is_empty() {
-        return (0, 0.0, 0);
+) -> usize {
+    if threads <= 1 || active.len() <= 1 {
+        return active
+            .iter()
+            .map(|&f| {
+                let i = f.index();
+                walk_fub(prop, pos, masks, f, &mut lists[i], &mut scratch[i])
+            })
+            .sum();
     }
-    let workers = threads.max(1).min(active.len());
-    let outputs: Vec<ShardOutput> = if workers == 1 {
-        vec![walk_fubs_sharded(
-            prop,
-            active,
-            &mut scratch[0],
-            changed_maps,
-            force_all,
-        )]
-    } else {
-        let parts = lpt_partition(active, &prop.prep.fub_topo, workers);
-        let prop_ref: &Propagator<'_> = prop;
-        std::thread::scope(|s| {
-            let handles: Vec<_> = parts
-                .iter()
-                .zip(scratch.iter_mut())
-                .map(|(part, scr)| {
-                    s.spawn(move || walk_fubs_sharded(prop_ref, part, scr, changed_maps, force_all))
+    let parts = lpt_partition(active, &prop.prep.fub_topo, threads.min(active.len()));
+    let mut slots: Vec<Option<(&mut Worklist, &mut Scratch<M>)>> =
+        lists.iter_mut().zip(scratch.iter_mut()).map(Some).collect();
+    let jobs: Vec<Vec<_>> = parts
+        .iter()
+        .map(|part| {
+            part.iter()
+                .map(|&f| {
+                    let (list, scr) = slots[f.index()]
+                        .take()
+                        .expect("LPT assigns every FUB exactly once");
+                    (f, list, scr)
                 })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("relaxation worker panicked"))
                 .collect()
         })
-    };
-    // Iteration barrier: canonicalize shard-local sets into the shared
-    // arena in FUB order, nodes in topological order. The interning order
-    // — and with it every canonical SetId — is fully deterministic and
-    // independent of how FUBs were distributed over workers. Nodes the
-    // change-cone rule skipped kept their previous (already canonical)
-    // annotations and need no interning at all.
-    let mut where_is: Vec<(u32, u32)> = vec![(u32::MAX, 0); prop.nl.fub_count()];
-    for (oi, o) in outputs.iter().enumerate() {
-        for (fi, fa) in o.fubs.iter().enumerate() {
-            where_is[fa.fub.index()] = (oi as u32, fi as u32);
-        }
-    }
+        .collect();
+    std::thread::scope(|s| {
+        let handles: Vec<_> = jobs
+            .into_iter()
+            .map(|job| {
+                s.spawn(move || {
+                    job.into_iter()
+                        .map(|(f, list, scr)| walk_fub(prop, pos, masks, f, list, scr))
+                        .sum::<usize>()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("relaxation worker panicked"))
+            .sum()
+    })
+}
+
+/// Iteration barrier: interns every mask that moved this sweep in the
+/// canonical order — FUB ascending, forward before backward, topological
+/// position ascending — so every `SetId` is independent of how FUBs were
+/// spread over workers. Writes the new ids and iteration-start masks,
+/// flags FUBs whose sequential annotations moved in `seq_moved`, and
+/// returns `(changed_sets, max_delta)`.
+fn barrier<M: Mask>(
+    prop: &mut Propagator<'_>,
+    masks: &mut Masks<M>,
+    lists: &[Worklist],
+    scratch: &[Scratch<M>],
+    active: &[FubId],
+    values: &[f64],
+    seq_moved: &mut [bool],
+) -> (usize, f64) {
+    let Propagator {
+        nl,
+        prep,
+        arena,
+        fwd,
+        bwd,
+    } = prop;
+    let Masks {
+        sets, cur_f, cur_b, ..
+    } = masks;
     let mut changed = 0usize;
     let mut max_delta = 0.0f64;
     for &fub in active {
-        let (oi, fi) = where_is[fub.index()];
-        let o = &outputs[oi as usize];
-        let fa = &o.fubs[fi as usize];
-        debug_assert_eq!(fa.fub, fub);
-        let order = &prop.prep.fub_topo[fub.index()];
-        for &(k, s) in &fa.fwd {
-            let i = order[k as usize].index();
-            let new = prop.arena.intern_terms(o.shard.terms(s));
-            if new != prop.fwd[i] {
-                changed += 1;
-                let d = (prop.arena.eval(new, values) - prop.arena.eval(prop.fwd[i], values)).abs();
-                max_delta = max_delta.max(d);
-                prop.fwd[i] = new;
+        let f = fub.index();
+        let order = &prep.fub_topo[f];
+        let mut settle = |k: usize, m: &[u64], ann: &mut [SetId], cur: &mut MaskVec<M>| {
+            let node = order[k];
+            let i = node.index();
+            let id = sets.id(m, arena, values);
+            let d = (sets.set_val[id.index()] - sets.set_val[ann[i].index()]).abs();
+            max_delta = max_delta.max(d);
+            changed += 1;
+            ann[i] = id;
+            cur.get_mut(i).copy_from_slice(m);
+            if nl.kind(node).is_sequential() {
+                seq_moved[f] = true;
             }
+        };
+        for k in ones(&lists[f].moved_f) {
+            settle(k, scratch[f].next_f.get(k), fwd, cur_f);
         }
-        for &(k, s) in &fa.bwd {
-            let i = order[k as usize].index();
-            let new = prop.arena.intern_terms(o.shard.terms(s));
-            if new != prop.bwd[i] {
-                changed += 1;
-                let d = (prop.arena.eval(new, values) - prop.arena.eval(prop.bwd[i], values)).abs();
-                max_delta = max_delta.max(d);
-                prop.bwd[i] = new;
-            }
+        for k in ones(&lists[f].moved_b) {
+            settle(k, scratch[f].next_b.get(k), bwd, cur_b);
         }
     }
-    let walked = outputs.iter().map(|o| o.walked).sum();
-    (changed, max_delta, walked)
+    (changed, max_delta)
 }
 
-/// Diffs the boundary-read annotations against their sparse snapshots,
-/// updating the snapshots in place, refreshing the per-node changed maps
-/// the workers' change-cone rule reads, and marking every consumer FUB of
-/// a changed value dirty. This is the §5.2 observation that recomputation
-/// is confined to the cone downstream of a changed FUBIO value.
-fn mark_dirty(
-    boundary: &BoundaryDeps,
-    fwd: &[SetId],
-    bwd: &[SetId],
-    snap_f: &mut [SetId],
-    snap_b: &mut [SetId],
-    changed_maps: &mut ChangedMaps,
-    dirty: &mut [bool],
-) {
-    for (k, &node) in boundary.fwd_reads.iter().enumerate() {
-        let cur = fwd[node.index()];
-        let moved = cur != snap_f[k];
-        changed_maps.fwd[node.index()] = moved;
-        if moved {
-            snap_f[k] = cur;
-            for &f in boundary.fwd_consumers_of(k) {
-                dirty[f.index()] = true;
+/// Marks, for the next sweep, every reader in another FUB of a boundary
+/// value that moved this sweep: the forward readers of a moved
+/// [`BoundaryDeps::fwd_reads`] node are its foreign fan-outs with no fixed
+/// forward source, the backward readers of a moved
+/// [`BoundaryDeps::bwd_reads`] node its foreign fan-ins with no fixed
+/// backward source. This is §5.2's rule that recomputation is confined to
+/// the cone downstream of a changed FUBIO value.
+///
+/// [`BoundaryDeps::fwd_reads`]: crate::walk::BoundaryDeps::fwd_reads
+/// [`BoundaryDeps::bwd_reads`]: crate::walk::BoundaryDeps::bwd_reads
+fn mark_boundary_readers(prop: &Propagator<'_>, pos: &[u32], lists: &mut [Worklist]) {
+    let nl = prop.nl;
+    let prep = &prop.prep;
+    for &n in &prep.boundary.fwd_reads {
+        let home = nl.fub(n);
+        if !bit(&lists[home.index()].moved_f, pos[n.index()] as usize) {
+            continue;
+        }
+        for &m in nl.fanout(n) {
+            let g = nl.fub(m);
+            if g != home && prep.fwd_source[m.index()].is_none() {
+                set_bit(&mut lists[g.index()].pending_f, pos[m.index()] as usize);
             }
         }
     }
-    for (k, &node) in boundary.bwd_reads.iter().enumerate() {
-        let cur = bwd[node.index()];
-        let moved = cur != snap_b[k];
-        changed_maps.bwd[node.index()] = moved;
-        if moved {
-            snap_b[k] = cur;
-            for &f in boundary.bwd_consumers_of(k) {
-                dirty[f.index()] = true;
+    for &n in &prep.boundary.bwd_reads {
+        let home = nl.fub(n);
+        if !bit(&lists[home.index()].moved_b, pos[n.index()] as usize) {
+            continue;
+        }
+        for &p in nl.fanin(n) {
+            let g = nl.fub(p);
+            if g != home && prep.bwd_source[p.index()].is_none() {
+                set_bit(&mut lists[g.index()].pending_b, pos[p.index()] as usize);
             }
         }
+    }
+}
+
+/// Mean `MIN(F, B)` over the sequential nodes of each FUB, refreshed FUB
+/// by FUB. A FUB's sum runs over its sequential nodes in id order, so a
+/// refreshed mean is bit-identical to one folded over the whole design.
+struct SeqMeans {
+    nodes: Vec<Vec<NodeId>>,
+    means: Vec<f64>,
+}
+
+impl SeqMeans {
+    fn new(nl: &Netlist) -> SeqMeans {
+        let mut nodes: Vec<Vec<NodeId>> = vec![Vec::new(); nl.fub_count()];
+        for id in nl.seq_nodes() {
+            nodes[nl.fub(id).index()].push(id);
+        }
+        SeqMeans {
+            means: vec![0.0; nodes.len()],
+            nodes,
+        }
+    }
+
+    /// Recomputes FUB `f`'s mean from per-set values `set_val`.
+    fn refresh(&mut self, f: usize, fwd: &[SetId], bwd: &[SetId], set_val: &[f64]) {
+        let nodes = &self.nodes[f];
+        let mut sum = 0.0f64;
+        for n in nodes {
+            let i = n.index();
+            sum += set_val[fwd[i].index()].min(set_val[bwd[i].index()]);
+        }
+        self.means[f] = if nodes.is_empty() {
+            0.0
+        } else {
+            sum / nodes.len() as f64
+        };
     }
 }
 
 /// Runs partitioned relaxation to a structural fixpoint, fanning the
-/// per-FUB walks of each iteration out over `threads` workers with
-/// per-worker arena shards (see the module docs). Any thread count yields
-/// bit-identical annotations and `SetId` numbering.
+/// per-FUB walks of each iteration out over `threads` workers (see the
+/// module docs). Any thread count yields bit-identical annotations and
+/// `SetId` numbering.
 ///
 /// With `incremental` set, each sweep walks only the FUBs whose
 /// cross-partition boundary reads changed in the previous sweep; clean
@@ -541,13 +768,14 @@ fn mark_dirty(
 /// propagation itself is symbolic and independent of them.
 ///
 /// Every sweep is reported to `obs` as a `relax.sweep` span sharing the
-/// single per-sweep clock measurement with [`IterationStats`], plus the
-/// `relax.changed_sets` monotonic counter; collection never affects the
-/// computed annotations.
+/// single per-sweep clock measurement with [`IterationStats`] (the first
+/// span also covers the mask set-up), plus the `relax.changed_sets` and
+/// `relax.walked_nodes` counters; collection never affects the computed
+/// annotations.
 ///
 /// `threads` is a *ceiling*, not a demand: designs below
 /// [`RELAX_PARALLEL_WORK_THRESHOLD`] nodes run sequentially regardless,
-/// because the spawn/canonicalize overhead inverts the speedup there.
+/// because the spawn/join overhead inverts the speedup there.
 /// The decision is visible as [`IterationStats::effective_threads`] and
 /// the `relax.sweep` span's `threads`/`requested_threads` fields.
 /// Equivalence tests and benchmarks that must exercise the parallel
@@ -560,21 +788,15 @@ pub fn relax_partitioned(
     incremental: bool,
     obs: &Collector,
 ) -> RelaxOutcome {
-    let effective = if threads > 1 && prop.nl.node_count() < RELAX_PARALLEL_WORK_THRESHOLD {
-        1
-    } else {
-        threads
-    };
-    relax_partitioned_inner(
-        prop,
+    let run = Request {
         values,
         max_iterations,
-        threads,
-        effective,
+        requested_threads: threads,
+        threads: clamp_threads(prop, threads),
         incremental,
-        None,
-        obs,
-    )
+        warm_dirty: None,
+    };
+    relax_partitioned_inner(prop, &run, obs)
 }
 
 /// Warm-started partitioned relaxation: the caller has already seeded
@@ -607,25 +829,19 @@ pub fn relax_partitioned_warm(
     seed_dirty: &[bool],
     obs: &Collector,
 ) -> RelaxOutcome {
-    let effective = if threads > 1 && prop.nl.node_count() < RELAX_PARALLEL_WORK_THRESHOLD {
-        1
-    } else {
-        threads
-    };
-    relax_partitioned_inner(
-        prop,
+    let run = Request {
         values,
         max_iterations,
-        threads,
-        effective,
-        true,
-        Some(seed_dirty),
-        obs,
-    )
+        requested_threads: threads,
+        threads: clamp_threads(prop, threads),
+        incremental: true,
+        warm_dirty: Some(seed_dirty),
+    };
+    relax_partitioned_inner(prop, &run, obs)
 }
 
 /// [`relax_partitioned_warm`] without the small-design thread clamp, for
-/// equivalence tests that must drive the sharded warm path on designs
+/// equivalence tests that must drive the parallel warm path on designs
 /// below the crossover.
 pub fn relax_partitioned_warm_exact(
     prop: &mut Propagator<'_>,
@@ -635,22 +851,21 @@ pub fn relax_partitioned_warm_exact(
     seed_dirty: &[bool],
     obs: &Collector,
 ) -> RelaxOutcome {
-    relax_partitioned_inner(
-        prop,
+    let run = Request {
         values,
         max_iterations,
+        requested_threads: threads,
         threads,
-        threads,
-        true,
-        Some(seed_dirty),
-        obs,
-    )
+        incremental: true,
+        warm_dirty: Some(seed_dirty),
+    };
+    relax_partitioned_inner(prop, &run, obs)
 }
 
 /// [`relax_partitioned`] without the small-design clamp: engages exactly
 /// `threads` workers whatever the node count. Bit-identical results either
 /// way — this exists so thread-equivalence tests and benchmark curves can
-/// drive the sharded path on designs below the crossover.
+/// drive the parallel path on designs below the crossover.
 pub fn relax_partitioned_exact(
     prop: &mut Propagator<'_>,
     values: &[f64],
@@ -659,105 +874,146 @@ pub fn relax_partitioned_exact(
     incremental: bool,
     obs: &Collector,
 ) -> RelaxOutcome {
-    relax_partitioned_inner(
-        prop,
+    let run = Request {
         values,
         max_iterations,
-        threads,
+        requested_threads: threads,
         threads,
         incremental,
-        None,
-        obs,
-    )
+        warm_dirty: None,
+    };
+    relax_partitioned_inner(prop, &run, obs)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn relax_partitioned_inner(
-    prop: &mut Propagator<'_>,
-    values: &[f64],
+/// The thread count a clamped entry point engages.
+fn clamp_threads(prop: &Propagator<'_>, threads: usize) -> usize {
+    if threads > 1 && prop.nl.node_count() < RELAX_PARALLEL_WORK_THRESHOLD {
+        1
+    } else {
+        threads
+    }
+}
+
+/// One relaxation run as the entry points request it.
+struct Request<'a> {
+    values: &'a [f64],
     max_iterations: usize,
     requested_threads: usize,
+    /// Threads engaged after any clamp.
     threads: usize,
     incremental: bool,
-    warm_dirty: Option<&[bool]>,
+    /// FUBs a warm start must flood first; `None` floods every FUB.
+    warm_dirty: Option<&'a [bool]>,
+}
+
+/// Picks the mask width once per run: one word for up to 64 terms, a
+/// runtime width past that.
+fn relax_partitioned_inner(
+    prop: &mut Propagator<'_>,
+    run: &Request<'_>,
     obs: &Collector,
 ) -> RelaxOutcome {
-    let fub_count = prop.nl.fub_count();
-    let all_fubs: Vec<FubId> = prop.nl.fub_ids().collect();
-    let workers = threads.max(1).min(fub_count.max(1));
-    let mut scratch: Vec<Scratch> = (0..workers)
-        .map(|_| Scratch::new(prop.nl.node_count()))
-        .collect();
-    // Sparse FUBIO snapshots: only the boundary-read annotations persist
-    // across iterations (for the dirty diff), never the full 2×node_count
-    // vectors.
-    let mut snap_f: Vec<SetId> = prop
-        .prep
-        .boundary
-        .fwd_reads
-        .iter()
-        .map(|n| prop.fwd[n.index()])
-        .collect();
-    let mut snap_b: Vec<SetId> = prop
-        .prep
-        .boundary
-        .bwd_reads
-        .iter()
-        .map(|n| prop.bwd[n.index()])
-        .collect();
-    // Cold solves flood every FUB on the first sweep; a warm start seeds
-    // the dirty vector with just the FUBs whose digests moved, so iter 0
-    // force-walks only the edit's footprint.
-    let mut dirty = match warm_dirty {
-        Some(seed) => {
-            debug_assert_eq!(seed.len(), fub_count);
-            seed.to_vec()
-        }
-        None => vec![true; fub_count],
+    let words = prop.prep.terms.len().div_ceil(64);
+    match words {
+        1 => relax_masks::<[u64; 1]>(prop, run, words, obs),
+        _ => relax_masks::<Box<[u64]>>(prop, run, words, obs),
+    }
+}
+
+fn relax_masks<M: Mask>(
+    prop: &mut Propagator<'_>,
+    run: &Request<'_>,
+    words: usize,
+    obs: &Collector,
+) -> RelaxOutcome {
+    // The first sweep's span also covers this set-up.
+    let mut t0 = Instant::now();
+    let nl = prop.nl;
+    let fub_count = nl.fub_count();
+    let all_fubs: Vec<FubId> = nl.fub_ids().collect();
+    let sets = SetIndex::<M>::new(&prop.arena, words, run.values);
+    let mut masks = Masks {
+        words,
+        cur_f: MaskVec::gather(&sets.set_mask, &prop.fwd),
+        cur_b: MaskVec::gather(&sets.set_mask, &prop.bwd),
+        sets,
     };
-    let mut changed_maps = ChangedMaps {
-        fwd: vec![false; prop.nl.node_count()],
-        bwd: vec![false; prop.nl.node_count()],
-    };
+    let pos = positions(&prop.prep.fub_topo, nl.node_count());
+    let mut lists: Vec<Worklist> = prop
+        .prep
+        .fub_topo
+        .iter()
+        .map(|order| Worklist::new(order.len()))
+        .collect();
+    let mut scratch: Vec<Scratch<M>> = prop
+        .prep
+        .fub_topo
+        .iter()
+        .map(|order| Scratch {
+            next_f: MaskVec::new(words, order.len()),
+            next_b: MaskVec::new(words, order.len()),
+        })
+        .collect();
+    let mut seq = SeqMeans::new(nl);
+    // Every FUB's mean is folded after the first sweep; later sweeps
+    // refold only FUBs whose sequential annotations moved.
+    let mut seq_moved = vec![true; fub_count];
 
     let mut trace = Vec::new();
     let mut converged = false;
-    for iter in 0..max_iterations {
-        let t0 = Instant::now();
-        let active: Vec<FubId> = if incremental {
-            all_fubs
-                .iter()
-                .copied()
-                .filter(|f| dirty[f.index()])
-                .collect()
-        } else {
-            all_fubs.clone()
-        };
+    for iter in 0..run.max_iterations {
+        // Full sweeps and the first incremental sweep flood their FUBs:
+        // all of them cold, the edited ones warm. Afterwards a FUB is
+        // walked exactly when a boundary read marked it.
+        let flood = !run.incremental || iter == 0;
+        let active: Vec<FubId> = all_fubs
+            .iter()
+            .copied()
+            .filter(|f| {
+                if iter == 0 {
+                    run.warm_dirty.is_none_or(|dirty| dirty[f.index()])
+                } else {
+                    flood || lists[f.index()].is_pending()
+                }
+            })
+            .collect();
+        if flood {
+            for &f in &active {
+                lists[f.index()].flood(prop.prep.fub_topo[f.index()].len());
+            }
+        }
         let dirty_fubs = active.len();
         let skipped_fubs = fub_count - dirty_fubs;
-        // The first sweep floods every node (annotations start at the
-        // conservative defaults); afterwards the change-cone rule applies.
-        let force_all = !incremental || iter == 0;
-        let (changed, max_delta, walked_nodes) = sharded_sweep(
+        let walked_nodes = walk_sweep(
             prop,
-            &active,
-            threads,
+            &pos,
+            &masks,
+            &mut lists,
             &mut scratch,
-            values,
-            &changed_maps,
-            force_all,
+            &active,
+            run.threads,
         );
-        if incremental {
-            dirty.fill(false);
-            mark_dirty(
-                &prop.prep.boundary,
-                &prop.fwd,
-                &prop.bwd,
-                &mut snap_f,
-                &mut snap_b,
-                &mut changed_maps,
-                &mut dirty,
-            );
+        let (changed, max_delta) = barrier(
+            prop,
+            &mut masks,
+            &lists,
+            &scratch,
+            &active,
+            run.values,
+            &mut seq_moved,
+        );
+        if run.incremental {
+            mark_boundary_readers(prop, &pos, &mut lists);
+        }
+        for &f in &active {
+            let list = &mut lists[f.index()];
+            list.moved_f.fill(0);
+            list.moved_b.fill(0);
+        }
+        for (f, moved) in seq_moved.iter_mut().enumerate() {
+            if std::mem::take(moved) {
+                seq.refresh(f, &prop.fwd, &prop.bwd, &masks.sets.set_val);
+            }
         }
         let wall = t0.elapsed();
         obs.record_span(
@@ -768,10 +1024,10 @@ fn relax_partitioned_inner(
                 ("iter", FieldValue::U64(iter as u64)),
                 ("changed_sets", FieldValue::U64(changed as u64)),
                 ("max_delta", FieldValue::F64(max_delta)),
-                ("threads", FieldValue::U64(threads as u64)),
+                ("threads", FieldValue::U64(run.threads as u64)),
                 (
                     "requested_threads",
-                    FieldValue::U64(requested_threads as u64),
+                    FieldValue::U64(run.requested_threads as u64),
                 ),
                 ("dirty_fubs", FieldValue::U64(dirty_fubs as u64)),
                 ("skipped_fubs", FieldValue::U64(skipped_fubs as u64)),
@@ -785,10 +1041,11 @@ fn relax_partitioned_inner(
             dirty_fubs,
             skipped_fubs,
             walked_nodes,
-            fub_seq_mean: fub_seq_means(prop, values),
-            effective_threads: threads.max(1),
+            fub_seq_mean: seq.means.clone(),
+            effective_threads: run.threads.max(1),
             wall_seconds: wall.as_secs_f64(),
         });
+        t0 = Instant::now();
         if changed == 0 {
             converged = true;
             break;
@@ -815,6 +1072,7 @@ fn relax_partitioned_inner(
 /// design and the outcome reports convergence only if it changed nothing.
 pub fn solve_global(prop: &mut Propagator<'_>, values: &[f64], obs: &Collector) -> RelaxOutcome {
     let fub_count = prop.nl.fub_count();
+    let mut seq = SeqMeans::new(prop.nl);
     let mut trace = Vec::new();
     for sweep in 0..2 {
         let t0 = Instant::now();
@@ -840,13 +1098,17 @@ pub fn solve_global(prop: &mut Propagator<'_>, values: &[f64], obs: &Collector) 
         );
         obs.count("relax.changed_sets", changed as u64);
         obs.count("relax.walked_nodes", prop.nl.node_count() as u64);
+        let set_vals = prop.arena.eval_all(values);
+        for f in 0..fub_count {
+            seq.refresh(f, &prop.fwd, &prop.bwd, &set_vals);
+        }
         trace.push(IterationStats {
             changed_sets: changed,
             max_delta,
             dirty_fubs: fub_count,
             skipped_fubs: 0,
             walked_nodes: prop.nl.node_count(),
-            fub_seq_mean: fub_seq_means(prop, values),
+            fub_seq_mean: seq.means.clone(),
             effective_threads: 1,
             wall_seconds: wall.as_secs_f64(),
         });
@@ -866,7 +1128,7 @@ pub fn solve_global(prop: &mut Propagator<'_>, values: &[f64], obs: &Collector) 
 
 /// Counts annotation changes against a snapshot and the largest numeric
 /// movement under `values` (global mode only; the partitioned barrier
-/// diffs inline while canonicalizing).
+/// diffs as it interns).
 fn diff_stats(
     prop: &Propagator<'_>,
     snap_f: &[SetId],
@@ -892,31 +1154,9 @@ fn diff_stats(
     (changed, max_delta)
 }
 
-/// Mean `MIN(F, B)` over the sequential nodes of each FUB. Evaluates the
-/// arena once (`eval_all`) and then reads per-node values in O(1) —
-/// bit-identical to per-node `eval`, which computes the same capped sum.
-fn fub_seq_means(prop: &Propagator<'_>, values: &[f64]) -> Vec<f64> {
-    let nl = prop.nl;
-    let set_vals = prop.arena.eval_all(values);
-    let mut sums = vec![0.0f64; nl.fub_count()];
-    let mut counts = vec![0usize; nl.fub_count()];
-    for id in nl.seq_nodes() {
-        let i = id.index();
-        let v = set_vals[prop.fwd[i].index()].min(set_vals[prop.bwd[i].index()]);
-        let f = nl.fub(id).index();
-        sums[f] += v;
-        counts[f] += 1;
-    }
-    sums.iter()
-        .zip(&counts)
-        .map(|(s, &c)| if c == 0 { 0.0 } else { s / c as f64 })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::arena::UnionArena;
     use crate::classify::classify;
     use crate::mapping::StructureMapping;
     use crate::walk::prepare;
@@ -1014,8 +1254,8 @@ mod tests {
                 let values = default_values(&p0);
                 let mut p_full = p0.clone();
                 let mut p_inc = p0.clone();
-                // `_exact` so the sharded parallel path actually runs on
-                // these tiny designs despite the small-design clamp.
+                // `_exact` so the parallel path actually runs on these
+                // tiny designs despite the small-design clamp.
                 let full = relax_partitioned_exact(
                     &mut p_full,
                     &values,
@@ -1086,66 +1326,43 @@ mod tests {
             assert_ne!(nl.fub(boundary.bwd_reads[k]), fub("d.u"));
             assert!(!boundary.bwd_consumers_of(k).contains(&fub("d.u")));
         }
-        // Take converged sparse snapshots: diffing marks nothing dirty.
-        let mut snap_f: Vec<SetId> = boundary
-            .fwd_reads
+        let pos = positions(&p.prep.fub_topo, nl.node_count());
+        let mut lists: Vec<Worklist> = p
+            .prep
+            .fub_topo
             .iter()
-            .map(|n| p.fwd[n.index()])
+            .map(|order| Worklist::new(order.len()))
             .collect();
-        let mut snap_b: Vec<SetId> = boundary
-            .bwd_reads
-            .iter()
-            .map(|n| p.bwd[n.index()])
-            .collect();
-        let mut dirty = vec![false; nl.fub_count()];
-        let mut maps = ChangedMaps {
-            fwd: vec![false; nl.node_count()],
-            bwd: vec![false; nl.node_count()],
-        };
-        mark_dirty(
-            boundary,
-            &p.fwd,
-            &p.bwd,
-            &mut snap_f,
-            &mut snap_b,
-            &mut maps,
-            &mut dirty,
-        );
-        assert!(dirty.iter().all(|&d| !d), "converged state must be clean");
-        assert!(maps.fwd.iter().chain(&maps.bwd).all(|&c| !c));
-        // Perturb the forward annotation `a` exposes at `a.o`: exactly the
-        // dependent FUBs `b` and `c` become dirty.
+        // Nothing moved: the barrier marks nothing.
+        mark_boundary_readers(&p, &pos, &mut lists);
+        assert!(lists.iter().all(|l| !l.is_pending()), "clean state");
+        // Move the forward annotation `a` exposes at `a.o`: exactly the
+        // reading nodes of the dependent FUBs `b` and `c` become pending,
+        // forward only.
         let a_o = nl.lookup("a.o").unwrap();
-        let k = boundary
-            .fwd_reads
-            .iter()
-            .position(|&n| n == a_o)
-            .expect("a.o is read across the partition");
-        snap_f[k] = p.arena.top();
-        assert_ne!(snap_f[k], p.fwd[a_o.index()]);
-        mark_dirty(
-            boundary,
-            &p.fwd,
-            &p.bwd,
-            &mut snap_f,
-            &mut snap_b,
-            &mut maps,
-            &mut dirty,
+        assert!(boundary.fwd_reads.contains(&a_o));
+        set_bit(
+            &mut lists[fub("a.o").index()].moved_f,
+            pos[a_o.index()] as usize,
         );
-        // The changed map flags exactly the perturbed boundary read.
-        assert!(maps.fwd[a_o.index()]);
-        assert_eq!(maps.fwd.iter().filter(|&&c| c).count(), 1);
-        let dirty_fubs: Vec<usize> = dirty
-            .iter()
-            .enumerate()
-            .filter(|(_, &d)| d)
-            .map(|(i, _)| i)
+        mark_boundary_readers(&p, &pos, &mut lists);
+        let pending_fubs: Vec<usize> = (0..lists.len())
+            .filter(|&f| lists[f].is_pending())
             .collect();
         assert_eq!(
-            dirty_fubs,
+            pending_fubs,
             vec![fub("b.r").index(), fub("c.t").index()],
-            "perturbing a.o must dirty exactly its consumers"
+            "moving a.o must mark exactly its consumers"
         );
+        for reader in ["b.r", "c.t"] {
+            let n = nl.lookup(reader).unwrap();
+            let list = &lists[fub(reader).index()];
+            assert_eq!(
+                ones(&list.pending_f).collect::<Vec<_>>(),
+                vec![pos[n.index()] as usize]
+            );
+            assert!(list.pending_b.iter().all(|&w| w == 0));
+        }
     }
 
     #[test]
@@ -1206,8 +1423,9 @@ mod tests {
             let mut runs = Vec::new();
             for threads in [1usize, 2, 3, 8] {
                 let mut p = p0.clone();
-                // `_exact` so the multi-thread variants genuinely shard:
-                // the clamped entry point would run CHAIN sequentially.
+                // `_exact` so the multi-thread variants genuinely spread
+                // FUBs over workers: the clamped entry point would run
+                // CHAIN sequentially.
                 let out = relax_partitioned_exact(
                     &mut p,
                     &values,
@@ -1222,7 +1440,7 @@ mod tests {
             let (_, base, base_out) = &runs[0];
             for (threads, p, out) in &runs[1..] {
                 // Identical SetId annotations, arena contents, and telemetry
-                // counters — the sharded engine is deterministic in the thread
+                // counters — the parallel engine is deterministic in the thread
                 // count by construction.
                 assert_eq!(&base.fwd, &p.fwd, "fwd SetIds differ at threads={threads}");
                 assert_eq!(&base.bwd, &p.bwd, "bwd SetIds differ at threads={threads}");
@@ -1313,6 +1531,100 @@ mod tests {
         let total = out.total_wall_seconds();
         assert!(total >= 0.0);
         assert!(out.mean_iteration_seconds() <= total + 1e-15);
+    }
+
+    /// 520 one-bit structures make 1,045 terms, so the walk runs over
+    /// 17-word masks. A chain of OR gates in
+    /// FUB `f0` unions every read term (with a few hops through `f1`), and
+    /// every fifth flop writes a cell, so masks of up to 520 bits move
+    /// across partitions in both directions.
+    #[test]
+    fn wide_masks_match_the_global_solve() {
+        use crate::engine::{SartConfig, SartEngine};
+        use crate::mapping::PavfInputs;
+        use seqavf_netlist::graph::{GateOp, NetlistBuilder, NodeKind, SeqKind};
+
+        let flop = NodeKind::Seq {
+            kind: SeqKind::Flop,
+            has_enable: false,
+        };
+        let mut b = NetlistBuilder::new("wide");
+        let fubs: Vec<FubId> = (0..3).map(|i| b.add_fub(format!("f{i}"))).collect();
+        let input = b.add_node("f0.in", NodeKind::Input, fubs[0]);
+        let mut cells = Vec::new();
+        let mut flops: Vec<NodeId> = Vec::new();
+        for k in 0..520usize {
+            let s = b.add_structure(format!("f{}.s{k}", k % 3), 1, fubs[k % 3]);
+            cells.push(b.structure_cell(s, 0));
+            let home = usize::from(k % 100 == 99);
+            let g = b.add_node(
+                format!("f{home}.g{k}"),
+                NodeKind::Comb(GateOp::Or),
+                fubs[home],
+            );
+            b.connect(cells[k], g);
+            b.connect(flops.last().copied().unwrap_or(input), g);
+            let q = b.add_node(format!("f{home}.q{k}"), flop, fubs[home]);
+            b.connect(g, q);
+            flops.push(q);
+        }
+        for k in (0..520).step_by(5) {
+            b.connect(flops[k], cells[(7 * k + 3) % 520]);
+        }
+        let out = b.add_node("f0.out", NodeKind::Output, fubs[0]);
+        b.connect(*flops.last().unwrap(), out);
+        let nl = b.finish().unwrap();
+
+        let inputs = PavfInputs::new();
+        let config = SartConfig {
+            default_port_pavf: 0.001,
+            ..SartConfig::default()
+        };
+        let engine = |c: SartConfig| SartEngine::new(&nl, &StructureMapping::new(), c);
+        let glob = engine(SartConfig {
+            partitioned: false,
+            ..config.clone()
+        })
+        .run(&inputs);
+        assert!(glob.terms.len() > 1024, "{} terms", glob.terms.len());
+        let base = engine(config.clone()).run(&inputs);
+        assert!(base.outcome.converged);
+        for id in nl.nodes() {
+            let i = id.index();
+            assert_eq!(
+                base.arena.terms(base.fwd[i]),
+                glob.arena.terms(glob.fwd[i]),
+                "fwd {}",
+                nl.name(id)
+            );
+            assert_eq!(
+                base.arena.terms(base.bwd[i]),
+                glob.arena.terms(glob.bwd[i]),
+                "bwd {}",
+                nl.name(id)
+            );
+        }
+        // The read ports of cells 0..=518 plus the input boundary.
+        let q = nl.lookup("f0.q518").unwrap();
+        assert_eq!(base.arena.terms(base.fwd[q.index()]).len(), 520);
+        for (threads, incremental) in [(3, true), (1, false), (3, false)] {
+            let r = engine(SartConfig {
+                threads,
+                incremental,
+                ..config.clone()
+            })
+            .run_exact(&inputs);
+            assert_eq!(
+                r.fwd, base.fwd,
+                "threads={threads} incremental={incremental}"
+            );
+            assert_eq!(
+                r.bwd, base.bwd,
+                "threads={threads} incremental={incremental}"
+            );
+            assert_eq!(r.arena.len(), base.arena.len());
+            assert_eq!(r.outcome.iterations, base.outcome.iterations);
+        }
     }
 
     #[test]

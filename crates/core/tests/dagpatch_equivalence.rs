@@ -153,7 +153,7 @@ fn assert_patch_matches_cold(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// The headline contract: patched DAG ≡ cold recompile, bit for bit,
     /// for arbitrary gate edits at every thread count.

@@ -69,7 +69,7 @@ fn solve_and_capture(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// The headline contract: warm ≡ cold, bit for bit, for arbitrary
     /// gate edits (1..6 flips land in one or several FUBs) at every

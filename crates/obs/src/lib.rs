@@ -24,7 +24,7 @@
 //!   sweep, a campaign), never per node or per gate-evaluation.
 //! - **No perturbation.** The collector only observes; computation never
 //!   reads it, so results — including the bit-identity contract of the
-//!   sharded relaxation engine — are independent of whether collection is
+//!   parallel relaxation engine — are independent of whether collection is
 //!   enabled.
 //!
 //! ## Output

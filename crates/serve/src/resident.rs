@@ -118,6 +118,22 @@ pub struct LoadedDesign {
     /// Structure mapping from the load-time `map_path` (empty if none
     /// was given).
     pub mapping: StructureMapping,
+    /// Dense indices of the sequential nodes, ascending: the bits every
+    /// query's summary row folds, built once per resident design.
+    seq: Vec<usize>,
+}
+
+impl LoadedDesign {
+    fn new(netlist: Netlist, loops: LoopAnalysis, mapping: StructureMapping) -> LoadedDesign {
+        let mut seq = Vec::with_capacity(netlist.seq_count());
+        seq.extend(netlist.seq_nodes().map(|id| id.index()));
+        LoadedDesign {
+            netlist,
+            loops,
+            mapping,
+            seq,
+        }
+    }
 }
 
 /// The shared resident state.
@@ -202,7 +218,7 @@ impl Resident {
         // in the same order, but it never materializes node-length rows.
         let tables: Vec<PavfInputs> = req.tables.iter().map(|t| t.inputs.clone()).collect();
         let nl = &design.netlist;
-        let seq: Vec<usize> = nl.seq_nodes().map(|id| id.index()).collect();
+        let seq = &design.seq;
         let include_nodes = req.include_nodes.unwrap_or(false);
         let include_fubs = req.include_fubs.unwrap_or(false);
         let mut fubs: Vec<FubRow> = Vec::new();
@@ -220,7 +236,7 @@ impl Resident {
                 .zip(&avfs)
                 .map(|(t, node_avfs)| {
                     let mut st = SeqStats::IDENTITY;
-                    for &i in &seq {
+                    for &i in seq {
                         st.fold(node_avfs[i]);
                     }
                     let (mean, min, max) = summarize((st.sum, st.min, st.max));
@@ -239,7 +255,7 @@ impl Resident {
                 .collect()
         } else {
             let stats =
-                compiled.evaluate_seq_stats_traced(&tables, &seq, self.cfg.threads, &self.obs);
+                compiled.evaluate_seq_stats_traced(&tables, seq, self.cfg.threads, &self.obs);
             req.tables
                 .iter()
                 .zip(&stats)
@@ -302,11 +318,7 @@ impl Resident {
             Some(mp) => read_mapping(mp, &netlist)?,
             None => StructureMapping::new(),
         };
-        let design = Arc::new(LoadedDesign {
-            netlist,
-            loops,
-            mapping,
-        });
+        let design = Arc::new(LoadedDesign::new(netlist, loops, mapping));
         if lock(&self.graphs)
             .insert(key, Arc::clone(&design))
             .is_some()
@@ -503,11 +515,7 @@ impl Resident {
                 None => StructureMapping::new(),
             },
         };
-        let design = Arc::new(LoadedDesign {
-            netlist,
-            loops,
-            mapping: mapping.clone(),
-        });
+        let design = Arc::new(LoadedDesign::new(netlist, loops, mapping.clone()));
 
         // Patch residency: the edited graph goes in under its new key and
         // the superseded revision's graph and compiled DAG are removed,

@@ -178,6 +178,84 @@ fn build_partition_stress_circuit(recipe: &[(u8, u8, u8)], fubs: usize) -> Netli
     b.finish().expect("stress-built netlists are valid")
 }
 
+/// Builds a multi-FUB circuit with `structures` one- or two-bit
+/// structures spread over the FUBs. Left unmapped, each structure adds its
+/// own read and write term, so 30 or more structures take the design past
+/// 64 terms and the relaxation onto multi-word term masks. Recipe bytes
+/// pick joins over random cells, cross-FUB pipeline flops, FSM rings
+/// spanning two FUBs, control registers and structure writes.
+fn build_wide_term_circuit(recipe: &[(u8, u8, u8)], fubs: usize, structures: usize) -> Netlist {
+    let mut b = NetlistBuilder::new("wide");
+    let fub_ids: Vec<_> = (0..fubs.max(2))
+        .map(|i| b.add_fub(format!("w{i}")))
+        .collect();
+    let flop = NodeKind::Seq {
+        kind: SeqKind::Flop,
+        has_enable: false,
+    };
+    let mut cells = Vec::new();
+    for k in 0..structures {
+        let fub = k % fub_ids.len();
+        let width = 1 + (k % 2) as u32;
+        let s = b.add_structure(format!("w{fub}.s{k}"), width, fub_ids[fub]);
+        for bit in 0..width {
+            cells.push(b.structure_cell(s, bit));
+        }
+    }
+    let mut pool = cells.clone();
+    pool.push(b.add_node("w0.in", NodeKind::Input, fub_ids[0]));
+    for (i, &(kind, x, y)) in recipe.iter().enumerate() {
+        let here = i % fub_ids.len();
+        let next = (i + 1) % fub_ids.len();
+        let pick = |k: u8| pool[k as usize % pool.len()];
+        match kind % 5 {
+            0 => {
+                let g = b.add_node(
+                    format!("w{here}.jg{i}"),
+                    NodeKind::Comb(GateOp::Or),
+                    fub_ids[here],
+                );
+                b.connect(pick(x), g);
+                b.connect(pick(y), g);
+                let q = b.add_node(format!("w{here}.jq{i}"), flop, fub_ids[here]);
+                b.connect(g, q);
+                pool.push(q);
+            }
+            1 => {
+                let q = b.add_node(format!("w{next}.pq{i}"), flop, fub_ids[next]);
+                b.connect(pick(x), q);
+                pool.push(q);
+            }
+            2 => {
+                let la = b.add_node(format!("w{here}.la{i}"), flop, fub_ids[here]);
+                let lb = b.add_node(format!("w{next}.lb{i}"), flop, fub_ids[next]);
+                let g = b.add_node(
+                    format!("w{here}.lg{i}"),
+                    NodeKind::Comb(GateOp::Or),
+                    fub_ids[here],
+                );
+                b.connect(la, lb);
+                b.connect(lb, g);
+                b.connect(pick(x), g);
+                b.connect(g, la);
+                pool.push(lb);
+            }
+            3 => {
+                let c = b.add_node(format!("w{here}.creg{i}"), flop, fub_ids[here]);
+                b.connect(pick(x), c);
+                pool.push(c);
+            }
+            _ => {
+                let cell = cells[y as usize % cells.len()];
+                b.connect(pick(x), cell);
+            }
+        }
+    }
+    let o = b.add_node("w0.out", NodeKind::Output, fub_ids[0]);
+    b.connect(*pool.last().expect("pool non-empty"), o);
+    b.finish().expect("wide-term netlists are valid")
+}
+
 fn recipe_strategy() -> impl Strategy<Value = (Vec<(u8, u8, u8)>, usize)> {
     (
         prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 4..60),
@@ -297,7 +375,7 @@ proptest! {
 
     #[test]
     fn parallel_relax_is_bit_identical_to_sequential((recipe, fubs) in recipe_strategy()) {
-        // The sharded parallel engine's contract: any thread count yields
+        // The parallel engine's contract: any thread count yields
         // the same SetId annotations, arena size, and bitwise-equal AVFs.
         let nl = build_partition_stress_circuit(&recipe, fubs);
         let mut inputs = PavfInputs::new();
@@ -369,6 +447,51 @@ proptest! {
                     "{} incremental {} vs global {}",
                     nl.name(id), inc.avf(id), glob.avf(id)
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn wide_term_relax_is_bit_identical_and_equals_global(
+        (recipe, fubs) in recipe_strategy(),
+        structures in 30usize..64,
+    ) {
+        // More than 64 terms: the relaxation carries two- or three-word
+        // masks at a runtime width. Every thread count and both sweep
+        // modes must agree bit for bit — SetIds, arena, iterations,
+        // per-sweep telemetry — and every term set must equal the global
+        // solve's.
+        let nl = build_wide_term_circuit(&recipe, fubs, structures);
+        let inputs = PavfInputs::new();
+        let config = SartConfig {
+            max_iterations: 64,
+            default_port_pavf: 0.01,
+            ..SartConfig::default()
+        };
+        let engine = |c: SartConfig| SartEngine::new(&nl, &StructureMapping::new(), c);
+        let glob = engine(SartConfig { partitioned: false, ..config.clone() }).run(&inputs);
+        prop_assert!(glob.terms.len() > 64, "{} terms", glob.terms.len());
+        let base = engine(config.clone()).run_exact(&inputs);
+        prop_assert!(base.outcome.converged);
+        for id in nl.nodes() {
+            let i = id.index();
+            prop_assert_eq!(base.arena.terms(base.fwd[i]), glob.arena.terms(glob.fwd[i]));
+            prop_assert_eq!(base.arena.terms(base.bwd[i]), glob.arena.terms(glob.bwd[i]));
+            prop_assert_eq!(base.avf(id).to_bits(), glob.avf(id).to_bits(), "{}", nl.name(id));
+        }
+        for threads in [1usize, 2, 8] {
+            for incremental in [true, false] {
+                let r = engine(SartConfig { threads, incremental, ..config.clone() })
+                    .run_exact(&inputs);
+                prop_assert_eq!(&r.fwd, &base.fwd, "threads={} incremental={}", threads, incremental);
+                prop_assert_eq!(&r.bwd, &base.bwd, "threads={} incremental={}", threads, incremental);
+                prop_assert_eq!(r.arena.len(), base.arena.len());
+                prop_assert_eq!(r.outcome.iterations, base.outcome.iterations);
+                for (a, b) in r.outcome.trace.iter().zip(&base.outcome.trace) {
+                    prop_assert_eq!(a.changed_sets, b.changed_sets);
+                    prop_assert_eq!(a.max_delta.to_bits(), b.max_delta.to_bits());
+                    prop_assert_eq!(&a.fub_seq_mean, &b.fub_seq_mean);
+                }
             }
         }
     }
