@@ -1,6 +1,8 @@
-//! End-to-end CLI test: a `serve` daemon must answer `query` with rows
-//! that are byte-for-byte identical to what `sweep` writes for the same
-//! design, mapping, configuration and workload suite.
+//! End-to-end CLI tests of `serve`: a daemon must answer `query` with
+//! rows that are byte-for-byte identical to what `sweep` writes for the
+//! same design, mapping, configuration and workload suite, count its
+//! cache misses and hits on `/metrics`, write a valid trace when it shuts
+//! down, and stop cleanly on `SIGTERM`.
 
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};
@@ -97,8 +99,10 @@ fn query_output_is_byte_identical_to_sweep_output() {
     // The same answer through the service.
     let port = free_port();
     let addr: std::net::SocketAddr = format!("127.0.0.1:{port}").parse().unwrap();
+    let trace = dir.join("serve.ndjson");
     let mut server = bin()
         .args(["serve", "--port", &port.to_string(), "--idle-secs", "120"])
+        .args(["--trace-out", path(&trace), "--metrics"])
         .stdout(Stdio::null())
         .stderr(Stdio::null())
         .spawn()
@@ -155,19 +159,67 @@ fn query_output_is_byte_identical_to_sweep_output() {
     assert!(warm.contains("compiled DAG hit"), "{warm}");
     assert_eq!(std::fs::read(&warm_out).unwrap(), sweep_bytes);
 
-    // Clean shutdown through the API; the process must exit by itself.
+    // One miss then one hit on each residency tier.
+    let (status, metrics) = client::get(addr, "/metrics").unwrap();
+    assert_eq!(status, 200);
+    for line in [
+        "seqavf_serve_cache_miss 1",
+        "seqavf_serve_cache_hit 1",
+        "seqavf_serve_graph_miss 1",
+        "seqavf_serve_graph_hit 1",
+    ] {
+        assert!(metrics.lines().any(|l| l == line), "{line}:\n{metrics}");
+    }
+
+    // Clean shutdown through the API; the process must exit by itself
+    // and leave a valid trace.
     let (status, _) = client::post_json(addr, "/v1/shutdown", "{}").unwrap();
     assert_eq!(status, 200);
-    let deadline = Instant::now() + Duration::from_secs(10);
+    let exit = wait_exit(&mut server, Duration::from_secs(10));
+    assert!(exit.success(), "serve exited with {exit}");
+    let text = std::fs::read_to_string(&trace).unwrap();
+    let stats = seqavf_obs::ndjson::validate_trace(&text).unwrap();
+    assert!(stats.spans > 0, "{stats:?}");
+}
+
+#[cfg(unix)]
+#[test]
+fn sigterm_stops_the_server() {
+    let port = free_port();
+    let addr: std::net::SocketAddr = format!("127.0.0.1:{port}").parse().unwrap();
+    let mut server = bin()
+        .args(["serve", "--port", &port.to_string()])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawning seqavf serve");
+    wait_healthy(addr, &mut server);
+    let killed = Command::new("kill")
+        .args(["-TERM", &server.id().to_string()])
+        .status()
+        .expect("running kill");
+    assert!(killed.success());
+    // The handler only raises a flag; the accept thread must notice it
+    // and the process must leave through its own clean-shutdown path.
+    let exit = wait_exit(&mut server, Duration::from_secs(5));
+    assert!(exit.success(), "serve exited with {exit}");
+    let mut stdout = String::new();
+    std::io::Read::read_to_string(&mut server.stdout.take().unwrap(), &mut stdout).unwrap();
+    assert!(stdout.contains("shut down cleanly"), "{stdout}");
+}
+
+/// Waits for `child` to exit, killing it and failing past `limit`.
+fn wait_exit(child: &mut Child, limit: Duration) -> std::process::ExitStatus {
+    let deadline = Instant::now() + limit;
     loop {
-        if server.try_wait().unwrap().is_some() {
-            break;
+        if let Some(status) = child.try_wait().unwrap() {
+            return status;
         }
-        assert!(
-            Instant::now() < deadline,
-            "serve did not exit after shutdown"
-        );
-        std::thread::sleep(Duration::from_millis(100));
+        if Instant::now() >= deadline {
+            let _ = child.kill();
+            panic!("serve did not exit within {limit:?}");
+        }
+        std::thread::sleep(Duration::from_millis(20));
     }
 }
 

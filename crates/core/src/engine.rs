@@ -785,15 +785,19 @@ mod tests {
     #[test]
     fn thread_count_is_invisible_in_results() {
         let inputs = fig7_inputs();
-        let (_, seq) = run(FIGURE7, &inputs, SartConfig::default());
-        let (nl, par) = run(
-            FIGURE7,
-            &inputs,
+        let (nl, seq) = run(FIGURE7, &inputs, SartConfig::default());
+        // `run_exact`: the clamped `run` would solve this small design on
+        // one worker.
+        let par = SartEngine::new(
+            &nl,
+            &StructureMapping::new(),
             SartConfig {
                 threads: 4,
                 ..SartConfig::default()
             },
-        );
+        )
+        .run_exact(&inputs);
+        assert!(par.outcome.trace.iter().all(|s| s.effective_threads == 4));
         // Bit-identical SetId annotations and AVFs at any thread count.
         assert_eq!(seq.fwd, par.fwd);
         assert_eq!(seq.bwd, par.bwd);

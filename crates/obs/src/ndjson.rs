@@ -293,13 +293,26 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run of unescaped bytes up to the next `"` or `\` as
+            // one slice: both delimiters are ASCII, so the run ends on a
+            // char boundary of the `&str` being parsed.
+            let rest = &self.bytes[self.pos..];
+            let run = rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(rest.len());
+            out.push_str(
+                std::str::from_utf8(&rest[..run]).map_err(|_| "invalid UTF-8".to_owned())?,
+            );
+            self.pos += run;
             match self.peek() {
                 None => return self.err("unterminated string"),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                Some(_) => {
+                    // The run stopped at a `\`: one escape.
                     self.pos += 1;
                     match self.peek() {
                         Some(b'"') => out.push('"'),
@@ -326,14 +339,6 @@ impl<'a> Parser<'a> {
                         _ => return self.err("bad escape"),
                     }
                     self.pos += 1;
-                }
-                Some(_) => {
-                    // Copy one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8".to_owned())?;
-                    let ch = rest.chars().next().expect("non-empty");
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
                 }
             }
         }
@@ -757,6 +762,31 @@ mod tests {
         c.write_ndjson(&mut buf, &[("cmd", "a\"b")]).unwrap();
         let text = String::from_utf8(buf).unwrap();
         validate_trace(&text).unwrap();
+    }
+
+    #[test]
+    fn strings_copy_runs_between_escapes() {
+        // Multi-byte runs next to simple and `\u` escapes, at either end.
+        let cases = [
+            (r#""""#, ""),
+            ("\"é→λ\"", "é→λ"),
+            (r#""a\"b\\c\/d""#, "a\"b\\c/d"),
+            (r#""λ\u00e9λ\nλ""#, "λéλ\nλ"),
+            (r#""\u2192é\t""#, "→é\t"),
+            (r#""😀\u0041😀\\""#, "😀A😀\\"),
+        ];
+        for (text, want) in cases {
+            let mut p = Parser::new(text);
+            assert_eq!(p.string().unwrap(), want, "{text}");
+            assert_eq!(p.pos, text.len(), "{text}");
+        }
+        for bad in ["\"é→", "\"é\\", "\"λ\\xλ\"", "\"\\u00\""] {
+            assert!(Parser::new(bad).string().is_err(), "{bad}");
+        }
+        assert_eq!(
+            Parser::new("\"λλ").string().unwrap_err(),
+            "unterminated string at byte 5"
+        );
     }
 
     /// A written trace for structural-damage tests: two span names, one

@@ -3,20 +3,26 @@
 //!
 //! Threading model:
 //!
-//! * One **accept thread** polls a nonblocking listener. Each accepted
-//!   connection is `try_send`-ed into a bounded [`mpsc::sync_channel`];
-//!   when the queue is full the accept thread answers **503** itself and
-//!   drops the connection — admission control costs one syscall, never a
-//!   worker. Backpressure is therefore explicit and bounded: at most
-//!   `queue_cap` connections wait, `workers` evaluate, everything else
-//!   is refused immediately instead of accumulating memory.
+//! * One **accept thread** waits in `poll(2)` until the listener has a
+//!   connection, so an arriving client is accepted at once, not on the
+//!   next tick of an interval. The wait times out after 50 ms
+//!   (`ACCEPT_WAIT`) and a signal cuts it short, so the stop flag, the
+//!   signal flag and the idle timeout are re-checked at least that often.
+//!   Each accepted connection is `try_send`-ed into a bounded
+//!   [`mpsc::sync_channel`]; when the queue is full the accept thread
+//!   answers **503** itself and drops the connection — admission control
+//!   costs one syscall, never a worker. Backpressure is therefore
+//!   explicit and bounded: at most `queue_cap` connections wait,
+//!   `workers` evaluate, everything else is refused immediately instead
+//!   of accumulating memory.
 //! * `workers` **worker threads** share the receiver behind a mutex,
 //!   each serving one connection end to end (one request per connection,
 //!   `Connection: close`), so admission counts are exact.
 //! * **Shutdown** is a single atomic flag, set by SIGTERM/SIGINT (when
 //!   handlers are installed), by `POST /v1/shutdown`, or by the idle
-//!   timeout. The accept thread stops accepting and drops the sender;
-//!   workers drain the queue and exit; `ServerHandle::join` returns.
+//!   timeout. The accept thread sees it within one `ACCEPT_WAIT`,
+//!   stops accepting and drops the sender; workers drain the queue and
+//!   exit; `ServerHandle::join` returns.
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -103,6 +109,50 @@ fn install_signal_handlers() {
 
 #[cfg(not(unix))]
 fn install_signal_handlers() {}
+
+/// How long the accept thread blocks waiting for a connection before it
+/// re-checks the stop flag, the signal flag and the idle timeout.
+const ACCEPT_WAIT: Duration = Duration::from_millis(50);
+
+/// Blocks until `listener` has a connection to accept or `ACCEPT_WAIT`
+/// passes. A signal ends the wait early (`EINTR`); every outcome simply
+/// returns, since the caller re-checks its flags and then tries `accept`.
+#[cfg(unix)]
+fn wait_for_connection(listener: &TcpListener) {
+    use std::ffi::{c_int, c_short, c_ulong};
+    use std::os::unix::io::AsRawFd;
+
+    #[repr(C)]
+    struct PollFd {
+        fd: c_int,
+        events: c_short,
+        revents: c_short,
+    }
+    // `nfds_t` is `unsigned long` on Linux; a count of 1 reads the same
+    // where it is `unsigned int`.
+    unsafe extern "C" {
+        fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
+    }
+    const POLLIN: c_short = 0x1;
+    let mut fd = PollFd {
+        fd: listener.as_raw_fd(),
+        events: POLLIN,
+        revents: 0,
+    };
+    let millis = c_int::try_from(ACCEPT_WAIT.as_millis()).unwrap_or(c_int::MAX);
+    // SAFETY: `fd` is one live, writable `pollfd` for the whole call and
+    // `nfds` is 1; the listener's descriptor stays open while it is
+    // borrowed. The result is ignored: readiness, timeout and `EINTR` all
+    // lead back to the caller's checks.
+    unsafe {
+        poll(&mut fd, 1, millis);
+    }
+}
+
+#[cfg(not(unix))]
+fn wait_for_connection(_listener: &TcpListener) {
+    std::thread::sleep(Duration::from_millis(1));
+}
 
 /// A running server: its bound address plus join/shutdown control.
 pub struct ServerHandle {
@@ -235,7 +285,7 @@ fn accept_loop(
                 }
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(1));
+                wait_for_connection(listener);
             }
             Err(_) => std::thread::sleep(Duration::from_millis(1)),
         }

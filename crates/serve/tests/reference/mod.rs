@@ -1,0 +1,230 @@
+//! Reference JSON parser for the decode oracle: the vendored `serde_json`
+//! parser as it was before its string scan copied whole runs, reading
+//! one character at a time. Same grammar, same `Value`s, same error
+//! messages; `serde_json::from_str::<Value>` must agree with [`parse`] on
+//! every input.
+
+use serde::Value;
+
+/// Parses `s` as one JSON value with optional surrounding whitespace.
+pub fn parse(s: &str) -> Result<Value, String> {
+    let mut p = Parser {
+        bytes: s.as_bytes(),
+        pos: 0,
+    };
+    p.skip_ws();
+    let v = p.value()?;
+    p.skip_ws();
+    if p.pos != p.bytes.len() {
+        return Err(format!("trailing input at byte {}", p.pos));
+    }
+    Ok(v)
+}
+
+struct Parser<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl Parser<'_> {
+    fn skip_ws(&mut self) {
+        while let Some(&b) = self.bytes.get(self.pos) {
+            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
+                self.pos += 1;
+            } else {
+                break;
+            }
+        }
+    }
+
+    fn peek(&self) -> Option<u8> {
+        self.bytes.get(self.pos).copied()
+    }
+
+    fn expect(&mut self, b: u8) -> Result<(), String> {
+        if self.peek() == Some(b) {
+            self.pos += 1;
+            Ok(())
+        } else {
+            Err(format!("expected `{}` at byte {}", b as char, self.pos))
+        }
+    }
+
+    fn eat_keyword(&mut self, kw: &str) -> bool {
+        if self.bytes[self.pos..].starts_with(kw.as_bytes()) {
+            self.pos += kw.len();
+            true
+        } else {
+            false
+        }
+    }
+
+    fn value(&mut self) -> Result<Value, String> {
+        self.skip_ws();
+        match self.peek() {
+            Some(b'n') if self.eat_keyword("null") => Ok(Value::Null),
+            Some(b't') if self.eat_keyword("true") => Ok(Value::Bool(true)),
+            Some(b'f') if self.eat_keyword("false") => Ok(Value::Bool(false)),
+            Some(b'"') => self.string().map(Value::Str),
+            Some(b'[') => self.array(),
+            Some(b'{') => self.object(),
+            Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
+            Some(b) => Err(format!("unexpected byte `{}` at {}", b as char, self.pos)),
+            None => Err("unexpected end of input".into()),
+        }
+    }
+
+    fn number(&mut self) -> Result<Value, String> {
+        let start = self.pos;
+        if self.peek() == Some(b'-') {
+            self.pos += 1;
+        }
+        while matches!(self.peek(), Some(b) if b.is_ascii_digit()) {
+            self.pos += 1;
+        }
+        if self.peek() == Some(b'.') {
+            self.pos += 1;
+            while matches!(self.peek(), Some(b) if b.is_ascii_digit()) {
+                self.pos += 1;
+            }
+        }
+        if matches!(self.peek(), Some(b'e') | Some(b'E')) {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+') | Some(b'-')) {
+                self.pos += 1;
+            }
+            while matches!(self.peek(), Some(b) if b.is_ascii_digit()) {
+                self.pos += 1;
+            }
+        }
+        let text = std::str::from_utf8(&self.bytes[start..self.pos])
+            .map_err(|_| "invalid utf8 in number".to_owned())?;
+        if text.is_empty() || text == "-" || text.parse::<f64>().is_err() {
+            return Err(format!("bad number `{text}` at byte {start}"));
+        }
+        Ok(Value::Num(text.to_owned()))
+    }
+
+    fn string(&mut self) -> Result<String, String> {
+        self.expect(b'"')?;
+        let mut out = String::new();
+        loop {
+            match self.peek() {
+                None => return Err("unterminated string".into()),
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(out);
+                }
+                Some(b'\\') => {
+                    self.pos += 1;
+                    match self.peek() {
+                        Some(b'"') => out.push('"'),
+                        Some(b'\\') => out.push('\\'),
+                        Some(b'/') => out.push('/'),
+                        Some(b'n') => out.push('\n'),
+                        Some(b'r') => out.push('\r'),
+                        Some(b't') => out.push('\t'),
+                        Some(b'b') => out.push('\u{08}'),
+                        Some(b'f') => out.push('\u{0c}'),
+                        Some(b'u') => {
+                            let code = self.hex4()?;
+                            let ch = if (0xD800..0xDC00).contains(&code) {
+                                self.pos += 1;
+                                if self.peek() != Some(b'\\') {
+                                    return Err("lone high surrogate".into());
+                                }
+                                self.pos += 1;
+                                if self.peek() != Some(b'u') {
+                                    return Err("lone high surrogate".into());
+                                }
+                                let low = self.hex4()?;
+                                let c = 0x10000
+                                    + ((code - 0xD800) << 10)
+                                    + (low
+                                        .checked_sub(0xDC00)
+                                        .ok_or_else(|| "bad low surrogate".to_owned())?);
+                                char::from_u32(c).ok_or_else(|| "bad surrogate pair".to_owned())?
+                            } else {
+                                char::from_u32(code).ok_or_else(|| "bad \\u escape".to_owned())?
+                            };
+                            out.push(ch);
+                        }
+                        other => return Err(format!("bad escape {other:?}")),
+                    }
+                    self.pos += 1;
+                }
+                Some(_) => {
+                    // One UTF-8 scalar, validating the whole rest of the
+                    // input to find it.
+                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
+                        .map_err(|_| "invalid utf8 in string".to_owned())?;
+                    let c = rest.chars().next().expect("nonempty");
+                    out.push(c);
+                    self.pos += c.len_utf8();
+                }
+            }
+        }
+    }
+
+    fn hex4(&mut self) -> Result<u32, String> {
+        let start = self.pos + 1;
+        let end = start + 4;
+        if end > self.bytes.len() {
+            return Err("truncated \\u escape".into());
+        }
+        let hex = std::str::from_utf8(&self.bytes[start..end])
+            .map_err(|_| "invalid utf8 in \\u escape".to_owned())?;
+        let code = u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape".to_owned())?;
+        self.pos = end - 1;
+        Ok(code)
+    }
+
+    fn array(&mut self) -> Result<Value, String> {
+        self.expect(b'[')?;
+        let mut items = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(Value::Arr(items));
+        }
+        loop {
+            items.push(self.value()?);
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(Value::Arr(items));
+                }
+                _ => return Err(format!("expected `,` or `]` at byte {}", self.pos)),
+            }
+        }
+    }
+
+    fn object(&mut self) -> Result<Value, String> {
+        self.expect(b'{')?;
+        let mut pairs = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(Value::Obj(pairs));
+        }
+        loop {
+            self.skip_ws();
+            let key = self.string()?;
+            self.skip_ws();
+            self.expect(b':')?;
+            let val = self.value()?;
+            pairs.push((key, val));
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(Value::Obj(pairs));
+                }
+                _ => return Err(format!("expected `,` or `}}` at byte {}", self.pos)),
+            }
+        }
+    }
+}

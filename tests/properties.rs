@@ -383,12 +383,15 @@ proptest! {
         let config = SartConfig { max_iterations: 64, ..SartConfig::default() };
         let seq = SartEngine::new(&nl, &StructureMapping::new(), config.clone())
             .run(&inputs);
+        // `run_exact`: these designs sit below the small-design clamp,
+        // and the clamped `run` would solve them on one worker.
         let par = SartEngine::new(
             &nl,
             &StructureMapping::new(),
             SartConfig { threads: 5, ..config },
         )
-        .run(&inputs);
+        .run_exact(&inputs);
+        prop_assert!(par.outcome.trace.iter().all(|s| s.effective_threads == 5));
         prop_assert_eq!(&seq.fwd, &par.fwd);
         prop_assert_eq!(&seq.bwd, &par.bwd);
         prop_assert_eq!(seq.arena.len(), par.arena.len());
@@ -415,18 +418,23 @@ proptest! {
         )
         .run(&inputs);
         for threads in [1usize, 2, 8] {
+            // `run_exact` engages `threads` workers on these small
+            // designs; at one thread it is the same solve as `run`.
             let full = SartEngine::new(
                 &nl,
                 &StructureMapping::new(),
                 SartConfig { threads, incremental: false, ..config.clone() },
             )
-            .run(&inputs);
+            .run_exact(&inputs);
             let inc = SartEngine::new(
                 &nl,
                 &StructureMapping::new(),
                 SartConfig { threads, incremental: true, ..config.clone() },
             )
-            .run(&inputs);
+            .run_exact(&inputs);
+            for r in [&full, &inc] {
+                prop_assert!(r.outcome.trace.iter().all(|s| s.effective_threads == threads));
+            }
             prop_assert!(inc.outcome.converged);
             prop_assert_eq!(&full.fwd, &inc.fwd, "fwd mismatch at {} threads", threads);
             prop_assert_eq!(&full.bwd, &inc.bwd, "bwd mismatch at {} threads", threads);
