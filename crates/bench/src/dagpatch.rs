@@ -223,7 +223,9 @@ fn measure_edit(edit: &str, flips: usize, base: &BaseRevision) -> EditPoint {
         let (warm, status, mask) =
             engine.run_warm_patch_traced(inputs, stored, &seqavf_obs::Collector::disabled());
         let attempt = match &mask {
-            Some(m) => old_dag.patch(&warm, &nl, &layout, m),
+            Some(m) => {
+                old_dag.patch_traced(&warm, &nl, &layout, m, &seqavf_obs::Collector::disabled())
+            }
             None => Err("warm solve fell back to cold"),
         };
         let resolved = match attempt {

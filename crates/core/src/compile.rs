@@ -16,17 +16,30 @@
 //! — where both capped-sum and MIN nodes are hash-consed: every distinct
 //! live set becomes exactly one sum node and every distinct `(F, B)` pair
 //! exactly one MIN node, shared across all sequential bits that resolve to
-//! it. A workload evaluation is then a single topological pass over the
-//! flat op arrays plus a gather into the per-node AVF vector, with
-//! struct-cell AVF overrides resolved once per distinct performance
-//! structure instead of once per cell.
+//! it.
+//!
+//! Whenever a DAG is built (compile, patch or decode) each node also gets
+//! a `u32` *row id*: MIN op `m` is row `m`, and every distinct non-MIN
+//! slot (the control and loop constants, each struct cell's
+//! `(structure, MIN)` pair) one row after the MIN ops. Evaluation is one
+//! kernel, generic over its lane width `W` (1, 2, 4, 8 or 16 tables, the
+//! narrowest that holds the batch): a single topological pass over the
+//! flat op arrays fills one `[f64; W]` per row, with struct-cell AVF
+//! overrides resolved once per distinct performance structure instead of
+//! once per cell, and every consumer then reads node `i` as
+//! `rows[row_of[i]]` — node rows ([`CompiledSweep::evaluate_many`]) and
+//! summary folds that never write a node-length row
+//! ([`CompiledSweep::evaluate_seq_stats_traced`]) alike, with no per-node
+//! slot dispatch.
 //!
 //! The compiled path is **bit-identical** (`f64::to_bits`) to
 //! [`SartResult::reevaluate`]: sums accumulate in the same (sorted
 //! term-id) order, the cap and `MIN` use the same `f64` operations in the
-//! same operand order, and overrides take the same precedence. A property
-//! test (`tests/compiled_equivalence.rs`) pins this contract against the
-//! interpreter and against fresh relaxations.
+//! same operand order, and overrides take the same precedence. Lanes are
+//! independent, so every width gives every table the same bits. A
+//! property test (`tests/compiled_equivalence.rs`) pins this contract
+//! against the interpreter, against fresh relaxations and across lane
+//! widths.
 //!
 //! [`CompiledSweep`] also serializes to a sealed binary artifact,
 //! `seqavf-sweep/3` ([`CompiledSweep::encode`] / [`CompiledSweep::decode`]),
@@ -69,13 +82,12 @@ const SLOT_CTRL: u8 = 1;
 const SLOT_LOOP: u8 = 2;
 const SLOT_STRUCT: u8 = 3;
 
-/// Lane width of the batched evaluator: how many workload tables one op
-/// walk evaluates together. Sized so the per-op lane arrays fit in stack
-/// registers/L1 while still amortizing slot decode over a useful batch.
+/// Widest lane group of the evaluator: how many workload tables one pass
+/// over the ops evaluates together (a `[f64; 16]` row is two cache lines).
 const MAX_LANES: usize = 16;
 
 /// How one netlist node obtains its AVF from the evaluated DAG.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum Slot {
     /// `MIN(F, B)` — index into the MIN-op array.
     Min(u32),
@@ -148,6 +160,45 @@ pub struct CompiledSweep {
     perf_names: Vec<String>,
     /// Sets the source arena held (for [`CompileStats`] only).
     arena_sets: usize,
+    /// Row ids, derived from `slots` and `mins` (never stored in the
+    /// artifact, so equal DAGs have equal rows).
+    rows: RowIds,
+}
+
+/// The evaluator's row layout: MIN op `m` is row `m`, and each distinct
+/// non-MIN slot one row after the MIN ops, in order of first appearance.
+#[derive(Debug, Clone, PartialEq)]
+struct RowIds {
+    /// Row id of every node, indexed by `NodeId::index`.
+    of: Vec<u32>,
+    /// The slot of row `mins.len() + k`: never a `Slot::Min`.
+    extra: Vec<Slot>,
+}
+
+impl RowIds {
+    fn derive(slots: &[Slot], n_mins: usize) -> RowIds {
+        let mut extra: Vec<Slot> = Vec::new();
+        let mut index: HashMap<Slot, u32> = HashMap::new();
+        // A structure's cells are consecutive nodes and mostly share one
+        // slot, so the last non-MIN slot answers most lookups unhashed.
+        let mut last: Option<(Slot, u32)> = None;
+        let mut of = Vec::with_capacity(slots.len());
+        for &slot in slots {
+            of.push(match (slot, last) {
+                (Slot::Min(m), _) => m,
+                (slot, Some((seen, row))) if seen == slot => row,
+                (slot, _) => {
+                    let row = *index.entry(slot).or_insert_with(|| {
+                        extra.push(slot);
+                        u32::try_from(n_mins + extra.len() - 1).expect("row count fits u32")
+                    });
+                    last = Some((slot, row));
+                    row
+                }
+            });
+        }
+        RowIds { of, extra }
+    }
 }
 
 impl CompiledSweep {
@@ -216,6 +267,7 @@ impl CompiledSweep {
             terms: result.terms.clone(),
             sum_terms,
             sum_bounds,
+            rows: RowIds::derive(&slots, mins.len()),
             mins,
             slots,
             perf_names,
@@ -232,20 +284,9 @@ impl CompiledSweep {
     }
 
     /// Patches this DAG (compiled for the *previous* revision of an
-    /// edited design) into the DAG of the new revision, touching only the
-    /// dirty cone. See [`CompiledSweep::patch_traced`].
-    pub fn patch(
-        &self,
-        result: &SartResult,
-        nl: &Netlist,
-        old_fubs: &[(&str, usize)],
-        clean: &[bool],
-    ) -> Result<(CompiledSweep, PatchStats), &'static str> {
-        self.patch_traced(result, nl, old_fubs, clean, &Collector::disabled())
-    }
-
-    /// Incrementally re-lowers an edited design against this DAG instead
-    /// of recompiling it from scratch.
+    /// edited design) into the DAG of the new revision, re-lowering only
+    /// the dirty cone instead of recompiling it from scratch; one
+    /// `sweep.patch` span carries the [`PatchStats`].
     ///
     /// `self` is the DAG compiled for the previous revision; `result` is
     /// the new revision's warm-relaxed result; `old_fubs` is the previous
@@ -565,6 +606,7 @@ impl CompiledSweep {
             terms: result.terms.clone(),
             sum_terms,
             sum_bounds,
+            rows: RowIds::derive(&slots, mins.len()),
             mins,
             slots,
             perf_names,
@@ -606,239 +648,43 @@ impl CompiledSweep {
     /// Evaluates every node's AVF for one workload's input table —
     /// bit-identical to [`SartResult::reevaluate`] on the source result.
     pub fn evaluate(&self, inputs: &PavfInputs) -> Vec<f64> {
-        let mut scratch = EvalScratch::default();
-        self.evaluate_with(inputs, &mut scratch)
+        self.evaluate_traced(inputs, &Collector::disabled())
     }
 
     /// [`CompiledSweep::evaluate`] with observability: one `sweep.eval`
-    /// span per workload.
+    /// span.
     pub fn evaluate_traced(&self, inputs: &PavfInputs, obs: &Collector) -> Vec<f64> {
-        let mut span = obs.span("sweep.eval");
-        let mut scratch = EvalScratch::default();
-        let avf = self.evaluate_with(inputs, &mut scratch);
-        span.field_u64("nodes", avf.len() as u64);
-        span.finish();
-        avf
-    }
-
-    /// Evaluates the op arrays (sums, MINs, struct overrides) for one
-    /// table into `scratch`; [`CompiledSweep::slot_value`] then reads any
-    /// node's AVF out of the filled scratch.
-    fn eval_ops(&self, inputs: &PavfInputs, scratch: &mut EvalScratch) {
-        let values = term_values(&self.terms, inputs, &self.config);
-        let n_sums = self.sum_bounds.len() - 1;
-        scratch.sums.clear();
-        scratch.sums.reserve(n_sums);
-        for k in 0..n_sums {
-            let lo = self.sum_bounds[k] as usize;
-            let hi = self.sum_bounds[k + 1] as usize;
-            // Same accumulation order as `UnionArena::eval`: sorted term
-            // ids, left fold, then the cap.
-            let sum: f64 = self.sum_terms[lo..hi]
-                .iter()
-                .map(|&t| values[t as usize])
-                .sum();
-            scratch.sums.push(sum.min(1.0));
-        }
-        scratch.mins.clear();
-        scratch.mins.reserve(self.mins.len());
-        for &(a, b) in &self.mins {
-            scratch
-                .mins
-                .push(scratch.sums[a as usize].min(scratch.sums[b as usize]));
-        }
-        // Struct-cell overrides: one map lookup per distinct performance
-        // structure, not per cell.
-        scratch.struct_avfs.clear();
-        scratch
-            .struct_avfs
-            .extend(self.perf_names.iter().map(|p| inputs.structure_avf(p)));
-    }
-
-    /// One node's AVF from op results computed by
-    /// [`CompiledSweep::eval_ops`].
-    #[inline]
-    fn slot_value(&self, slot: Slot, scratch: &EvalScratch) -> f64 {
-        match slot {
-            Slot::Min(m) => scratch.mins[m as usize],
-            Slot::Ctrl => self.config.ctrl_read_pavf,
-            Slot::Loop => self.config.loop_pavf,
-            Slot::Struct { perf, min } => {
-                scratch.struct_avfs[perf as usize].unwrap_or(scratch.mins[min as usize])
-            }
-        }
-    }
-
-    /// One topological pass with caller-provided scratch buffers (reused
-    /// across workloads by [`CompiledSweep::evaluate_many`]).
-    fn evaluate_with(&self, inputs: &PavfInputs, scratch: &mut EvalScratch) -> Vec<f64> {
-        self.eval_ops(inputs, scratch);
-        self.slots
-            .iter()
-            .map(|&slot| self.slot_value(slot, scratch))
-            .collect()
-    }
-
-    /// Evaluates up to [`MAX_LANES`] tables in ONE pass over the op
-    /// arrays: every sum, MIN, and slot op is decoded once and applied to
-    /// all lanes, so the per-op overhead (index decode, bounds checks,
-    /// slot dispatch) is amortized across the batch. Per lane the
-    /// arithmetic is exactly [`CompiledSweep::evaluate`]'s — same term
-    /// order, same left-fold accumulation, same cap and MIN operand
-    /// order — so each appended row is bit-identical to a scalar
-    /// evaluation of that table (pinned by the equivalence proptest).
-    ///
-    /// This is the sweep server's warm-path workhorse: at ~100k nodes it
-    /// roughly halves the per-table evaluation cost versus scalar.
-    fn evaluate_lanes(&self, tables: &[PavfInputs], out: &mut Vec<Vec<f64>>) {
-        let k = tables.len();
-        let ops = self.lane_ops(tables);
-        let base = out.len();
-        out.extend((0..k).map(|_| vec![0.0f64; self.slots.len()]));
-        let rows = &mut out[base..];
-        let mut lane_vals = [0.0f64; MAX_LANES];
-        for (i, &slot) in self.slots.iter().enumerate() {
-            self.lane_slot_values(slot, &ops, &mut lane_vals);
-            for (l, row) in rows.iter_mut().enumerate() {
-                row[i] = lane_vals[l];
-            }
-        }
-    }
-
-    /// The op phase of the lane evaluator: term values, sums, MINs, and
-    /// struct overrides for every lane, all lane-interleaved.
-    fn lane_ops(&self, tables: &[PavfInputs]) -> LaneOps {
-        let k = tables.len();
-        debug_assert!((2..=MAX_LANES).contains(&k));
-        let n_terms = self.terms.len();
-        // Term values, term-major so each op reads its lanes contiguously.
-        let mut vt = vec![0.0f64; n_terms * k];
-        for (lane, t) in tables.iter().enumerate() {
-            let values = term_values(&self.terms, t, &self.config);
-            for (ti, &v) in values.iter().enumerate() {
-                vt[ti * k + lane] = v;
-            }
-        }
-        let n_sums = self.sum_bounds.len() - 1;
-        // `-0.0` seed: `Iterator::sum::<f64>()` folds from -0.0, and the
-        // scalar path's empty/only-negative-zero sums therefore produce
-        // -0.0. Bit identity requires the same identity element here.
-        let mut sums = vec![-0.0f64; n_sums * k];
-        for s in 0..n_sums {
-            let lo = self.sum_bounds[s] as usize;
-            let hi = self.sum_bounds[s + 1] as usize;
-            let acc = &mut sums[s * k..(s + 1) * k];
-            for &t in &self.sum_terms[lo..hi] {
-                let tv = &vt[t as usize * k..t as usize * k + k];
-                for l in 0..k {
-                    acc[l] += tv[l];
-                }
-            }
-            for v in acc {
-                *v = v.min(1.0);
-            }
-        }
-        let mut mins = vec![0.0f64; self.mins.len() * k];
-        for (m, &(a, b)) in self.mins.iter().enumerate() {
-            for l in 0..k {
-                mins[m * k + l] = sums[a as usize * k + l].min(sums[b as usize * k + l]);
-            }
-        }
-        // Struct-cell overrides: perf-major, lane-minor.
-        let struct_avfs: Vec<Option<f64>> = self
-            .perf_names
-            .iter()
-            .flat_map(|p| tables.iter().map(|t| t.structure_avf(p)))
-            .collect();
-        LaneOps {
-            k,
-            mins,
-            struct_avfs,
-        }
-    }
-
-    /// Fills `lane_vals[..ops.k]` with one slot's AVF in every lane.
-    #[inline]
-    fn lane_slot_values(&self, slot: Slot, ops: &LaneOps, lane_vals: &mut [f64; MAX_LANES]) {
-        let k = ops.k;
-        match slot {
-            Slot::Min(m) => {
-                lane_vals[..k].copy_from_slice(&ops.mins[m as usize * k..m as usize * k + k]);
-            }
-            Slot::Ctrl => lane_vals[..k].fill(self.config.ctrl_read_pavf),
-            Slot::Loop => lane_vals[..k].fill(self.config.loop_pavf),
-            Slot::Struct { perf, min } => {
-                for (l, v) in lane_vals[..k].iter_mut().enumerate() {
-                    *v = ops.struct_avfs[perf as usize * k + l]
-                        .unwrap_or(ops.mins[min as usize * k + l]);
-                }
-            }
-        }
+        let mut rows = self.eval_batches(std::slice::from_ref(inputs), 1, obs, &NodeRows);
+        rows.pop().expect("one table, one row")
     }
 
     /// Evaluates a batch of workload tables, fanned out over `threads`
     /// scoped workers. Output order matches the input order; each entry is
-    /// exactly `self.evaluate(&tables[k])` bit for bit (multi-table chunks
-    /// run through the lane evaluator, whose per-lane arithmetic is
-    /// identical).
+    /// exactly `self.evaluate(&tables[k])` bit for bit (lanes are
+    /// independent, so the width a table is evaluated at never shows).
     pub fn evaluate_many(&self, tables: &[PavfInputs], threads: usize) -> Vec<Vec<f64>> {
         self.evaluate_many_traced(tables, threads, &Collector::disabled())
     }
 
-    /// [`CompiledSweep::evaluate_many`] with observability: scalar
-    /// evaluations record a `sweep.eval` span each, lane batches one
-    /// `sweep.eval_batch` span per group (workers share the collector).
+    /// [`CompiledSweep::evaluate_many`] with observability: a one-table
+    /// group records a `sweep.eval` span, a wider one a `sweep.eval_batch`
+    /// span (workers share the collector).
     pub fn evaluate_many_traced(
         &self,
         tables: &[PavfInputs],
         threads: usize,
         obs: &Collector,
     ) -> Vec<Vec<f64>> {
-        let threads = threads.max(1).min(tables.len().max(1));
-        let eval_chunk = |part: &[PavfInputs]| {
-            let mut out: Vec<Vec<f64>> = Vec::with_capacity(part.len());
-            let mut scratch = EvalScratch::default();
-            for group in part.chunks(MAX_LANES) {
-                if group.len() == 1 {
-                    let mut span = obs.span("sweep.eval");
-                    let avf = self.evaluate_with(&group[0], &mut scratch);
-                    span.field_u64("nodes", avf.len() as u64);
-                    span.finish();
-                    out.push(avf);
-                } else {
-                    let mut span = obs.span("sweep.eval_batch");
-                    self.evaluate_lanes(group, &mut out);
-                    span.field_u64("tables", group.len() as u64);
-                    span.field_u64("nodes", self.slots.len() as u64);
-                    span.finish();
-                }
-            }
-            out
-        };
-        if threads == 1 {
-            return eval_chunk(tables);
-        }
-        let chunk = tables.len().div_ceil(threads);
-        let mut out: Vec<Vec<f64>> = Vec::with_capacity(tables.len());
-        std::thread::scope(|s| {
-            let handles: Vec<_> = tables
-                .chunks(chunk)
-                .map(|part| s.spawn(|| eval_chunk(part)))
-                .collect();
-            for h in handles {
-                out.extend(h.join().expect("sweep evaluation worker panicked"));
-            }
-        });
-        out
+        self.eval_batches(tables, threads, obs, &NodeRows)
     }
 
-    /// Per-table `(sum, min, max)` folded over the slot indices in `seq`,
-    /// in the given order — bit-identical to running the same left fold
-    /// over [`CompiledSweep::evaluate`]'s vector, but without
-    /// materializing any node-length row. This is the serve warm path's
-    /// summary evaluation: at ~100k nodes it avoids writing and re-reading
-    /// ~1.6 MB of per-node AVFs per table, which otherwise dominates the
-    /// resident request cost.
+    /// Per-table `(sum, min, max)` folded over the node indices in `seq`,
+    /// in the given order — bit-identical to running [`SeqStats::fold`]
+    /// over [`CompiledSweep::evaluate`]'s vector, but without writing any
+    /// node-length row: each node reads its lanes straight out of the
+    /// row matrix. This is the summary evaluation of the sweep driver and
+    /// of the server's warm path; at ~100k nodes a 16-table batch would
+    /// otherwise write and re-read ~13 MB of per-node AVFs.
     pub fn evaluate_seq_stats_traced(
         &self,
         tables: &[PavfInputs],
@@ -846,38 +692,32 @@ impl CompiledSweep {
         threads: usize,
         obs: &Collector,
     ) -> Vec<SeqStats> {
+        self.eval_batches(tables, threads, obs, &SeqFold(seq))
+    }
+
+    /// Splits `tables` over `threads` scoped workers, and each worker's
+    /// share into groups of at most [`MAX_LANES`], one span per group.
+    fn eval_batches<G: Gather>(
+        &self,
+        tables: &[PavfInputs],
+        threads: usize,
+        obs: &Collector,
+        gather: &G,
+    ) -> Vec<G::Out> {
         let threads = threads.max(1).min(tables.len().max(1));
         let eval_chunk = |part: &[PavfInputs]| {
-            let mut out: Vec<SeqStats> = Vec::with_capacity(part.len());
-            let mut scratch = EvalScratch::default();
+            let mut out: Vec<G::Out> = Vec::with_capacity(part.len());
             for group in part.chunks(MAX_LANES) {
-                if group.len() == 1 {
-                    let mut span = obs.span("sweep.eval");
-                    self.eval_ops(&group[0], &mut scratch);
-                    let mut st = SeqStats::IDENTITY;
-                    for &i in seq {
-                        st.fold(self.slot_value(self.slots[i], &scratch));
-                    }
-                    span.field_u64("nodes", seq.len() as u64);
-                    span.finish();
-                    out.push(st);
+                let mut span = if group.len() == 1 {
+                    obs.span("sweep.eval")
                 } else {
                     let mut span = obs.span("sweep.eval_batch");
-                    let k = group.len();
-                    let ops = self.lane_ops(group);
-                    let mut stats = [SeqStats::IDENTITY; MAX_LANES];
-                    let mut lane_vals = [0.0f64; MAX_LANES];
-                    for &i in seq {
-                        self.lane_slot_values(self.slots[i], &ops, &mut lane_vals);
-                        for (st, &v) in stats[..k].iter_mut().zip(&lane_vals[..k]) {
-                            st.fold(v);
-                        }
-                    }
-                    span.field_u64("tables", k as u64);
-                    span.field_u64("nodes", seq.len() as u64);
-                    span.finish();
-                    out.extend_from_slice(&stats[..k]);
-                }
+                    span.field_u64("tables", group.len() as u64);
+                    span
+                };
+                self.eval_group(group, gather, &mut out);
+                span.field_u64("nodes", gather.nodes(self) as u64);
+                span.finish();
             }
             out
         };
@@ -885,7 +725,7 @@ impl CompiledSweep {
             return eval_chunk(tables);
         }
         let chunk = tables.len().div_ceil(threads);
-        let mut out: Vec<SeqStats> = Vec::with_capacity(tables.len());
+        let mut out: Vec<G::Out> = Vec::with_capacity(tables.len());
         std::thread::scope(|s| {
             let handles: Vec<_> = tables
                 .chunks(chunk)
@@ -896,6 +736,75 @@ impl CompiledSweep {
             }
         });
         out
+    }
+
+    /// Evaluates one group of at most [`MAX_LANES`] tables at the
+    /// narrowest lane width that holds it, so a small batch never pays
+    /// for sixteen lanes.
+    fn eval_group<G: Gather>(&self, group: &[PavfInputs], gather: &G, out: &mut Vec<G::Out>) {
+        match group.len() {
+            1 => gather.gather(self, &self.eval_rows::<1>(group), 1, out),
+            2 => gather.gather(self, &self.eval_rows::<2>(group), 2, out),
+            k @ 3..=4 => gather.gather(self, &self.eval_rows::<4>(group), k, out),
+            k @ 5..=8 => gather.gather(self, &self.eval_rows::<8>(group), k, out),
+            k => gather.gather(self, &self.eval_rows::<MAX_LANES>(group), k, out),
+        }
+    }
+
+    /// The kernel: one topological pass over the ops fills every row id's
+    /// value for each of the `tables.len() <= W` lanes. Lanes past the
+    /// last table evaluate an all-zero term table and are never read.
+    fn eval_rows<const W: usize>(&self, tables: &[PavfInputs]) -> Vec<[f64; W]> {
+        debug_assert!(!tables.is_empty() && tables.len() <= W);
+        // Term values, term-major so each op reads its lanes contiguously.
+        let mut vt = vec![[0.0f64; W]; self.terms.len()];
+        for (lane, t) in tables.iter().enumerate() {
+            for (v, x) in vt.iter_mut().zip(term_values(&self.terms, t, &self.config)) {
+                v[lane] = x;
+            }
+        }
+        // Same accumulation as `UnionArena::eval`: sorted term ids, a left
+        // fold from `Iterator::sum::<f64>`'s `-0.0` (which an empty sum
+        // returns), then the cap.
+        let sums: Vec<[f64; W]> = self
+            .sum_bounds
+            .windows(2)
+            .map(|w| {
+                let mut acc = [-0.0f64; W];
+                for &t in &self.sum_terms[w[0] as usize..w[1] as usize] {
+                    let tv = &vt[t as usize];
+                    for l in 0..W {
+                        acc[l] += tv[l];
+                    }
+                }
+                acc.map(|s| s.min(1.0))
+            })
+            .collect();
+        let mut rows: Vec<[f64; W]> = Vec::with_capacity(self.mins.len() + self.rows.extra.len());
+        rows.extend(self.mins.iter().map(|&(a, b)| {
+            let (a, b) = (&sums[a as usize], &sums[b as usize]);
+            std::array::from_fn(|l| a[l].min(b[l]))
+        }));
+        // Struct-cell overrides: one map lookup per distinct performance
+        // structure and lane, not per cell.
+        let struct_avfs: Vec<[Option<f64>; W]> = self
+            .perf_names
+            .iter()
+            .map(|p| std::array::from_fn(|l| tables.get(l).and_then(|t| t.structure_avf(p))))
+            .collect();
+        for &slot in &self.rows.extra {
+            let row = match slot {
+                Slot::Ctrl => [self.config.ctrl_read_pavf; W],
+                Slot::Loop => [self.config.loop_pavf; W],
+                Slot::Struct { perf, min } => {
+                    let (avf, min) = (&struct_avfs[perf as usize], &rows[min as usize]);
+                    std::array::from_fn(|l| avf[l].unwrap_or(min[l]))
+                }
+                Slot::Min(_) => unreachable!("MIN slots read their op's row"),
+            };
+            rows.push(row);
+        }
+        rows
     }
 
     // -----------------------------------------------------------------
@@ -1076,6 +985,7 @@ impl CompiledSweep {
             terms,
             sum_terms,
             sum_bounds,
+            rows: RowIds::derive(&slots, mins.len()),
             mins,
             slots,
             perf_names,
@@ -1084,27 +994,86 @@ impl CompiledSweep {
     }
 }
 
-/// Reusable evaluation buffers (one per worker thread).
-#[derive(Debug, Default)]
-struct EvalScratch {
-    sums: Vec<f64>,
-    mins: Vec<f64>,
-    struct_avfs: Vec<Option<f64>>,
+/// What an evaluation pass reads out of its filled row matrix.
+trait Gather: Sync {
+    /// One table's result.
+    type Out: Send;
+    /// How many node values one table reads (the spans' `nodes` field).
+    fn nodes(&self, dag: &CompiledSweep) -> usize;
+    /// Appends the results of lanes `0..k` of `rows`.
+    fn gather<const W: usize>(
+        &self,
+        dag: &CompiledSweep,
+        rows: &[[f64; W]],
+        k: usize,
+        out: &mut Vec<Self::Out>,
+    );
 }
 
-/// Lane-interleaved op results shared by the batched gather paths: entry
-/// `op * k + lane` is `op`'s value for table `lane`.
-struct LaneOps {
-    k: usize,
-    mins: Vec<f64>,
-    struct_avfs: Vec<Option<f64>>,
+/// Node rows: every node's AVF, indexed by `NodeId::index`.
+struct NodeRows;
+
+impl Gather for NodeRows {
+    type Out = Vec<f64>;
+
+    fn nodes(&self, dag: &CompiledSweep) -> usize {
+        dag.rows.of.len()
+    }
+
+    fn gather<const W: usize>(
+        &self,
+        dag: &CompiledSweep,
+        rows: &[[f64; W]],
+        k: usize,
+        out: &mut Vec<Vec<f64>>,
+    ) {
+        out.extend((0..k).map(|l| dag.rows.of.iter().map(|&r| rows[r as usize][l]).collect()));
+    }
+}
+
+/// Summary folds over the node indices of `.0`, in order.
+struct SeqFold<'a>(&'a [usize]);
+
+impl Gather for SeqFold<'_> {
+    type Out = SeqStats;
+
+    fn nodes(&self, _: &CompiledSweep) -> usize {
+        self.0.len()
+    }
+
+    /// [`SeqStats::fold`] in every lane, with each statistic's lanes side
+    /// by side so a node's lanes fold as vectors.
+    fn gather<const W: usize>(
+        &self,
+        dag: &CompiledSweep,
+        rows: &[[f64; W]],
+        k: usize,
+        out: &mut Vec<SeqStats>,
+    ) {
+        let mut sum = [SeqStats::IDENTITY.sum; W];
+        let mut min = [SeqStats::IDENTITY.min; W];
+        let mut max = [SeqStats::IDENTITY.max; W];
+        for &i in self.0 {
+            let v = &rows[dag.rows.of[i] as usize];
+            for l in 0..W {
+                sum[l] += v[l];
+                min[l] = lower(min[l], v[l]);
+                max[l] = higher(max[l], v[l]);
+            }
+        }
+        out.extend((0..k).map(|l| SeqStats {
+            sum: sum[l],
+            min: min[l],
+            max: max[l],
+        }));
+    }
 }
 
 /// One workload's summary fold over the sequential slots, as produced by
 /// [`CompiledSweep::evaluate_seq_stats_traced`]. The fold is the sweep
 /// driver's: left fold in the caller's index order, `sum` seeded with
 /// `+0.0`, `min`/`max` with the infinities (so an empty index set yields
-/// the identities — callers map that to their own empty-row convention).
+/// the identities; [`SeqStats::summary`] maps that to zeros).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SeqStats {
     /// Running sum of sequential-node AVFs.
@@ -1123,13 +1092,52 @@ impl SeqStats {
         max: f64::NEG_INFINITY,
     };
 
-    /// Folds one node's AVF in — the exact `+=`/`min`/`max` sequence the
-    /// sweep driver applies to materialized rows.
+    /// Folds one node's AVF in: `sum += v`, then compare-select for the
+    /// extremes — `if v < min { v } else { min }`, and `>` for `max`.
+    ///
+    /// Compare-select compiles to one `minpd`/`maxpd` per lane pair,
+    /// where `f64::min`/`f64::max` add a NaN fix-up and a blend, and it
+    /// returns their bits on x86-64: there `acc.min(v)` is lowered to
+    /// `v < acc ? v : acc` plus a fix-up that fires only when the
+    /// accumulator is NaN, and an accumulator that starts at ±∞ never
+    /// becomes NaN (a NaN `v` compares false and leaves it unchanged).
+    /// Unlike `f64::min`, which may return either of two equal zeros,
+    /// compare-select keeps the accumulator on a `±0.0` tie everywhere.
     #[inline]
     pub fn fold(&mut self, v: f64) {
         self.sum += v;
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
+        self.min = lower(self.min, v);
+        self.max = higher(self.max, v);
+    }
+
+    /// `(mean, min, max)` over `count` folded nodes, or zeros when there
+    /// were none: the summary row of the sweep driver and the server.
+    pub fn summary(&self, count: usize) -> (f64, f64, f64) {
+        if count == 0 {
+            (0.0, 0.0, 0.0)
+        } else {
+            (self.sum / count as f64, self.min, self.max)
+        }
+    }
+}
+
+/// The running minimum of [`SeqStats::fold`].
+#[inline(always)]
+fn lower(acc: f64, v: f64) -> f64 {
+    if v < acc {
+        v
+    } else {
+        acc
+    }
+}
+
+/// The running maximum of [`SeqStats::fold`].
+#[inline(always)]
+fn higher(acc: f64, v: f64) -> f64 {
+    if v > acc {
+        v
+    } else {
+        acc
     }
 }
 
@@ -1183,7 +1191,9 @@ mod tests {
         let (nl, result, compiled) = compiled_fig7();
         let layout: Vec<(&str, usize)> = vec![("f", nl.node_count())];
         let clean = vec![true; nl.fub_count()];
-        let (patched, st) = compiled.patch(&result, &nl, &layout, &clean).unwrap();
+        let (patched, st) = compiled
+            .patch_traced(&result, &nl, &layout, &clean, &Collector::disabled())
+            .unwrap();
         assert_eq!(st.slots_retained, nl.node_count());
         assert_eq!(st.slots_relowered, 0);
         assert_eq!(st.ops_added, 0);
@@ -1199,7 +1209,9 @@ mod tests {
         let (nl, result, compiled) = compiled_fig7();
         let layout: Vec<(&str, usize)> = vec![("f", nl.node_count())];
         let clean = vec![false; nl.fub_count()];
-        let (patched, st) = compiled.patch(&result, &nl, &layout, &clean).unwrap();
+        let (patched, st) = compiled
+            .patch_traced(&result, &nl, &layout, &clean, &Collector::disabled())
+            .unwrap();
         assert_eq!(st.slots_retained, 0);
         assert_eq!(st.ops_retained, 0);
         assert_eq!(st.slots_relowered, nl.node_count());
@@ -1213,7 +1225,9 @@ mod tests {
         let (nl, result, compiled) = compiled_fig7();
         let layout: Vec<(&str, usize)> = vec![("f", nl.node_count())];
         let clean = vec![true; nl.fub_count()];
-        let (patched, _) = compiled.patch(&result, &nl, &layout, &clean).unwrap();
+        let (patched, _) = compiled
+            .patch_traced(&result, &nl, &layout, &clean, &Collector::disabled())
+            .unwrap();
         let bytes = patched.encode();
         let back = CompiledSweep::decode(&bytes, &result.config).unwrap();
         assert_eq!(back, patched);
@@ -1231,7 +1245,9 @@ mod tests {
         let result = engine.run(&fig7_inputs());
         let layout: Vec<(&str, usize)> = vec![("f", nl.node_count())];
         let clean = vec![true; nl.fub_count()];
-        assert!(compiled.patch(&result, &nl, &layout, &clean).is_err());
+        assert!(compiled
+            .patch_traced(&result, &nl, &layout, &clean, &Collector::disabled())
+            .is_err());
     }
 
     #[test]
@@ -1269,14 +1285,14 @@ mod tests {
         }
     }
 
-    /// The lane evaluator must be bit-identical to scalar evaluation at
-    /// every chunk shape: full 16-lane groups, a multi-table remainder,
-    /// and a single-table remainder (which takes the scalar path), with
+    /// Every lane width must be bit-identical to one-table evaluation at
+    /// every chunk shape: full 16-lane groups, groups evaluated at widths
+    /// 2, 4 and 8 with padding lanes, and a single-table remainder, with
     /// tables that do and don't carry struct-AVF overrides.
     #[test]
     fn lane_batches_match_scalar_bitwise_across_chunk_boundaries() {
         let (_, _, compiled) = compiled_fig7();
-        for count in [2usize, MAX_LANES, MAX_LANES + 1, 2 * MAX_LANES + 3] {
+        for count in [2usize, 3, 5, 9, MAX_LANES, MAX_LANES + 1, 2 * MAX_LANES + 3] {
             let tables: Vec<PavfInputs> = (0..count)
                 .map(|k| {
                     let mut p = fig7_inputs();
@@ -1332,6 +1348,73 @@ mod tests {
                 assert_eq!(stats[k].min.to_bits(), want.min.to_bits(), "table {k}");
                 assert_eq!(stats[k].max.to_bits(), want.max.to_bits(), "table {k}");
             }
+        }
+    }
+
+    /// Special operands: NaNs of both signs, both zeros, both
+    /// infinities and finite values.
+    const SPECIALS: [f64; 9] = [
+        f64::NAN,
+        -f64::NAN,
+        0.0,
+        -0.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        0.25,
+        -1.5,
+        f64::MIN_POSITIVE,
+    ];
+
+    fn stat_bits(st: SeqStats) -> [u64; 3] {
+        [st.sum.to_bits(), st.min.to_bits(), st.max.to_bits()]
+    }
+
+    /// The compare-select fold returns the bits `f64::min`/`f64::max`
+    /// return on x86-64, for every pair of special operands folded from
+    /// the identity in either order. `black_box` keeps the reference fold
+    /// from being evaluated at compile time, where LLVM may pick the
+    /// other of two equal zeros.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn fold_returns_the_bits_of_f64_min_and_max() {
+        use std::hint::black_box;
+        let reference = |st: &mut SeqStats, v: f64| {
+            st.sum += v;
+            st.min = black_box(st.min).min(black_box(v));
+            st.max = black_box(st.max).max(black_box(v));
+        };
+        for a in SPECIALS {
+            for b in SPECIALS {
+                for order in [[a, b], [b, a]] {
+                    let (mut new, mut old) = (SeqStats::IDENTITY, SeqStats::IDENTITY);
+                    for v in order {
+                        new.fold(black_box(v));
+                        reference(&mut old, v);
+                    }
+                    assert_eq!(stat_bits(new), stat_bits(old), "{order:?}");
+                }
+            }
+        }
+    }
+
+    /// The 16-lane summary fold equals [`SeqStats::fold`] lane by lane
+    /// on rows of special values.
+    #[test]
+    fn lane_fold_matches_scalar_fold_on_special_values() {
+        let (nl, _, compiled) = compiled_fig7();
+        let seq: Vec<usize> = nl.seq_nodes().map(|id| id.index()).collect();
+        let n_rows = compiled.mins.len() + compiled.rows.extra.len();
+        let rows: Vec<[f64; MAX_LANES]> = (0..n_rows)
+            .map(|r| std::array::from_fn(|l| SPECIALS[(r * 7 + l * 3) % SPECIALS.len()]))
+            .collect();
+        let mut got = Vec::new();
+        SeqFold(&seq).gather(&compiled, &rows, MAX_LANES, &mut got);
+        for (l, st) in got.iter().enumerate() {
+            let mut want = SeqStats::IDENTITY;
+            for &i in &seq {
+                want.fold(rows[compiled.rows.of[i] as usize][l]);
+            }
+            assert_eq!(stat_bits(*st), stat_bits(want), "lane {l}");
         }
     }
 

@@ -8,7 +8,11 @@
 //!
 //! 1. [`run_sweep`] relaxes the design once (or loads a cached compiled
 //!    DAG), lowers the closed forms with [`CompiledSweep::compile`], and
-//!    evaluates every workload's input table in parallel.
+//!    evaluates every workload's summary row — mean, min and max over the
+//!    sequential nodes — with [`CompiledSweep::evaluate_seq_stats_traced`],
+//!    which folds them in the DAG pass without writing node-length rows.
+//!    Callers that need every node's AVF evaluate the DAG themselves
+//!    ([`obtain_compiled_traced`], [`CompiledSweep::evaluate`]).
 //! 2. [`SweepCache`] persists the compiled DAG keyed by
 //!    **(netlist content hash, structure mapping, result-affecting
 //!    `SartConfig` fields)** — see [`cache_key`]. The relaxation fixpoint
@@ -24,9 +28,10 @@
 //!    warm-started from the previous revision's fixpoint, then patching
 //!    the previous revision's DAG. The server runs the same function.
 //!
-//! Observability: compilation records a `sweep.compile` span, every
-//! workload evaluation a `sweep.eval` span, and cache consultations bump
-//! the `sweep.cache.hit` / `sweep.cache.miss` counters.
+//! Observability: compilation records a `sweep.compile` span, evaluation
+//! a `sweep.eval` span per one-table group and a `sweep.eval_batch` span
+//! per wider one, and cache consultations bump the `sweep.cache.hit` /
+//! `sweep.cache.miss` counters.
 
 use std::borrow::Borrow;
 use std::path::{Path, PathBuf};
@@ -179,7 +184,8 @@ pub enum PatchStatus {
     Rebuilt(&'static str),
 }
 
-/// Per-workload AVF summary row.
+/// Per-workload AVF summary row ([`crate::compile::SeqStats::summary`]:
+/// zeros when the design has no sequential node).
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadAvf {
     /// Workload name.
@@ -190,8 +196,6 @@ pub struct WorkloadAvf {
     pub min_seq_avf: f64,
     /// Highest sequential-node AVF.
     pub max_seq_avf: f64,
-    /// Every node's AVF, indexed by `NodeId::index`.
-    pub node_avfs: Vec<f64>,
 }
 
 /// Sweep-driver options.
@@ -249,9 +253,9 @@ pub fn run_sweep(
     )
 }
 
-/// [`run_sweep`] with observability (spans `sweep.compile` / `sweep.eval`,
-/// counters `sweep.cache.hit` / `sweep.cache.miss`, plus the usual
-/// relaxation telemetry on a miss).
+/// [`run_sweep`] with observability (spans `sweep.compile` /
+/// `sweep.eval` / `sweep.eval_batch`, counters `sweep.cache.hit` /
+/// `sweep.cache.miss`, plus the usual relaxation telemetry on a miss).
 pub fn run_sweep_traced(
     nl: &Netlist,
     mapping: &StructureMapping,
@@ -452,32 +456,18 @@ pub fn run_sweep_with_loops_traced(
     let (compiled, cache, fresh) = obtain(nl, mapping, config, base_inputs, opts, loops, obs)?;
 
     let tables: Vec<PavfInputs> = workloads.iter().map(|(_, t)| t.clone()).collect();
-    let avfs = compiled.evaluate_many_traced(&tables, opts.threads, obs);
     let seq: Vec<usize> = nl.seq_nodes().map(|id| id.index()).collect();
+    let stats = compiled.evaluate_seq_stats_traced(&tables, &seq, opts.threads, obs);
     let rows = workloads
         .iter()
-        .zip(avfs)
-        .map(|((name, _), node_avfs)| {
-            let mut sum = 0.0;
-            let mut min = f64::INFINITY;
-            let mut max = f64::NEG_INFINITY;
-            for &i in &seq {
-                let v = node_avfs[i];
-                sum += v;
-                min = min.min(v);
-                max = max.max(v);
-            }
-            let (mean, min, max) = if seq.is_empty() {
-                (0.0, 0.0, 0.0)
-            } else {
-                (sum / seq.len() as f64, min, max)
-            };
+        .zip(stats)
+        .map(|((name, _), st)| {
+            let (mean, min, max) = st.summary(seq.len());
             WorkloadAvf {
                 workload: name.clone(),
                 mean_seq_avf: mean,
                 min_seq_avf: min,
                 max_seq_avf: max,
-                node_avfs,
             }
         })
         .collect();

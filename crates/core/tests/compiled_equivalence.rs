@@ -1,15 +1,16 @@
 //! Property tests pinning the compiled sweep DAG to the interpreter: for
 //! random synthetic netlists and random per-workload pAVF tables, the
 //! compiled evaluation must be **bit-identical** (`f64::to_bits`) to
-//! `SartResult::reevaluate` and to a fresh `engine.run`, and must survive
-//! the artifact text round trip unchanged.
+//! `SartResult::reevaluate` and to a fresh `engine.run` at every lane
+//! width, and must survive the artifact round trip unchanged.
 
 use proptest::prelude::*;
 
-use seqavf_core::compile::CompiledSweep;
+use seqavf_core::compile::{CompiledSweep, SeqStats};
 use seqavf_core::engine::{SartConfig, SartEngine};
 use seqavf_core::mapping::{PavfInputs, StructureMapping};
 use seqavf_netlist::graph::{GateOp, Netlist, NetlistBuilder, NodeId, NodeKind, SeqKind};
+use seqavf_obs::Collector;
 
 /// Deterministically builds a valid circuit from a byte recipe (the same
 /// idiom as the top-level property suite): bytes select operations over a
@@ -165,10 +166,13 @@ proptest! {
         }
     }
 
+    /// Batches of up to 40 tables cross the 16-lane group and every lane
+    /// width; node rows and summary folds must both equal one-table
+    /// evaluation bit for bit.
     #[test]
     fn evaluate_many_matches_per_table_evaluation(
         (recipe, fubs) in recipe_strategy(),
-        tables in prop::collection::vec(table_strategy(), 1..9),
+        tables in prop::collection::vec(table_strategy(), 1..=40),
         threads in 1usize..5,
     ) {
         let nl = build_circuit(&recipe, fubs);
@@ -177,11 +181,25 @@ proptest! {
         let compiled = CompiledSweep::compile(&result, &nl);
         let batch = compiled.evaluate_many(&tables, threads);
         prop_assert_eq!(batch.len(), tables.len());
+        let seq: Vec<usize> = nl.seq_nodes().map(|id| id.index()).collect();
+        let stats =
+            compiled.evaluate_seq_stats_traced(&tables, &seq, threads, &Collector::disabled());
+        prop_assert_eq!(stats.len(), tables.len());
         for (k, t) in tables.iter().enumerate() {
             let single = compiled.evaluate(t);
+            prop_assert_eq!(batch[k].len(), single.len());
             for (a, b) in batch[k].iter().zip(&single) {
                 prop_assert_eq!(a.to_bits(), b.to_bits(), "workload {}", k);
             }
+            let mut want = SeqStats::IDENTITY;
+            for &i in &seq {
+                want.fold(single[i]);
+            }
+            prop_assert_eq!(
+                [stats[k].sum, stats[k].min, stats[k].max].map(f64::to_bits),
+                [want.sum, want.min, want.max].map(f64::to_bits),
+                "workload {} summary", k
+            );
         }
     }
 

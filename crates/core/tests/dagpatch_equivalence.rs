@@ -18,6 +18,7 @@ use seqavf_netlist::exlif;
 use seqavf_netlist::flatten;
 use seqavf_netlist::graph::Netlist;
 use seqavf_netlist::synth::{generate, SynthConfig};
+use seqavf_obs::Collector;
 
 /// The base revision: a synthetic design's EXLIF text, its structure
 /// mapping, and a workload table.
@@ -119,7 +120,7 @@ fn assert_patch_matches_cold(
         WarmStatus::Cold(reason) => panic!("warm path refused at {threads} threads: {reason}"),
     };
     let (patched, stats) = old
-        .patch(&warm, nl, &layout(stored), &clean)
+        .patch_traced(&warm, nl, &layout(stored), &clean, &Collector::disabled())
         .expect("patch preconditions hold for a gate edit");
     let reference = CompiledSweep::compile(&cold, nl);
     let mut tables = vec![inputs.clone()];
@@ -194,18 +195,18 @@ proptest! {
         let mut grown = layout(&stored);
         let v = victim % grown.len();
         grown[v].1 += grow;
-        prop_assert!(old.patch(&warm, &nl, &grown, &clean).is_err());
+        prop_assert!(old.patch_traced(&warm, &nl, &grown, &clean, &Collector::disabled()).is_err());
 
         // Layout with a FUB the netlist has never heard of, where a
         // clean FUB's name should be.
         let mut renamed = layout(&stored);
         renamed[clean.iter().position(|&c| c).unwrap_or(0)].0 = "no-such-fub";
-        prop_assert!(old.patch(&warm, &nl, &renamed, &clean).is_err());
+        prop_assert!(old.patch_traced(&warm, &nl, &renamed, &clean, &Collector::disabled()).is_err());
 
         // A mask of the wrong arity (fixpoint from some other design).
         let mut short = clean.clone();
         short.pop();
-        prop_assert!(old.patch(&warm, &nl, &layout(&stored), &short).is_err());
+        prop_assert!(old.patch_traced(&warm, &nl, &layout(&stored), &short, &Collector::disabled()).is_err());
     }
 }
 
@@ -269,7 +270,7 @@ fn full_rewrite_still_ends_bit_identical() {
     let (warm, status, clean) = engine.run_warm_patch_exact(&inputs, &stored);
     let evaluated = match (status, clean) {
         (WarmStatus::Warm { .. }, Some(mask)) => {
-            match old.patch(&warm, &nl, &layout(&stored), &mask) {
+            match old.patch_traced(&warm, &nl, &layout(&stored), &mask, &Collector::disabled()) {
                 Ok((patched, _)) => patched,
                 // Precondition failure is a legal outcome of a rewrite;
                 // the fallback is the cold compile itself.
@@ -306,7 +307,13 @@ fn mismatched_fixpoint_degrades_to_full_rebuild() {
     let all_clean = vec![true; nl.fub_count()];
     assert!(
         old_a
-            .patch(&result, &nl, &layout(&stored_b), &all_clean)
+            .patch_traced(
+                &result,
+                &nl,
+                &layout(&stored_b),
+                &all_clean,
+                &Collector::disabled()
+            )
             .is_err(),
         "a foreign fixpoint's layout must not cover the old DAG"
     );

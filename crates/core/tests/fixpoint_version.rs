@@ -3,6 +3,8 @@
 //! must be refused as a version mismatch — one cold solve with unchanged
 //! answers that rewrites the file as `/2` — never trusted as a seed.
 
+mod common;
+
 use std::path::{Path, PathBuf};
 
 use seqavf_core::engine::{SartConfig, WarmStatus};
@@ -14,6 +16,8 @@ use seqavf_netlist::flatten::parse_netlist;
 use seqavf_netlist::snapshot::{seal, SnapshotError};
 use seqavf_netlist::synth::{generate, SynthConfig};
 use seqavf_obs::Collector;
+
+use common::{cached_dag, fresh_dag, node_bits};
 
 const V1: &[u8] = b"seqavf-fixpoint/1\n";
 const V2: &[u8] = b"seqavf-fixpoint/2\n";
@@ -58,33 +62,45 @@ impl Revision {
         }
     }
 
-    fn sweep(&self, warm_start: Option<&Path>) -> SweepOutcome {
+    /// Sweeps this revision, and returns the sweep with the node-level
+    /// answer of the DAG it used. A warm sweep gets an empty cache
+    /// directory of its own, which holds no earlier revision's DAG to
+    /// patch, so it compiles its warm result and stores that DAG there; a
+    /// cold sweep's DAG is compiled again from a fresh relaxation.
+    fn sweep(&self, warm_start: Option<&Path>) -> (SweepOutcome, Vec<Vec<u64>>) {
         let nl = parse_netlist(&self.text).expect("flattens");
+        let config = SartConfig::default();
+        let dags = warm_start.map(|dir| dir.with_extension("dags"));
+        if let Some(dags) = &dags {
+            let _ = std::fs::remove_dir_all(dags);
+        }
         let opts = SweepOptions {
             threads: 1,
-            cache_dir: None,
+            cache_dir: dags.clone(),
             warm_start: warm_start.map(Path::to_path_buf),
         };
-        run_sweep_with_loops_traced(
+        let outcome = run_sweep_with_loops_traced(
             &nl,
             &self.mapping,
-            &SartConfig::default(),
+            &config,
             &self.workloads[0].1,
             &self.workloads,
             &opts,
             None,
             &Collector::disabled(),
         )
-        .expect("sweeps")
+        .expect("sweeps");
+        let dag = match &dags {
+            Some(dags) => {
+                let dag = cached_dag(dags, &nl, &self.mapping, &config);
+                let _ = std::fs::remove_dir_all(dags);
+                dag
+            }
+            None => fresh_dag(&nl, &self.mapping, &config, &self.workloads[0].1),
+        };
+        let bits = node_bits(&outcome, &dag, &nl, &self.workloads);
+        (outcome, bits)
     }
-}
-
-fn bits(outcome: &SweepOutcome) -> Vec<Vec<u64>> {
-    outcome
-        .rows
-        .iter()
-        .map(|r| r.node_avfs.iter().map(|v| v.to_bits()).collect())
-        .collect()
 }
 
 /// The one fixpoint artifact in `dir`.
@@ -126,19 +142,19 @@ fn a_v1_artifact_runs_cold_once_and_is_rewritten_as_v2() {
     // The first edit finds only the `/1` file: a cold solve, the same
     // answers as without a warm-start directory, and a `/2` rewrite.
     let first = base.edit(0);
-    let warm = first.sweep(Some(&dir));
+    let (warm, warm_bits) = first.sweep(Some(&dir));
     assert_eq!(
         warm.warm,
         Some(WarmStatus::Cold("no usable fixpoint artifact"))
     );
-    assert_eq!(bits(&warm), bits(&first.sweep(None)));
+    assert_eq!(warm_bits, first.sweep(None).1);
     let rewritten = std::fs::read(&path).unwrap();
     assert!(rewritten.starts_with(V2));
     assert!(StoredFixpoint::decode(&rewritten).is_ok());
 
     // So the next edit runs warm, still bit-identical to cold.
     let second = first.edit(3);
-    let warm = second.sweep(Some(&dir));
+    let (warm, warm_bits) = second.sweep(Some(&dir));
     match warm.warm {
         Some(WarmStatus::Warm {
             seeded_fubs,
@@ -150,6 +166,6 @@ fn a_v1_artifact_runs_cold_once_and_is_rewritten_as_v2() {
         ),
         other => panic!("expected a warm solve, got {other:?}"),
     }
-    assert_eq!(bits(&warm), bits(&second.sweep(None)));
+    assert_eq!(warm_bits, second.sweep(None).1);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -6,6 +6,8 @@
 //! cache hits must reproduce bit-identical node AVFs. A damaged artifact
 //! must read as a miss, never as an answer.
 
+mod common;
+
 use std::path::{Path, PathBuf};
 
 use seqavf_core::compile::{CompiledSweep, SWEEP_MAGIC};
@@ -19,6 +21,8 @@ use seqavf_netlist::flatten::parse_netlist;
 use seqavf_netlist::graph::Netlist;
 use seqavf_netlist::snapshot::{open_sealed, seal, Cursor};
 use seqavf_obs::Collector;
+
+use common::{cached_dag, fresh_dag, node_bits};
 
 const DESIGN: &str = r"
 .design cachetest
@@ -99,13 +103,22 @@ fn second_run_hits_and_reproduces_avfs_bitwise() {
     assert_eq!(first.cache, CacheStatus::Miss);
     let second = sweep(&nl, &config, &dir, &obs);
     assert_eq!(second.cache, CacheStatus::Hit);
-    assert_eq!(first.rows.len(), second.rows.len());
-    for (a, b) in first.rows.iter().zip(&second.rows) {
-        assert_eq!(a.workload, b.workload);
-        for (x, y) in a.node_avfs.iter().zip(&b.node_avfs) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-    }
+    // The hit's artifact reproduces the freshly compiled DAG node by node.
+    let map = StructureMapping::new();
+    assert_eq!(
+        node_bits(
+            &first,
+            &fresh_dag(&nl, &map, &config, &PavfInputs::new()),
+            &nl,
+            &workloads()
+        ),
+        node_bits(
+            &second,
+            &cached_dag(&dir, &nl, &map, &config),
+            &nl,
+            &workloads()
+        )
+    );
     // One miss, one hit, observable through the counters.
     let counters = obs.counters();
     assert!(counters.contains(&("sweep.cache.miss", 1)), "{counters:?}");
@@ -157,11 +170,21 @@ fn renamed_but_identical_netlist_is_a_cache_hit() {
         CacheStatus::Hit,
         "content key must ignore file names"
     );
-    for (a, b) in first.rows.iter().zip(&second.rows) {
-        for (x, y) in a.node_avfs.iter().zip(&b.node_avfs) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-    }
+    let map = StructureMapping::new();
+    assert_eq!(
+        node_bits(
+            &first,
+            &fresh_dag(&nl_a, &map, &config, &PavfInputs::new()),
+            &nl_a,
+            &workloads()
+        ),
+        node_bits(
+            &second,
+            &cached_dag(&dir, &nl_b, &map, &config),
+            &nl_b,
+            &workloads()
+        )
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -262,13 +285,17 @@ fn flipped_slot_bit_is_a_miss_not_a_wrong_answer() {
     std::fs::write(&artifact, &bytes).unwrap();
     let second = sweep(&nl, &config, &dir, &obs);
     assert_eq!(second.cache, CacheStatus::Miss);
-    assert_eq!(first.rows.len(), second.rows.len());
-    for (a, b) in first.rows.iter().zip(&second.rows) {
-        assert_eq!(a.workload, b.workload);
-        for (x, y) in a.node_avfs.iter().zip(&b.node_avfs) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-    }
+    // The recompute, stored back over the damaged file, equals the first
+    // run's DAG node by node.
+    assert_eq!(
+        node_bits(&first, &stored, &nl, &workloads()),
+        node_bits(
+            &second,
+            &cached_dag(&dir, &nl, &StructureMapping::new(), &config),
+            &nl,
+            &workloads()
+        )
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -420,12 +447,21 @@ fn thread_count_and_incremental_changes_hit_the_same_artifact() {
         CacheStatus::Hit,
         "execution-strategy fields must not invalidate the cache"
     );
-    for (a, b) in first.rows.iter().zip(&second.rows) {
-        assert_eq!(a.workload, b.workload);
-        for (x, y) in a.node_avfs.iter().zip(&b.node_avfs) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-    }
+    let map = StructureMapping::new();
+    assert_eq!(
+        node_bits(
+            &first,
+            &fresh_dag(&nl, &map, &one_thread, &PavfInputs::new()),
+            &nl,
+            &workloads()
+        ),
+        node_bits(
+            &second,
+            &cached_dag(&dir, &nl, &map, &eight_threads),
+            &nl,
+            &workloads()
+        )
+    );
     let counters = obs.counters();
     assert!(counters.contains(&("sweep.cache.miss", 1)), "{counters:?}");
     assert!(counters.contains(&("sweep.cache.hit", 1)), "{counters:?}");
@@ -536,6 +572,7 @@ fn warm_sweep_patches_the_cached_dag_after_an_edit() {
     let nl1 = parse_netlist(&edited_text).unwrap();
     let second = run_sweep_traced(&nl1, &mapping, &config, &inputs, &wl, &opts, &obs).unwrap();
     assert_eq!(second.cache, CacheStatus::Miss);
+    let patched = cached_dag(&dir, &nl1, &mapping, &config);
     let st = match second.patch {
         Some(PatchStatus::Patched(st)) => st,
         other => panic!("expected a DAG patch after a one-gate edit, got {other:?}"),
@@ -567,11 +604,15 @@ fn warm_sweep_patches_the_cached_dag_after_an_edit() {
         &Collector::disabled(),
     )
     .unwrap();
-    for (a, b) in second.rows.iter().zip(&cold.rows) {
-        for (x, y) in a.node_avfs.iter().zip(&b.node_avfs) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-    }
+    assert_eq!(
+        node_bits(&second, &patched, &nl1, &wl),
+        node_bits(
+            &cold,
+            &fresh_dag(&nl1, &mapping, &config, &inputs),
+            &nl1,
+            &wl
+        )
+    );
 
     // Idempotent re-sweep: plain artifact hit, no patch involved.
     let third = run_sweep_traced(&nl1, &mapping, &config, &inputs, &wl, &opts, &obs).unwrap();

@@ -328,6 +328,11 @@ impl<'a> Parser<'a> {
                                 .bytes
                                 .get(self.pos + 1..self.pos + 5)
                                 .ok_or_else(|| "truncated \\u escape".to_owned())?;
+                            // Exactly four hex digits: `from_str_radix`
+                            // alone would also take a leading `+`.
+                            if !hex.iter().all(u8::is_ascii_hexdigit) {
+                                return Err("bad \\u escape".to_owned());
+                            }
                             let code = u32::from_str_radix(
                                 std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
                                 16,
@@ -787,6 +792,23 @@ mod tests {
             Parser::new("\"λλ").string().unwrap_err(),
             "unterminated string at byte 5"
         );
+    }
+
+    /// A `\u` escape is exactly four hex digits: a sign or any other
+    /// character among them is an error, not a shorter number.
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        assert_eq!(
+            Parser::new(r#""\u0041\u00aF""#).string().unwrap(),
+            "A\u{af}"
+        );
+        for bad in [r#""\u+041""#, r#""\u-041""#, r#""\u 041""#, r#""\u004g""#] {
+            assert_eq!(
+                Parser::new(bad).string().unwrap_err(),
+                "bad \\u escape",
+                "{bad}"
+            );
+        }
     }
 
     /// A written trace for structural-damage tests: two span names, one

@@ -211,24 +211,17 @@ impl Resident {
         let (compiled, sweep_cache, _) =
             self.resolve_sweep_with_donor(&design, &mapping, &config, &base, None);
 
-        // Evaluate the whole batch, then summarize each workload exactly
-        // the way `run_sweep` does so the service's rows are bit-identical
-        // to the `sweep` CLI's. When only summaries are wanted (the warm
-        // hot path), use the compiled DAG's summary fold — same arithmetic
-        // in the same order, but it never materializes node-length rows.
+        // Summarize each workload exactly the way `run_sweep` does — the
+        // compiled DAG's summary fold, which never materializes
+        // node-length rows — so the service's rows are bit-identical to
+        // the `sweep` CLI's. When node or FUB rows are wanted, evaluate
+        // node rows and fold them with the same `SeqStats::fold`.
         let tables: Vec<PavfInputs> = req.tables.iter().map(|t| t.inputs.clone()).collect();
         let nl = &design.netlist;
         let seq = &design.seq;
         let include_nodes = req.include_nodes.unwrap_or(false);
         let include_fubs = req.include_fubs.unwrap_or(false);
         let mut fubs: Vec<FubRow> = Vec::new();
-        let summarize = |(sum, min, max): (f64, f64, f64)| {
-            if seq.is_empty() {
-                (0.0, 0.0, 0.0)
-            } else {
-                (sum / seq.len() as f64, min, max)
-            }
-        };
         let rows: Vec<RowOut> = if include_nodes || include_fubs {
             let avfs = compiled.evaluate_many_traced(&tables, self.cfg.threads, &self.obs);
             req.tables
@@ -239,7 +232,7 @@ impl Resident {
                     for &i in seq {
                         st.fold(node_avfs[i]);
                     }
-                    let (mean, min, max) = summarize((st.sum, st.min, st.max));
+                    let (mean, min, max) = st.summary(seq.len());
                     if include_fubs {
                         fubs.extend(fub_rows(nl, &t.workload, node_avfs));
                     }
@@ -260,7 +253,7 @@ impl Resident {
                 .iter()
                 .zip(&stats)
                 .map(|(t, st)| {
-                    let (mean, min, max) = summarize((st.sum, st.min, st.max));
+                    let (mean, min, max) = st.summary(seq.len());
                     RowOut {
                         workload: t.workload.clone(),
                         mean_seq_avf: mean,

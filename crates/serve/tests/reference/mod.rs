@@ -2,7 +2,8 @@
 //! parser as it was before its string scan copied whole runs, reading
 //! one character at a time. Same grammar, same `Value`s, same error
 //! messages; `serde_json::from_str::<Value>` must agree with [`parse`] on
-//! every input.
+//! every input. Its `\u` escapes take exactly four hex digits, as the
+//! vendored parser's do (`u32::from_str_radix` alone also takes a `+`).
 
 use serde::Value;
 
@@ -174,6 +175,9 @@ impl Parser<'_> {
         }
         let hex = std::str::from_utf8(&self.bytes[start..end])
             .map_err(|_| "invalid utf8 in \\u escape".to_owned())?;
+        if !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
+            return Err("bad \\u escape".to_owned());
+        }
         let code = u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape".to_owned())?;
         self.pos = end - 1;
         Ok(code)
