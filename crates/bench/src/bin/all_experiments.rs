@@ -1,6 +1,6 @@
-//! Runs every experiment (E2–E10) in sequence and writes all reports —
-//! the one-command reproduction of the paper's evaluation section.
-//! Usage: `all_experiments [--scale full]`.
+//! Runs every paper experiment (E2–E11, E17) in sequence and writes all
+//! reports — the one-command reproduction of the paper's evaluation
+//! section. Usage: `all_experiments [--scale quick|full]`.
 use seqavf_bench::common::{emit, Scale};
 
 fn main() {
@@ -38,10 +38,4 @@ fn main() {
     println!("\n=== E17: validation campaign ===");
     let r = seqavf_bench::validate::run(scale, 42, &[1, 8, 32]);
     emit("BENCH_8", &r.render(), &r);
-    println!("\n=== E18: cross-run warm-start ===");
-    let r = seqavf_bench::warmstart::run(scale, 42);
-    emit("BENCH_9", &r.render(), &r);
-    println!("\n=== E19: incremental DAG patching ===");
-    let r = seqavf_bench::dagpatch::run(scale, 42);
-    emit("BENCH_10", &r.render(), &r);
 }

@@ -11,21 +11,43 @@ use seqavf_workloads::suite::SuiteConfig;
 /// Experiment scale, selectable from the command line (`--scale full`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
-    /// Seconds-fast: small design, few short workloads. Default for CI and
-    /// Criterion.
+    /// Seconds-fast: small design, few short workloads. The default.
     Quick,
     /// The paper-scale run: full Xeon-like design, 547 workloads.
     Full,
 }
 
 impl Scale {
-    /// Parses `--scale <quick|full>` style arguments; defaults to quick.
-    pub fn from_args() -> Scale {
-        let args: Vec<String> = std::env::args().collect();
-        match args.iter().position(|a| a == "--scale") {
-            Some(i) if args.get(i + 1).map(String::as_str) == Some("full") => Scale::Full,
-            _ => Scale::Quick,
+    /// Parses a bin's arguments (after the program name). Exactly three
+    /// forms are accepted: none, `--scale quick` and `--scale full`; any
+    /// other token is an error naming it, so a mistyped scale never runs
+    /// quick and overwrites a full-scale report.
+    fn parse(args: &[String]) -> Result<Scale, String> {
+        let mut tokens = args.iter().map(String::as_str);
+        let scale = match tokens.next() {
+            None => return Ok(Scale::Quick),
+            Some("--scale") => match tokens.next() {
+                Some("quick") => Scale::Quick,
+                Some("full") => Scale::Full,
+                Some(other) => return Err(format!("--scale takes quick or full, not `{other}`")),
+                None => return Err("flag --scale requires a value".to_owned()),
+            },
+            Some(other) => return Err(format!("unexpected argument `{other}`")),
+        };
+        match tokens.next() {
+            None => Ok(scale),
+            Some(other) => Err(format!("unexpected argument `{other}`")),
         }
+    }
+
+    /// Reads the scale from the process's arguments (the three forms
+    /// `parse` accepts). A usage error is printed and exits with status 2.
+    pub fn from_args() -> Scale {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        Scale::parse(&args).unwrap_or_else(|e| {
+            eprintln!("{e}\nusage: [--scale quick|full]");
+            std::process::exit(2)
+        })
     }
 }
 
@@ -105,6 +127,36 @@ pub fn emit(name: &str, text: &str, json: &impl serde::Serialize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn parse(args: &[&str]) -> Result<Scale, String> {
+        Scale::parse(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn scale_accepts_exactly_three_forms() {
+        assert_eq!(parse(&[]), Ok(Scale::Quick));
+        assert_eq!(parse(&["--scale", "quick"]), Ok(Scale::Quick));
+        assert_eq!(parse(&["--scale", "full"]), Ok(Scale::Full));
+    }
+
+    #[test]
+    fn mistyped_scale_names_the_offending_token() {
+        for (args, token) in [
+            (&["--scale", "Full"][..], "`Full`"),
+            (&["--scale", "fulll"], "`fulll`"),
+            (&["--scale=full"], "`--scale=full`"),
+            (&["full"], "`full`"),
+            (&["--scale", "full", "extra"], "`extra`"),
+            (&["--scale", "quick", "--scale", "full"], "`--scale`"),
+        ] {
+            let err = parse(args).expect_err("must be rejected");
+            assert!(err.contains(token), "{args:?}: {err}");
+        }
+        assert_eq!(
+            parse(&["--scale"]),
+            Err("flag --scale requires a value".to_owned())
+        );
+    }
 
     #[test]
     fn quick_config_is_smaller_than_full() {

@@ -3,8 +3,9 @@
 //!
 //! Each module implements one experiment from the index in `DESIGN.md` and
 //! exposes a `run(...)` function returning a serializable report plus a
-//! plain-text rendering; the binaries in `src/bin/` are thin wrappers, and
-//! the Criterion benches in `benches/` time the same code paths.
+//! plain-text rendering; the binaries in `src/bin/` are thin wrappers.
+//! Latency and throughput of the product's own paths are measured by the
+//! end-to-end benchmark in `benchmark/`, not here.
 //!
 //! | Module | Paper artifact |
 //! |--------|----------------|
@@ -18,29 +19,19 @@
 //! | [`symbolic`] | §5.2 — closed-form re-evaluation vs full re-run |
 //! | [`ablations`] | §4/§5.1 design-choice ablations |
 //! | [`scaling`] | §1/§5.2 — SART cost vs design size |
-//! | [`threads`] | parallel relaxation wall time vs worker-thread count |
-//! | [`incremental`] | incremental dirty-FUB sweeps vs full sweeps |
-//! | [`frontend`] | zero-copy frontend vs binary graph-snapshot load |
-//! | [`production`] | thread-scaling curves and peak RSS at 100k+-node scale |
-//! | [`service`] | AVF-as-a-service cold/warm latency and warm throughput |
 //! | [`validate`] | fault-injection campaign trials/sec, kernel fast path, importance sampling |
+//! | [`production`] | the process's peak resident memory, read by `benchmark/` |
 
 pub mod ablations;
 pub mod accuracy;
 pub mod common;
 pub mod convergence;
-pub mod dagpatch;
 pub mod fig10;
 pub mod fig8;
 pub mod fig9;
-pub mod frontend;
 pub mod headline;
-pub mod incremental;
 pub mod production;
 pub mod scaling;
-pub mod service;
 pub mod speed;
 pub mod symbolic;
-pub mod threads;
 pub mod validate;
-pub mod warmstart;

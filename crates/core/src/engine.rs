@@ -136,19 +136,9 @@ impl<'nl> SartEngine<'nl> {
         Self::with_loops(nl, mapping, config, &loops, obs)
     }
 
-    /// [`SartEngine::new`] with a precomputed loop analysis (e.g. one
-    /// restored from a graph snapshot), skipping the SCC pass entirely.
-    pub fn new_with_loops(
-        nl: &'nl Netlist,
-        mapping: &StructureMapping,
-        config: SartConfig,
-        loops: &LoopAnalysis,
-    ) -> Self {
-        Self::with_loops(nl, mapping, config, loops, &Collector::disabled())
-    }
-
-    /// [`SartEngine::new_with_loops`] with observability (`sart.prepare`
-    /// span; no `netlist.scc` span is recorded since no SCC pass runs).
+    /// [`SartEngine::new_traced`] with a precomputed loop analysis (e.g.
+    /// one restored from a graph snapshot), skipping the SCC pass
+    /// entirely: a `sart.prepare` span is recorded, no `netlist.scc` span.
     pub fn new_with_loops_traced(
         nl: &'nl Netlist,
         mapping: &StructureMapping,
@@ -552,41 +542,6 @@ impl SartResult {
         avf
     }
 
-    /// Re-resolves every node's AVF for a *batch* of measured input tables
-    /// — the per-workload fast path of §5.2 fanned out over `threads`
-    /// scoped workers. Tables are independent (each is one closed-form
-    /// evaluation pass against the stored arena), so the output is exactly
-    /// `inputs.iter().map(|i| self.reevaluate(nl, i))`, in order.
-    pub fn reevaluate_many(
-        &self,
-        nl: &Netlist,
-        inputs: &[PavfInputs],
-        threads: usize,
-    ) -> Vec<Vec<f64>> {
-        let threads = threads.max(1).min(inputs.len().max(1));
-        if threads == 1 {
-            return inputs.iter().map(|i| self.reevaluate(nl, i)).collect();
-        }
-        let chunk = inputs.len().div_ceil(threads);
-        let mut out: Vec<Vec<f64>> = Vec::with_capacity(inputs.len());
-        std::thread::scope(|s| {
-            let handles: Vec<_> = inputs
-                .chunks(chunk)
-                .map(|part| {
-                    s.spawn(move || {
-                        part.iter()
-                            .map(|i| self.reevaluate(nl, i))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            for h in handles {
-                out.extend(h.join().expect("re-evaluation worker panicked"));
-            }
-        });
-        out
-    }
-
     /// Mean AVF over sequential nodes (weighted by count — every flop and
     /// latch contributes equally, as in the paper's 14% headline figure).
     pub fn mean_seq_avf(&self, nl: &Netlist) -> f64 {
@@ -761,24 +716,6 @@ mod tests {
                 "{}",
                 nl.name(id)
             );
-        }
-    }
-
-    #[test]
-    fn reevaluate_many_matches_single() {
-        let (nl, r) = run(FIGURE7, &fig7_inputs(), SartConfig::default());
-        let tables: Vec<PavfInputs> = (0..5)
-            .map(|k| {
-                let mut p = fig7_inputs();
-                p.set_port("f.s1", 0.05 * (k + 1) as f64, 0.5);
-                p
-            })
-            .collect();
-        let batch = r.reevaluate_many(&nl, &tables, 3);
-        assert_eq!(batch.len(), tables.len());
-        for (k, table) in tables.iter().enumerate() {
-            let single = r.reevaluate(&nl, table);
-            assert_eq!(batch[k], single, "workload {k}");
         }
     }
 

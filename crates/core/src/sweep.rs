@@ -6,11 +6,12 @@
 //! substitution of each workload's measured pAVF terms. This module
 //! industrializes that path:
 //!
-//! 1. [`run_sweep`] relaxes the design once (or loads a cached compiled
-//!    DAG), lowers the closed forms with [`CompiledSweep::compile`], and
-//!    evaluates every workload's summary row — mean, min and max over the
-//!    sequential nodes — with [`CompiledSweep::evaluate_seq_stats_traced`],
-//!    which folds them in the DAG pass without writing node-length rows.
+//! 1. [`run_sweep_with_loops_traced`] relaxes the design once (or loads a
+//!    cached compiled DAG), lowers the closed forms with
+//!    [`CompiledSweep::compile`], and evaluates every workload's summary
+//!    row — mean, min and max over the sequential nodes — with
+//!    [`CompiledSweep::evaluate_seq_stats_traced`], which folds them in
+//!    the DAG pass without writing node-length rows.
 //!    Callers that need every node's AVF evaluate the DAG themselves
 //!    ([`obtain_compiled_traced`], [`CompiledSweep::evaluate`]).
 //! 2. [`SweepCache`] persists the compiled DAG keyed by
@@ -231,43 +232,6 @@ pub struct SweepOutcome {
     pub rows: Vec<WorkloadAvf>,
 }
 
-/// Runs a multi-workload sweep: obtain the compiled DAG (cache or fresh
-/// relaxation seeded by `base_inputs`), then evaluate every named workload
-/// table. See [`run_sweep_traced`] for the observability variant.
-pub fn run_sweep(
-    nl: &Netlist,
-    mapping: &StructureMapping,
-    config: &SartConfig,
-    base_inputs: &PavfInputs,
-    workloads: &[(String, PavfInputs)],
-    opts: &SweepOptions,
-) -> Result<SweepOutcome, String> {
-    run_sweep_traced(
-        nl,
-        mapping,
-        config,
-        base_inputs,
-        workloads,
-        opts,
-        &Collector::disabled(),
-    )
-}
-
-/// [`run_sweep`] with observability (spans `sweep.compile` /
-/// `sweep.eval` / `sweep.eval_batch`, counters `sweep.cache.hit` /
-/// `sweep.cache.miss`, plus the usual relaxation telemetry on a miss).
-pub fn run_sweep_traced(
-    nl: &Netlist,
-    mapping: &StructureMapping,
-    config: &SartConfig,
-    base_inputs: &PavfInputs,
-    workloads: &[(String, PavfInputs)],
-    opts: &SweepOptions,
-    obs: &Collector,
-) -> Result<SweepOutcome, String> {
-    run_sweep_with_loops_traced(nl, mapping, config, base_inputs, workloads, opts, None, obs)
-}
-
 /// Obtains the compiled DAG for a design: from the artifact cache when
 /// `cache_dir` holds a valid artifact for the (netlist, mapping, config)
 /// key, otherwise via a fresh relaxation (seeded by `base_inputs`) that
@@ -439,9 +403,15 @@ fn obtain(
     Ok((compiled, status, fresh))
 }
 
-/// [`run_sweep_traced`] with an optional precomputed loop analysis (e.g.
-/// one restored from a graph snapshot): when present, a fresh relaxation
+/// Runs a multi-workload sweep: obtain the compiled DAG (cache or fresh
+/// relaxation seeded by `base_inputs`), then evaluate every named workload
+/// table. `loops` is an optional precomputed loop analysis (e.g. one
+/// restored from a graph snapshot): when present, a fresh relaxation
 /// reuses it instead of re-running the SCC pass.
+///
+/// Observability: spans `sweep.compile` / `sweep.eval` /
+/// `sweep.eval_batch`, counters `sweep.cache.hit` / `sweep.cache.miss`,
+/// plus the usual relaxation telemetry on a miss.
 #[allow(clippy::too_many_arguments)]
 pub fn run_sweep_with_loops_traced(
     nl: &Netlist,

@@ -229,7 +229,9 @@ fn one_fub_edit_patches_strictly_less_than_the_dag() {
     }
 }
 
-/// 5%-of-FUBs edit: several FUBs dirty at once, still bit-identical.
+/// 5%-of-FUBs edit: several FUBs dirty at once, still bit-identical,
+/// and it patches at least as many ops as a one-FUB edit of the same
+/// base design.
 #[test]
 fn five_percent_edit_patches_bit_identically() {
     let (base, mapping, inputs) = base_revision(6);
@@ -249,14 +251,22 @@ fn five_percent_edit_patches_bit_identically() {
     let edited = flip_gates(&base, &picks).unwrap();
     assert_ne!(edited, base);
     let nl = flatten::parse_netlist(&edited).unwrap();
-    for threads in [1usize, 2, 8] {
-        assert_patch_matches_cold(&old, &stored, &nl, &mapping, &inputs, threads);
-    }
+    let five_ops: Vec<usize> = [1usize, 2, 8]
+        .into_iter()
+        .map(|threads| assert_patch_matches_cold(&old, &stored, &nl, &mapping, &inputs, threads).0)
+        .collect();
+    let one_fub = flatten::parse_netlist(&flip_gates(&base, &[0]).unwrap()).unwrap();
+    let (one_ops, _) = assert_patch_matches_cold(&old, &stored, &one_fub, &mapping, &inputs, 1);
+    assert!(
+        five_ops.iter().all(|&ops| one_ops <= ops),
+        "a one-FUB edit patched {one_ops} ops, the 5% edit {five_ops:?}"
+    );
 }
 
 /// Full rewrite: every FUB dirty. The patch either still reproduces the
 /// cold DAG bit for bit (retaining nothing) or the warm solve itself
-/// degrades — in both cases the caller ends with a correct DAG.
+/// degrades — in both cases the caller ends with a correct DAG. A warm
+/// solve must see at least half the FUBs dirty.
 #[test]
 fn full_rewrite_still_ends_bit_identical() {
     let (base, mapping, inputs) = base_revision(7);
@@ -269,7 +279,12 @@ fn full_rewrite_still_ends_bit_identical() {
     let reference = CompiledSweep::compile(&cold, &nl);
     let (warm, status, clean) = engine.run_warm_patch_exact(&inputs, &stored);
     let evaluated = match (status, clean) {
-        (WarmStatus::Warm { .. }, Some(mask)) => {
+        (WarmStatus::Warm { dirty_fubs, .. }, Some(mask)) => {
+            assert!(
+                2 * dirty_fubs >= nl.fub_count(),
+                "a full rewrite dirtied only {dirty_fubs} of {} FUBs",
+                nl.fub_count()
+            );
             match old.patch_traced(&warm, &nl, &layout(&stored), &mask, &Collector::disabled()) {
                 Ok((patched, _)) => patched,
                 // Precondition failure is a legal outcome of a rewrite;

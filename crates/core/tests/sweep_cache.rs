@@ -15,7 +15,7 @@ use seqavf_core::engine::{SartConfig, SartEngine};
 use seqavf_core::fixpoint::{artifact_key, mapping_digest};
 use seqavf_core::mapping::{PavfInputs, StructureMapping};
 use seqavf_core::sweep::{
-    cache_key, cache_key_parts, run_sweep_traced, CacheStatus, SweepCache, SweepOptions,
+    cache_key, cache_key_parts, run_sweep_with_loops_traced, CacheStatus, SweepCache, SweepOptions,
 };
 use seqavf_netlist::flatten::parse_netlist;
 use seqavf_netlist::graph::Netlist;
@@ -77,7 +77,7 @@ fn sweep(
     dir: &Path,
     obs: &Collector,
 ) -> seqavf_core::sweep::SweepOutcome {
-    run_sweep_traced(
+    run_sweep_with_loops_traced(
         nl,
         &StructureMapping::new(),
         config,
@@ -88,6 +88,7 @@ fn sweep(
             cache_dir: Some(dir.to_path_buf()),
             warm_start: None,
         },
+        None,
         obs,
     )
     .expect("sweep succeeds")
@@ -495,13 +496,14 @@ fn mapping_change_is_a_cache_miss() {
         warm_start: None,
     };
     let run = |mapping: &StructureMapping| {
-        run_sweep_traced(
+        run_sweep_with_loops_traced(
             &nl,
             mapping,
             &config,
             &PavfInputs::new(),
             &workloads(),
             &opts,
+            None,
             &obs,
         )
         .expect("sweep succeeds")
@@ -560,7 +562,9 @@ fn warm_sweep_patches_the_cached_dag_after_an_edit() {
     let obs = Collector::new();
 
     let nl0 = parse_netlist(&base_text).unwrap();
-    let first = run_sweep_traced(&nl0, &mapping, &config, &inputs, &wl, &opts, &obs).unwrap();
+    let first =
+        run_sweep_with_loops_traced(&nl0, &mapping, &config, &inputs, &wl, &opts, None, &obs)
+            .unwrap();
     assert_eq!(first.cache, CacheStatus::Miss);
     assert!(first.patch.is_none(), "first sweep has nothing to patch");
 
@@ -570,7 +574,9 @@ fn warm_sweep_patches_the_cached_dag_after_an_edit() {
         "synthetic design must have an and-gate"
     );
     let nl1 = parse_netlist(&edited_text).unwrap();
-    let second = run_sweep_traced(&nl1, &mapping, &config, &inputs, &wl, &opts, &obs).unwrap();
+    let second =
+        run_sweep_with_loops_traced(&nl1, &mapping, &config, &inputs, &wl, &opts, None, &obs)
+            .unwrap();
     assert_eq!(second.cache, CacheStatus::Miss);
     let patched = cached_dag(&dir, &nl1, &mapping, &config);
     let st = match second.patch {
@@ -590,7 +596,7 @@ fn warm_sweep_patches_the_cached_dag_after_an_edit() {
     assert!(report.counter("sweep.patch.nodes_patched").is_some());
 
     // The patched DAG's rows match an independent, cache-less cold sweep.
-    let cold = run_sweep_traced(
+    let cold = run_sweep_with_loops_traced(
         &nl1,
         &mapping,
         &config,
@@ -601,6 +607,7 @@ fn warm_sweep_patches_the_cached_dag_after_an_edit() {
             cache_dir: None,
             warm_start: None,
         },
+        None,
         &Collector::disabled(),
     )
     .unwrap();
@@ -615,7 +622,9 @@ fn warm_sweep_patches_the_cached_dag_after_an_edit() {
     );
 
     // Idempotent re-sweep: plain artifact hit, no patch involved.
-    let third = run_sweep_traced(&nl1, &mapping, &config, &inputs, &wl, &opts, &obs).unwrap();
+    let third =
+        run_sweep_with_loops_traced(&nl1, &mapping, &config, &inputs, &wl, &opts, None, &obs)
+            .unwrap();
     assert_eq!(third.cache, CacheStatus::Hit);
     assert!(third.patch.is_none());
 

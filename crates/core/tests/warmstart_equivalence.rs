@@ -175,8 +175,8 @@ fn unedited_warm_resolve_walks_nothing() {
     }
 }
 
-/// A one-gate edit re-walks strictly less than the cold solve — the
-/// latency claim behind the whole artifact.
+/// A one-gate edit re-walks fewer than half the nodes of the cold solve
+/// — the latency claim behind the whole artifact.
 #[test]
 fn one_gate_edit_walks_fewer_nodes_than_cold() {
     let (base, mapping, inputs) = base_revision(3);
@@ -195,7 +195,7 @@ fn one_gate_edit_walks_fewer_nodes_than_cold() {
     let cold_walked = cold.outcome.total_walked_nodes();
     let warm_walked = warm.outcome.total_walked_nodes();
     assert!(
-        warm_walked < cold_walked,
+        2 * warm_walked < cold_walked,
         "warm walked {warm_walked} nodes, cold {cold_walked}"
     );
     for (c, w) in cold.avf.iter().zip(&warm.avf) {

@@ -211,7 +211,7 @@ impl Resident {
         let (compiled, sweep_cache, _) =
             self.resolve_sweep_with_donor(&design, &mapping, &config, &base, None);
 
-        // Summarize each workload exactly the way `run_sweep` does — the
+        // Summarize each workload exactly the way the library sweep does — the
         // compiled DAG's summary fold, which never materializes
         // node-length rows — so the service's rows are bit-identical to
         // the `sweep` CLI's. When node or FUB rows are wanted, evaluate
