@@ -18,6 +18,7 @@ use serde::{Deserialize, Serialize};
 use crate::common::{flow_config, Scale};
 use seqavf::flow::{inputs_from_suite, run_flow, run_suite};
 use seqavf_core::engine::{SartConfig, SartEngine};
+use seqavf_obs::Collector;
 use seqavf_perf::pipeline::PerfConfig;
 
 /// The ablation report.
@@ -121,15 +122,18 @@ pub fn run(scale: Scale, seed: u64) -> AblationReport {
     let conservative_struct_avf = cons.values().sum::<f64>() / cons.len().max(1) as f64;
 
     // Partitioned vs global.
-    let global_engine = SartEngine::new(
+    let obs = Collector::disabled();
+    let global_engine = SartEngine::new_traced(
         nl,
         &out.mapping,
         SartConfig {
             partitioned: false,
             ..cfg.sart.clone()
         },
+        None,
+        &obs,
     );
-    let global = global_engine.run(&out.inputs);
+    let global = global_engine.run_traced(&out.inputs, &obs);
     let partition_vs_global_max_diff = nl
         .nodes()
         .map(|id| (out.result.avf(id) - global.avf(id)).abs())

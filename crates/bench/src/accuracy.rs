@@ -21,6 +21,7 @@ use seqavf_core::engine::{SartConfig, SartEngine};
 use seqavf_core::mapping::{PavfInputs, StructureMapping};
 use seqavf_netlist::graph::NodeId;
 use seqavf_netlist::synth::{generate, SynthConfig};
+use seqavf_obs::Collector;
 use seqavf_sfi::campaign::{run_campaign, CampaignConfig};
 
 /// Per-node comparison record.
@@ -93,8 +94,9 @@ pub fn run(scale: Scale, seed: u64) -> AccuracyReport {
         default_port_pavf: 1.0,
         ..SartConfig::default()
     };
-    let engine = SartEngine::new(nl, &mapping, config);
-    let result = engine.run(&PavfInputs::new());
+    let obs = Collector::disabled();
+    let engine = SartEngine::new_traced(nl, &mapping, config, None, &obs);
+    let result = engine.run_traced(&PavfInputs::new(), &obs);
 
     let seqs: Vec<NodeId> = nl.seq_nodes().collect();
     let stride = (seqs.len() / 200).max(1);

@@ -41,12 +41,13 @@ impl Scale {
     }
 
     /// Reads the scale from the process's arguments (the three forms
-    /// `parse` accepts). A usage error is printed and exits with status 2.
+    /// `parse` accepts). A usage error is printed and exits with status 1,
+    /// as the `seqavf` CLI does.
     pub fn from_args() -> Scale {
         let args: Vec<String> = std::env::args().skip(1).collect();
         Scale::parse(&args).unwrap_or_else(|e| {
             eprintln!("{e}\nusage: [--scale quick|full]");
-            std::process::exit(2)
+            std::process::exit(1)
         })
     }
 }

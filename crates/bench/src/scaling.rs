@@ -15,6 +15,7 @@ use serde::{Deserialize, Serialize};
 use seqavf_core::engine::{SartConfig, SartEngine};
 use seqavf_core::mapping::{PavfInputs, StructureMapping};
 use seqavf_netlist::synth::{generate, SynthConfig};
+use seqavf_obs::Collector;
 
 use crate::common::Scale;
 
@@ -91,8 +92,9 @@ pub fn run(scale: Scale, seed: u64) -> ScalingReport {
         let nl = &design.netlist;
         let mapping = StructureMapping::from_pairs(design.meta.structure_map.clone());
         let t0 = std::time::Instant::now();
-        let engine = SartEngine::new(nl, &mapping, SartConfig::default());
-        let result = engine.run(&inputs);
+        let obs = Collector::disabled();
+        let engine = SartEngine::new_traced(nl, &mapping, SartConfig::default(), None, &obs);
+        let result = engine.run_traced(&inputs, &obs);
         let sart_seconds = t0.elapsed().as_secs_f64();
         let t1 = std::time::Instant::now();
         let _ = result.reevaluate(nl, &inputs);

@@ -15,6 +15,7 @@ use seqavf_core::engine::SartEngine;
 use seqavf_core::mapping::StructureMapping;
 use seqavf_netlist::graph::NodeId;
 use seqavf_netlist::synth::generate;
+use seqavf_obs::Collector;
 use seqavf_sfi::campaign::{run_campaign, CampaignConfig};
 
 /// Injections per node needed for a statistically significant SFI AVF
@@ -78,8 +79,9 @@ pub fn run(scale: Scale, seed: u64) -> SpeedReport {
 
     // SART: time preparation + solve for the whole design.
     let t0 = std::time::Instant::now();
-    let engine = SartEngine::new(nl, &mapping, cfg.sart.clone());
-    let result = engine.run(&inputs);
+    let obs = Collector::disabled();
+    let engine = SartEngine::new_traced(nl, &mapping, cfg.sart.clone(), None, &obs);
+    let result = engine.run_traced(&inputs, &obs);
     let sart_seconds = t0.elapsed().as_secs_f64();
     assert_eq!(result.node_avfs().len(), nl.node_count());
     let sart_us_per_node = sart_seconds * 1e6 / nl.node_count() as f64;

@@ -18,6 +18,7 @@ use seqavf_core::engine::SartEngine;
 use seqavf_core::numeric::solve_parallel;
 use seqavf_core::walk::{prepare, Propagator};
 use seqavf_netlist::scc::find_loops;
+use seqavf_obs::Collector;
 use seqavf_perf::pipeline::run_ace;
 use seqavf_workloads::suite::MixFamily;
 
@@ -96,8 +97,9 @@ pub fn run(scale: Scale, seed: u64) -> SymbolicReport {
 
     // Path 2: full SART re-run (prepare + relax + resolve).
     let t1 = std::time::Instant::now();
-    let engine = SartEngine::new(nl, &out.mapping, cfg.sart.clone());
-    let fresh_result = engine.run(&new_inputs);
+    let obs = Collector::disabled();
+    let engine = SartEngine::new_traced(nl, &out.mapping, cfg.sart.clone(), None, &obs);
+    let fresh_result = engine.run_traced(&new_inputs, &obs);
     let full_run_seconds = t1.elapsed().as_secs_f64();
 
     let max_difference = nl

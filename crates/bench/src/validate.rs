@@ -40,6 +40,7 @@ use seqavf_core::engine::{SartConfig, SartEngine};
 use seqavf_core::mapping::{PavfInputs, StructureMapping};
 use seqavf_netlist::graph::NodeId;
 use seqavf_netlist::synth::{generate, SynthConfig};
+use seqavf_obs::Collector;
 use seqavf_sfi::campaign::{run_trials, Kernel, TrialConfig};
 use seqavf_sfi::inject::observation_points;
 use seqavf_sfi::logic::PropModel;
@@ -209,8 +210,9 @@ pub fn run(scale: Scale, seed: u64, thread_counts: &[usize]) -> ValidateBenchRep
     let targets: Vec<NodeId> = nl.seq_nodes().collect();
 
     // The analytical prediction: conservative SART × propagation derating.
-    let engine = SartEngine::new(nl, &mapping, SartConfig::default());
-    let analytical = engine.run(&PavfInputs::new());
+    let obs = Collector::disabled();
+    let engine = SartEngine::new_traced(nl, &mapping, SartConfig::default(), None, &obs);
+    let analytical = engine.run_traced(&PavfInputs::new(), &obs);
     let model = PropModel::build(nl, &observation_points(nl));
     let predicted: Vec<f64> = targets
         .iter()

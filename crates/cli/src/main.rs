@@ -343,10 +343,7 @@ fn cmd_sart(args: &Args) -> Result<(), String> {
         threads: args.num("threads", 1usize)?.max(1),
         ..SartConfig::default()
     };
-    let engine = match &loops {
-        Some(l) => SartEngine::new_with_loops_traced(&netlist, &mapping, config, l, &obs.collector),
-        None => SartEngine::new_traced(&netlist, &mapping, config, &obs.collector),
-    };
+    let engine = SartEngine::new_traced(&netlist, &mapping, config, loops.as_ref(), &obs.collector);
     let result = match args.get("warm-start") {
         None => engine.run_traced(&inputs, &obs.collector),
         Some(dir) => {

@@ -27,10 +27,10 @@
 //! flat op arrays fills one `[f64; W]` per row, with struct-cell AVF
 //! overrides resolved once per distinct performance structure instead of
 //! once per cell, and every consumer then reads node `i` as
-//! `rows[row_of[i]]` — node rows ([`CompiledSweep::evaluate_many`]) and
-//! summary folds that never write a node-length row
-//! ([`CompiledSweep::evaluate_seq_stats_traced`]) alike, with no per-node
-//! slot dispatch.
+//! `rows[row_of[i]]` — node rows
+//! ([`CompiledSweep::evaluate_many_traced`]) and summary folds that never
+//! write a node-length row ([`CompiledSweep::evaluate_seq_stats_traced`])
+//! alike, with no per-node slot dispatch.
 //!
 //! The compiled path is **bit-identical** (`f64::to_bits`) to
 //! [`SartResult::reevaluate`]: sums accumulate in the same (sorted
@@ -202,13 +202,8 @@ impl RowIds {
 }
 
 impl CompiledSweep {
-    /// Lowers a resolved [`SartResult`] into the compiled DAG.
-    pub fn compile(result: &SartResult, nl: &Netlist) -> CompiledSweep {
-        Self::compile_traced(result, nl, &Collector::disabled())
-    }
-
-    /// [`CompiledSweep::compile`] with observability: one `sweep.compile`
-    /// span carrying the sharing statistics.
+    /// Lowers a resolved [`SartResult`] into the compiled DAG, recording
+    /// one `sweep.compile` span carrying the sharing statistics.
     pub fn compile_traced(result: &SartResult, nl: &Netlist, obs: &Collector) -> CompiledSweep {
         let mut span = obs.span("sweep.compile");
         let n = nl.node_count();
@@ -293,7 +288,7 @@ impl CompiledSweep {
     /// revision's FUB layout (name and node count, in FUB-id order, as
     /// recorded by the `seqavf-fixpoint/2` artifact); `clean` marks the
     /// new FUBs whose annotations the warm solve left exactly at the
-    /// seeded values ([`crate::engine::SartEngine::run_warm_patch_traced`]).
+    /// seeded values ([`crate::engine::SartEngine::run_warm_start_traced`]).
     ///
     /// Clean FUBs keep their old slots and the ops those slots reference
     /// — hash-consing means unchanged closed forms dedupe back to their
@@ -304,10 +299,10 @@ impl CompiledSweep {
     /// never grow the artifact unboundedly.
     ///
     /// The patched DAG evaluates **bit-identically** to a cold
-    /// [`CompiledSweep::compile`] of `result`: retained sums hold exactly
-    /// the term list (in sorted new-term-id order) a cold lower would
-    /// emit, MIN operand order is preserved, and dirty slots run the cold
-    /// path verbatim. Any violated precondition — layout mismatch, a
+    /// [`CompiledSweep::compile_traced`] of `result`: retained sums hold
+    /// exactly the term list (in sorted new-term-id order) a cold lower
+    /// would emit, MIN operand order is preserved, and dirty slots run the
+    /// cold path verbatim. Any violated precondition — layout mismatch, a
     /// role or structure change inside a supposedly clean FUB, a vanished
     /// term — returns `Err`, and the caller falls back to a full
     /// recompile; a patch never degrades to a wrong DAG.
@@ -647,12 +642,7 @@ impl CompiledSweep {
 
     /// Evaluates every node's AVF for one workload's input table —
     /// bit-identical to [`SartResult::reevaluate`] on the source result.
-    pub fn evaluate(&self, inputs: &PavfInputs) -> Vec<f64> {
-        self.evaluate_traced(inputs, &Collector::disabled())
-    }
-
-    /// [`CompiledSweep::evaluate`] with observability: one `sweep.eval`
-    /// span.
+    /// Records one `sweep.eval` span.
     pub fn evaluate_traced(&self, inputs: &PavfInputs, obs: &Collector) -> Vec<f64> {
         let mut rows = self.eval_batches(std::slice::from_ref(inputs), 1, obs, &NodeRows);
         rows.pop().expect("one table, one row")
@@ -660,15 +650,10 @@ impl CompiledSweep {
 
     /// Evaluates a batch of workload tables, fanned out over `threads`
     /// scoped workers. Output order matches the input order; each entry is
-    /// exactly `self.evaluate(&tables[k])` bit for bit (lanes are
-    /// independent, so the width a table is evaluated at never shows).
-    pub fn evaluate_many(&self, tables: &[PavfInputs], threads: usize) -> Vec<Vec<f64>> {
-        self.evaluate_many_traced(tables, threads, &Collector::disabled())
-    }
-
-    /// [`CompiledSweep::evaluate_many`] with observability: a one-table
-    /// group records a `sweep.eval` span, a wider one a `sweep.eval_batch`
-    /// span (workers share the collector).
+    /// exactly [`CompiledSweep::evaluate_traced`] of `tables[k]` bit for
+    /// bit (lanes are independent, so the width a table is evaluated at
+    /// never shows). A one-table group records a `sweep.eval` span, a
+    /// wider one a `sweep.eval_batch` span (workers share the collector).
     pub fn evaluate_many_traced(
         &self,
         tables: &[PavfInputs],
@@ -680,9 +665,9 @@ impl CompiledSweep {
 
     /// Per-table `(sum, min, max)` folded over the node indices in `seq`,
     /// in the given order — bit-identical to running [`SeqStats::fold`]
-    /// over [`CompiledSweep::evaluate`]'s vector, but without writing any
-    /// node-length row: each node reads its lanes straight out of the
-    /// row matrix. This is the summary evaluation of the sweep driver and
+    /// over [`CompiledSweep::evaluate_traced`]'s vector, but without
+    /// writing any node-length row: each node reads its lanes straight out
+    /// of the row matrix. This is the summary evaluation of the sweep driver and
     /// of the server's warm path; at ~100k nodes a 16-table batch would
     /// otherwise write and re-read ~13 MB of per-node AVFs.
     pub fn evaluate_seq_stats_traced(
@@ -1178,11 +1163,16 @@ mod tests {
         p
     }
 
+    fn solve(nl: &Netlist, config: SartConfig) -> SartResult {
+        let obs = Collector::disabled();
+        SartEngine::new_traced(nl, &StructureMapping::new(), config, None, &obs)
+            .run_traced(&fig7_inputs(), &obs)
+    }
+
     fn compiled_fig7() -> (Netlist, SartResult, CompiledSweep) {
         let nl = parse_netlist(FIGURE7).unwrap();
-        let engine = SartEngine::new(&nl, &StructureMapping::new(), SartConfig::default());
-        let result = engine.run(&fig7_inputs());
-        let compiled = CompiledSweep::compile(&result, &nl);
+        let result = solve(&nl, SartConfig::default());
+        let compiled = CompiledSweep::compile_traced(&result, &nl, &Collector::disabled());
         (nl, result, compiled)
     }
 
@@ -1241,8 +1231,7 @@ mod tests {
             loop_pavf: 0.45,
             ..SartConfig::default()
         };
-        let engine = SartEngine::new(&nl, &StructureMapping::new(), other);
-        let result = engine.run(&fig7_inputs());
+        let result = solve(&nl, other);
         let layout: Vec<(&str, usize)> = vec![("f", nl.node_count())];
         let clean = vec![true; nl.fub_count()];
         assert!(compiled
@@ -1252,6 +1241,7 @@ mod tests {
 
     #[test]
     fn compiled_matches_interpreter_bitwise() {
+        let obs = Collector::disabled();
         let (nl, result, compiled) = compiled_fig7();
         let mut tables = vec![fig7_inputs(), PavfInputs::new()];
         let mut varied = fig7_inputs();
@@ -1259,7 +1249,7 @@ mod tests {
         varied.set_structure_avf("f.s2", 0.42);
         tables.push(varied);
         for (k, t) in tables.iter().enumerate() {
-            let fast = compiled.evaluate(t);
+            let fast = compiled.evaluate_traced(t, &obs);
             let slow = result.reevaluate(&nl, t);
             assert_eq!(fast.len(), slow.len());
             for (i, (a, b)) in fast.iter().zip(&slow).enumerate() {
@@ -1270,6 +1260,7 @@ mod tests {
 
     #[test]
     fn evaluate_many_matches_evaluate() {
+        let obs = Collector::disabled();
         let (_, _, compiled) = compiled_fig7();
         let tables: Vec<PavfInputs> = (0..7)
             .map(|k| {
@@ -1278,10 +1269,10 @@ mod tests {
                 p
             })
             .collect();
-        let batch = compiled.evaluate_many(&tables, 3);
+        let batch = compiled.evaluate_many_traced(&tables, 3, &obs);
         assert_eq!(batch.len(), tables.len());
         for (k, t) in tables.iter().enumerate() {
-            assert_eq!(batch[k], compiled.evaluate(t), "workload {k}");
+            assert_eq!(batch[k], compiled.evaluate_traced(t, &obs), "workload {k}");
         }
     }
 
@@ -1291,6 +1282,7 @@ mod tests {
     /// tables that do and don't carry struct-AVF overrides.
     #[test]
     fn lane_batches_match_scalar_bitwise_across_chunk_boundaries() {
+        let obs = Collector::disabled();
         let (_, _, compiled) = compiled_fig7();
         for count in [2usize, 3, 5, 9, MAX_LANES, MAX_LANES + 1, 2 * MAX_LANES + 3] {
             let tables: Vec<PavfInputs> = (0..count)
@@ -1304,10 +1296,10 @@ mod tests {
                 })
                 .collect();
             for threads in [1usize, 2] {
-                let batch = compiled.evaluate_many(&tables, threads);
+                let batch = compiled.evaluate_many_traced(&tables, threads, &obs);
                 assert_eq!(batch.len(), tables.len());
                 for (k, t) in tables.iter().enumerate() {
-                    let scalar = compiled.evaluate(t);
+                    let scalar = compiled.evaluate_traced(t, &obs);
                     assert_eq!(batch[k].len(), scalar.len());
                     for (i, (a, b)) in batch[k].iter().zip(&scalar).enumerate() {
                         assert_eq!(
@@ -1325,6 +1317,7 @@ mod tests {
     /// and folding it, at scalar and lane-batch chunk shapes alike.
     #[test]
     fn seq_stats_match_materialized_fold_bitwise() {
+        let obs = Collector::disabled();
         let (nl, _, compiled) = compiled_fig7();
         let seq: Vec<usize> = nl.seq_nodes().map(|id| id.index()).collect();
         for count in [1usize, 2, MAX_LANES + 1] {
@@ -1335,11 +1328,10 @@ mod tests {
                     p
                 })
                 .collect();
-            let obs = Collector::disabled();
             let stats = compiled.evaluate_seq_stats_traced(&tables, &seq, 2, &obs);
             assert_eq!(stats.len(), tables.len());
             for (k, t) in tables.iter().enumerate() {
-                let row = compiled.evaluate(t);
+                let row = compiled.evaluate_traced(t, &obs);
                 let mut want = SeqStats::IDENTITY;
                 for &i in &seq {
                     want.fold(row[i]);
@@ -1433,6 +1425,7 @@ mod tests {
 
     #[test]
     fn artifact_roundtrips_bitwise() {
+        let obs = Collector::disabled();
         let (_, _, compiled) = compiled_fig7();
         let bytes = compiled.encode();
         let back = CompiledSweep::decode(&bytes, compiled.config()).unwrap();
@@ -1440,8 +1433,8 @@ mod tests {
         // Re-encoding is byte-stable.
         assert_eq!(back.encode(), bytes);
         let inputs = fig7_inputs();
-        let a = compiled.evaluate(&inputs);
-        let b = back.evaluate(&inputs);
+        let a = compiled.evaluate_traced(&inputs, &obs);
+        let b = back.evaluate_traced(&inputs, &obs);
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
@@ -1449,6 +1442,7 @@ mod tests {
 
     #[test]
     fn artifact_loads_across_execution_strategy_changes() {
+        let obs = Collector::disabled();
         // threads/incremental are not part of the result key: an artifact
         // written under one setting decodes under any other and evaluates
         // bit-identically.
@@ -1463,9 +1457,9 @@ mod tests {
             .expect("execution-only config changes must not reject the artifact");
         let inputs = fig7_inputs();
         for (x, y) in compiled
-            .evaluate(&inputs)
+            .evaluate_traced(&inputs, &obs)
             .iter()
-            .zip(&back.evaluate(&inputs))
+            .zip(&back.evaluate_traced(&inputs, &obs))
         {
             assert_eq!(x.to_bits(), y.to_bits());
         }

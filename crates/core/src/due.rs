@@ -127,6 +127,7 @@ mod tests {
     use crate::engine::{SartConfig, SartEngine};
     use crate::mapping::StructureMapping;
     use seqavf_netlist::flatten::parse_netlist;
+    use seqavf_obs::Collector;
 
     /// One source structure splitting into two sinks, one protected.
     const SPLIT: &str = r"
@@ -157,8 +158,15 @@ mod tests {
         inputs.set_port("f.src", 0.8, 0.1);
         inputs.set_port("f.plain", 0.1, 0.2);
         inputs.set_port("f.parity", 0.1, 0.2);
-        let engine = SartEngine::new(&nl, &StructureMapping::new(), SartConfig::default());
-        let result = engine.run(&inputs);
+        let obs = Collector::disabled();
+        let engine = SartEngine::new_traced(
+            &nl,
+            &StructureMapping::new(),
+            SartConfig::default(),
+            None,
+            &obs,
+        );
+        let result = engine.run_traced(&inputs, &obs);
         let protected: BTreeSet<String> = protect.iter().map(|s| (*s).to_owned()).collect();
         let due = DueAnalysis::compute(&result, &nl, &inputs, &protected);
         (nl, result, inputs, due)

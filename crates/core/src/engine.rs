@@ -10,10 +10,7 @@ use crate::arena::{SetId, TermTable, UnionArena};
 use crate::classify::{classify, NodeRole, RoleMap};
 use crate::fixpoint::{self, StoredFixpoint};
 use crate::mapping::{PavfInputs, StructureMapping};
-use crate::relax::{
-    relax_partitioned, relax_partitioned_exact, relax_partitioned_warm,
-    relax_partitioned_warm_exact, solve_global, RelaxOutcome,
-};
+use crate::relax::{relax_partitioned, solve_global, RelaxOutcome};
 use crate::walk::{prepare, Propagator, INJ_BOUNDARY_IN, INJ_BOUNDARY_OUT, INJ_CTRL, INJ_LOOP};
 
 /// Configuration of a SART run.
@@ -47,9 +44,9 @@ pub struct SartConfig {
     /// CLI's `--no-incremental`).
     pub incremental: bool,
     /// Worker threads for the partitioned relaxation and batch
-    /// re-evaluation. Every thread count produces bit-identical
-    /// annotations and `SetId` numbering (see [`crate::relax`]); `1`
-    /// walks every FUB on the calling thread.
+    /// re-evaluation, engaged as given at any design size. Every thread
+    /// count produces bit-identical annotations and `SetId` numbering
+    /// (see [`crate::relax`]); `1` walks every FUB on the calling thread.
     pub threads: usize,
 }
 
@@ -103,9 +100,9 @@ impl Default for SartConfig {
 /// The SART engine, bound to one netlist.
 ///
 /// Preparation (loop detection, role classification, term interning,
-/// topological ordering) happens once in [`SartEngine::new`]; each
-/// [`SartEngine::run`] then clones the propagation state, so one engine can
-/// serve many configurations or input tables.
+/// topological ordering) happens once in [`SartEngine::new_traced`]; each
+/// [`SartEngine::run_traced`] then clones the propagation state, so one
+/// engine can serve many input tables.
 #[derive(Debug, Clone)]
 pub struct SartEngine<'nl> {
     nl: &'nl Netlist,
@@ -117,45 +114,27 @@ pub struct SartEngine<'nl> {
 }
 
 impl<'nl> SartEngine<'nl> {
-    /// Prepares the engine: detects loops, classifies nodes, interns pAVF
-    /// terms, and computes the loop-cut topological order.
-    pub fn new(nl: &'nl Netlist, mapping: &StructureMapping, config: SartConfig) -> Self {
-        Self::new_traced(nl, mapping, config, &Collector::disabled())
-    }
-
-    /// [`SartEngine::new`] with observability: loop detection reports
-    /// through `netlist.scc`, and classification plus term interning
+    /// Prepares the engine: classifies nodes, interns pAVF terms, and
+    /// computes the loop-cut topological order. Loop detection runs here
+    /// (a `netlist.scc` span) only when `loops` is `None`; a precomputed
+    /// analysis, e.g. one restored from a graph snapshot, skips it and
+    /// changes no result. Classification plus term interning report
     /// through a `sart.prepare` span.
     pub fn new_traced(
         nl: &'nl Netlist,
         mapping: &StructureMapping,
         config: SartConfig,
+        loops: Option<&LoopAnalysis>,
         obs: &Collector,
     ) -> Self {
-        let loops = find_loops_traced(nl, obs);
-        Self::with_loops(nl, mapping, config, &loops, obs)
-    }
-
-    /// [`SartEngine::new_traced`] with a precomputed loop analysis (e.g.
-    /// one restored from a graph snapshot), skipping the SCC pass
-    /// entirely: a `sart.prepare` span is recorded, no `netlist.scc` span.
-    pub fn new_with_loops_traced(
-        nl: &'nl Netlist,
-        mapping: &StructureMapping,
-        config: SartConfig,
-        loops: &LoopAnalysis,
-        obs: &Collector,
-    ) -> Self {
-        Self::with_loops(nl, mapping, config, loops, obs)
-    }
-
-    fn with_loops(
-        nl: &'nl Netlist,
-        mapping: &StructureMapping,
-        config: SartConfig,
-        loops: &LoopAnalysis,
-        obs: &Collector,
-    ) -> Self {
+        let found;
+        let loops = match loops {
+            Some(l) => l,
+            None => {
+                found = find_loops_traced(nl, obs);
+                &found
+            }
+        };
         let mut span = obs.span("sart.prepare");
         let roles = classify(nl, loops, &config.ctrl_patterns);
         let mut arena = UnionArena::new();
@@ -197,50 +176,41 @@ impl<'nl> SartEngine<'nl> {
         self.nl
     }
 
-    /// Runs the full analysis against a measured pAVF table.
-    pub fn run(&self, inputs: &PavfInputs) -> SartResult {
-        self.run_traced(inputs, &Collector::disabled())
-    }
-
-    /// [`SartEngine::run`] with observability: every relaxation sweep
-    /// reports a `relax.sweep` span, and the final closed-form resolution
-    /// a `sart.resolve` span. Collection never changes the result — the
-    /// bit-identity contract across thread counts holds with it on.
+    /// Runs the full analysis against a measured pAVF table. Every
+    /// relaxation sweep reports a `relax.sweep` span, and the final
+    /// closed-form resolution a `sart.resolve` span. Neither collection
+    /// nor `config.threads` changes the result: the relaxation engages
+    /// exactly that many workers, and any count is bit-identical.
     pub fn run_traced(&self, inputs: &PavfInputs, obs: &Collector) -> SartResult {
-        self.run_inner(inputs, false, obs)
-    }
-
-    /// [`SartEngine::run`] without the small-design thread clamp: the
-    /// partitioned relaxation engages exactly `config.threads` workers
-    /// whatever the node count (see
-    /// [`crate::relax::relax_partitioned_exact`]). Results are
-    /// bit-identical either way — this exists for thread-scaling
-    /// benchmarks and equivalence tests on sub-crossover designs.
-    pub fn run_exact(&self, inputs: &PavfInputs) -> SartResult {
-        self.run_inner(inputs, true, &Collector::disabled())
-    }
-
-    fn run_inner(&self, inputs: &PavfInputs, exact_threads: bool, obs: &Collector) -> SartResult {
         let mut prop = self.prop_template.clone();
+        let outcome = self.relax(&mut prop, inputs, None, obs);
+        self.assemble(prop, outcome, inputs, obs)
+    }
+
+    /// The configured solve over `prop`: partitioned relaxation, warm
+    /// when `warm_dirty` flags the FUBs to flood first, or the global
+    /// analysis.
+    fn relax(
+        &self,
+        prop: &mut Propagator<'nl>,
+        inputs: &PavfInputs,
+        warm_dirty: Option<&[bool]>,
+        obs: &Collector,
+    ) -> RelaxOutcome {
         let values = term_values(&prop.prep.terms, inputs, &self.config);
-        let outcome = if self.config.partitioned {
-            let relax = if exact_threads {
-                relax_partitioned_exact
-            } else {
-                relax_partitioned
-            };
-            relax(
-                &mut prop,
+        if self.config.partitioned {
+            relax_partitioned(
+                prop,
                 &values,
                 self.config.max_iterations,
                 self.config.threads,
                 self.config.incremental,
+                warm_dirty,
                 obs,
             )
         } else {
-            solve_global(&mut prop, &values, obs)
-        };
-        self.assemble(prop, outcome, inputs, obs)
+            solve_global(prop, &values, obs)
+        }
     }
 
     fn assemble(
@@ -292,48 +262,28 @@ impl<'nl> SartEngine<'nl> {
         )
     }
 
-    /// [`SartEngine::run_traced`] seeded from a previously stored
-    /// fixpoint: FUBs whose content digests still match adopt their
-    /// converged annotations and the relaxation force-walks only the
-    /// rest. Any global mismatch (config, mapping, non-converged store)
-    /// degrades to a full cold solve — the returned [`WarmStatus`] says
-    /// which path ran and why. Results are bit-identical to a cold run
-    /// either way.
+    /// The warm solve every surface runs: seeded from `prev`, the previous
+    /// revision's fixpoint, or cold when there is none (`Err` names why).
+    /// FUBs whose content digests still match adopt their converged
+    /// annotations and the relaxation force-walks only the rest. Any
+    /// global mismatch (config, mapping, non-converged store) degrades to
+    /// a full cold solve. Results are bit-identical to a cold run either
+    /// way.
     ///
-    /// Also reports, per FUB, whether the FUB is *patch-clean*: it was
-    /// seeded from the stored fixpoint AND the relaxation left every one
-    /// of its annotations at the seeded value. A patch-clean FUB's closed
-    /// forms are exactly the previous revision's, so a compiled sweep DAG
-    /// built for that revision can keep its ops verbatim (see
+    /// Bumps `relax.warmstart.hit` or `relax.warmstart.miss` and returns
+    /// the result, the path taken ([`WarmStatus`] says which and why),
+    /// the patch-clean mask and the converged fixpoint (`None` if the
+    /// relaxation did not converge); where fixpoints are kept — a file
+    /// for the CLI, the resident LRU for the server — stays with the
+    /// caller.
+    ///
+    /// A FUB is *patch-clean* when it was seeded from the stored fixpoint
+    /// AND the relaxation left every one of its annotations at the seeded
+    /// value. A patch-clean FUB's closed forms are exactly the previous
+    /// revision's, so a compiled sweep DAG built for that revision can
+    /// keep its ops verbatim (see
     /// [`crate::compile::CompiledSweep::patch_traced`]). The mask is
     /// `None` when the solve fell back to cold.
-    pub fn run_warm_patch_traced(
-        &self,
-        inputs: &PavfInputs,
-        stored: &StoredFixpoint,
-        obs: &Collector,
-    ) -> (SartResult, WarmStatus, Option<Vec<bool>>) {
-        self.run_warm_inner(inputs, stored, false, obs)
-    }
-
-    /// [`SartEngine::run_warm_patch_traced`] without the small-design
-    /// thread clamp, mirroring [`SartEngine::run_exact`].
-    pub fn run_warm_patch_exact(
-        &self,
-        inputs: &PavfInputs,
-        stored: &StoredFixpoint,
-    ) -> (SartResult, WarmStatus, Option<Vec<bool>>) {
-        self.run_warm_inner(inputs, stored, true, &Collector::disabled())
-    }
-
-    /// The warm solve every surface runs: seeded from `prev`, the previous
-    /// revision's fixpoint ([`SartEngine::run_warm_patch_traced`]), or
-    /// cold when there is none (`Err` names why). Bumps
-    /// `relax.warmstart.hit` or `relax.warmstart.miss` and returns the
-    /// result, the path taken, the patch-clean mask and the converged
-    /// fixpoint (`None` if the relaxation did not converge); where
-    /// fixpoints are kept — a file for the CLI, the resident LRU for the
-    /// server — stays with the caller.
     pub fn run_warm_start_traced(
         &self,
         inputs: &PavfInputs,
@@ -358,16 +308,17 @@ impl<'nl> SartEngine<'nl> {
         (result, status, clean, fixpoint)
     }
 
-    fn run_warm_inner(
+    /// [`SartEngine::run_warm_start_traced`]'s solve from a stored
+    /// fixpoint, returning the patch-clean mask.
+    fn run_warm_patch_traced(
         &self,
         inputs: &PavfInputs,
         stored: &StoredFixpoint,
-        exact_threads: bool,
         obs: &Collector,
     ) -> (SartResult, WarmStatus, Option<Vec<bool>>) {
         if !self.config.partitioned || !self.config.incremental {
             return (
-                self.run_inner(inputs, exact_threads, obs),
+                self.run_traced(inputs, obs),
                 WarmStatus::Cold("config disables partitioned incremental relaxation"),
                 None,
             );
@@ -383,11 +334,7 @@ impl<'nl> SartEngine<'nl> {
         ) {
             Ok(seeded) => seeded,
             Err(reason) => {
-                return (
-                    self.run_inner(inputs, exact_threads, obs),
-                    WarmStatus::Cold(reason),
-                    None,
-                );
+                return (self.run_traced(inputs, obs), WarmStatus::Cold(reason), None);
             }
         };
         // Snapshot the seeded annotations: after relaxation, a seeded FUB
@@ -397,20 +344,7 @@ impl<'nl> SartEngine<'nl> {
         // equality (the arena interns sets by content).
         let seed_fwd = prop.fwd.clone();
         let seed_bwd = prop.bwd.clone();
-        let values = term_values(&prop.prep.terms, inputs, &self.config);
-        let relax = if exact_threads {
-            relax_partitioned_warm_exact
-        } else {
-            relax_partitioned_warm
-        };
-        let outcome = relax(
-            &mut prop,
-            &values,
-            self.config.max_iterations,
-            self.config.threads,
-            &dirty,
-            obs,
-        );
+        let outcome = self.relax(&mut prop, inputs, Some(&dirty), obs);
         let fub_nodes = fixpoint::nodes_by_fub(self.nl);
         let clean: Vec<bool> = self
             .nl
@@ -634,8 +568,9 @@ mod tests {
 
     fn run(text: &str, inputs: &PavfInputs, config: SartConfig) -> (Netlist, SartResult) {
         let nl = parse_netlist(text).unwrap();
-        let engine = SartEngine::new(&nl, &StructureMapping::new(), config);
-        let r = engine.run(inputs);
+        let obs = Collector::disabled();
+        let engine = SartEngine::new_traced(&nl, &StructureMapping::new(), config, None, &obs);
+        let r = engine.run_traced(inputs, &obs);
         (engine.netlist().clone(), r)
     }
 
@@ -708,8 +643,7 @@ mod tests {
         new_inputs.set_port("f.s1", 0.25, 0.5);
         new_inputs.set_port("f.s2", 0.05, 0.5);
         let cheap = r.reevaluate(&nl, &new_inputs);
-        let engine = SartEngine::new(&nl, &StructureMapping::new(), SartConfig::default());
-        let fresh = engine.run(&new_inputs);
+        let (_, fresh) = run(FIGURE7, &new_inputs, SartConfig::default());
         for id in nl.nodes() {
             assert!(
                 (cheap[id.index()] - fresh.avf(id)).abs() < 1e-12,
@@ -723,17 +657,14 @@ mod tests {
     fn thread_count_is_invisible_in_results() {
         let inputs = fig7_inputs();
         let (nl, seq) = run(FIGURE7, &inputs, SartConfig::default());
-        // `run_exact`: the clamped `run` would solve this small design on
-        // one worker.
-        let par = SartEngine::new(
-            &nl,
-            &StructureMapping::new(),
+        let (_, par) = run(
+            FIGURE7,
+            &inputs,
             SartConfig {
                 threads: 4,
                 ..SartConfig::default()
             },
-        )
-        .run_exact(&inputs);
+        );
         assert!(par.outcome.trace.iter().all(|s| s.effective_threads == 4));
         // Bit-identical SetId annotations and AVFs at any thread count.
         assert_eq!(seq.fwd, par.fwd);
@@ -842,23 +773,35 @@ mod tests {
     fn traced_run_emits_phase_spans_and_identical_results() {
         let nl = parse_netlist(FIGURE7).unwrap();
         let inputs = fig7_inputs();
+        let config = SartConfig {
+            threads: 2,
+            ..SartConfig::default()
+        };
         let obs = Collector::new();
-        let engine = SartEngine::new_traced(
+        let engine =
+            SartEngine::new_traced(&nl, &StructureMapping::new(), config.clone(), None, &obs);
+        let traced = engine.run_traced(&inputs, &obs);
+        let plain = engine.run_traced(&inputs, &Collector::disabled());
+        // A supplied loop analysis skips SCC and changes no result.
+        let loops = seqavf_netlist::scc::find_loops(&nl);
+        let given_obs = Collector::new();
+        let given = SartEngine::new_traced(
             &nl,
             &StructureMapping::new(),
-            SartConfig {
-                threads: 2,
-                ..SartConfig::default()
-            },
-            &obs,
-        );
-        let traced = engine.run_traced(&inputs, &obs);
-        let plain = engine.run(&inputs);
+            config,
+            Some(&loops),
+            &given_obs,
+        )
+        .run_traced(&inputs, &given_obs);
+        assert!(given_obs.report().span("netlist.scc").is_none());
+        assert!(given_obs.report().span("sart.prepare").is_some());
         // Collection must not perturb the analysis in any way.
-        assert_eq!(traced.fwd, plain.fwd);
-        assert_eq!(traced.bwd, plain.bwd);
-        for id in nl.nodes() {
-            assert_eq!(traced.avf(id).to_bits(), plain.avf(id).to_bits());
+        for other in [&plain, &given] {
+            assert_eq!(traced.fwd, other.fwd);
+            assert_eq!(traced.bwd, other.bwd);
+            for id in nl.nodes() {
+                assert_eq!(traced.avf(id).to_bits(), other.avf(id).to_bits());
+            }
         }
         let report = obs.report();
         for phase in ["netlist.scc", "sart.prepare", "relax.sweep", "sart.resolve"] {

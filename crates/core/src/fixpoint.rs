@@ -3,12 +3,13 @@
 //! change cone instead of a cold flood.
 //!
 //! The artifact stores everything needed to re-seed [`crate::relax`]:
-//! the canonical term table and [`UnionArena`] set contents, the
-//! per-node forward/backward annotations grouped per FUB, the
-//! [`BoundaryDeps`] CSR of the run that produced them, and one content
-//! digest per FUB ([`seqavf_netlist::graph::Netlist::fub_digests`]).
-//! A warm start diffs the edited netlist's FUB digests against the
-//! stored ones: matching FUBs have their annotations translated into the
+//! the canonical term table and [`UnionArena`](crate::arena::UnionArena)
+//! set contents, the per-node forward/backward annotations grouped per
+//! FUB, the [`BoundaryDeps`] CSR of the run that produced them, and one
+//! content digest per FUB
+//! ([`seqavf_netlist::graph::Netlist::fub_digests`]). A warm start
+//! diffs the edited netlist's FUB digests against the stored ones:
+//! matching FUBs have their annotations translated into the
 //! new run's arena (by term *content*, never by raw id), mismatching
 //! FUBs stay at the conservative `{TOP}` default and are flagged dirty
 //! so the first sweep force-walks exactly them.
@@ -516,8 +517,8 @@ pub fn capture(
 /// node count all match the edited netlist *and* every stored set
 /// translates into the new term table; any shortfall leaves that FUB at
 /// the conservative default and marks it dirty. The returned dirty
-/// vector is exactly what [`crate::relax::relax_partitioned_warm`]
-/// expects.
+/// vector is exactly the `warm_dirty` that
+/// [`crate::relax::relax_partitioned`] expects.
 pub fn seed(
     stored: &StoredFixpoint,
     nl: &Netlist,

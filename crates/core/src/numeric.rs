@@ -176,6 +176,7 @@ mod tests {
     use seqavf_netlist::flatten::parse_netlist;
     use seqavf_netlist::graph::Netlist;
     use seqavf_netlist::scc::find_loops;
+    use seqavf_obs::Collector;
 
     /// Tree-shaped circuit: no reconvergent fan-in/out, so the numeric and
     /// symbolic engines must agree exactly.
@@ -212,13 +213,24 @@ mod tests {
 .end
 ";
 
+    fn solve(nl: &Netlist, inputs: &PavfInputs) -> crate::engine::SartResult {
+        let obs = Collector::disabled();
+        SartEngine::new_traced(
+            nl,
+            &StructureMapping::new(),
+            SartConfig::default(),
+            None,
+            &obs,
+        )
+        .run_traced(inputs, &obs)
+    }
+
     fn run_both(
         text: &str,
         inputs: &PavfInputs,
     ) -> (Netlist, crate::engine::SartResult, NumericOutcome) {
         let nl = parse_netlist(text).unwrap();
-        let engine = SartEngine::new(&nl, &StructureMapping::new(), SartConfig::default());
-        let symbolic = engine.run(inputs);
+        let symbolic = solve(&nl, inputs);
 
         let loops = find_loops(&nl);
         let roles = classify(&nl, &loops, &["creg".to_owned()]);
@@ -280,8 +292,7 @@ mod tests {
     #[test]
     fn thread_count_does_not_change_results() {
         let nl = parse_netlist(RECONVERGE).unwrap();
-        let engine = SartEngine::new(&nl, &StructureMapping::new(), SartConfig::default());
-        let symbolic = engine.run(&inputs());
+        let symbolic = solve(&nl, &inputs());
         let loops = find_loops(&nl);
         let roles = classify(&nl, &loops, &["creg".to_owned()]);
         let mut arena = crate::arena::UnionArena::new();
@@ -297,8 +308,7 @@ mod tests {
     #[test]
     fn iteration_cap_respected() {
         let nl = parse_netlist(RECONVERGE).unwrap();
-        let engine = SartEngine::new(&nl, &StructureMapping::new(), SartConfig::default());
-        let symbolic = engine.run(&inputs());
+        let symbolic = solve(&nl, &inputs());
         let loops = find_loops(&nl);
         let roles = classify(&nl, &loops, &["creg".to_owned()]);
         let mut arena = crate::arena::UnionArena::new();

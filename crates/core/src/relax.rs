@@ -70,7 +70,7 @@
 //! inside it only the change cone is recomputed: propagation stops where a
 //! recompute reproduces its previous mask. The first sweep floods every
 //! node of a cold solve, or only the edited FUBs of a warm start
-//! ([`relax_partitioned_warm`]).
+//! ([`relax_partitioned`]'s `warm_dirty`).
 //!
 //! Incremental sweeps are bit-identical to full sweeps, including
 //! [`SetId`] numbering and the per-sweep `changed_sets`, `max_delta` and
@@ -91,15 +91,6 @@ use seqavf_obs::{Collector, FieldValue};
 
 use crate::arena::{SetId, TermId, UnionArena};
 use crate::walk::Propagator;
-
-/// Minimum node count before [`relax_partitioned`] engages worker
-/// threads. Below this the per-iteration spawn/join overhead exceeds the
-/// work the walks split — BENCH_6 measured 8 threads at 0.46× and 32
-/// threads at 0.40× of the sequential wall time on the ~3k-node reference
-/// design — so small designs take the sequential path regardless of the
-/// requested thread count. Same rule as the flatten crossover in
-/// `seqavf-netlist`.
-pub const RELAX_PARALLEL_WORK_THRESHOLD: usize = 20_000;
 
 /// Per-iteration convergence telemetry.
 #[derive(Debug, Clone, PartialEq)]
@@ -122,10 +113,10 @@ pub struct IterationStats {
     /// Mean sequential-node `MIN(F, B)` value per FUB after this iteration
     /// (the paper's convergence plot, §6.1).
     pub fub_seq_mean: Vec<f64>,
-    /// Worker threads this sweep actually engaged after the small-design
-    /// clamp ([`RELAX_PARALLEL_WORK_THRESHOLD`]) — 1 when the design was
-    /// too small to profit from the requested parallelism, the requested
-    /// count otherwise. Results never depend on it; wall time does.
+    /// Worker threads requested for the sweep (0 counts as 1), honoured
+    /// at any design size; a sweep with fewer dirty FUBs than that
+    /// engages one worker per dirty FUB. Results never depend on it; wall
+    /// time does.
     pub effective_threads: usize,
     /// Wall-clock time this iteration took (walks, barrier, telemetry),
     /// in seconds.
@@ -754,15 +745,32 @@ impl SeqMeans {
 }
 
 /// Runs partitioned relaxation to a structural fixpoint, fanning the
-/// per-FUB walks of each iteration out over `threads` workers (see the
-/// module docs). Any thread count yields bit-identical annotations and
-/// `SetId` numbering.
+/// per-FUB walks of each iteration out over exactly `threads` workers
+/// (see the module docs), whatever the design size. Any thread count
+/// yields bit-identical annotations and `SetId` numbering.
 ///
 /// With `incremental` set, each sweep walks only the FUBs whose
 /// cross-partition boundary reads changed in the previous sweep; clean
 /// FUBs keep their annotations untouched. Annotations, `SetId` numbering,
 /// and per-sweep `changed_sets`/`max_delta` telemetry are bit-identical
 /// to full sweeps — only the work (`walked_nodes`) shrinks.
+///
+/// `warm_dirty` starts the run warm: the caller has already seeded
+/// `prop.fwd`/`prop.bwd` with a previously converged fixpoint (see
+/// `crate::fixpoint`), and the slice flags exactly the FUBs whose content
+/// changed since that fixpoint was captured. The first sweep force-walks
+/// only those FUBs instead of flooding the whole design; from there the
+/// ordinary cross-FUB dirty propagation takes over, so with `incremental`
+/// set the work stays proportional to the edit's change cone. This leans
+/// on the invariant of incremental sweeps: a skipped node's annotation is
+/// reproduced exactly by recomputing it as long as none of its reads
+/// moved. Seeded annotations are the converged values of the *previous*
+/// run, so they satisfy it for every FUB whose content — including its
+/// cross-FUB wiring, captured by `Netlist::fub_digests` — is unchanged;
+/// any value that does move is diffed at the iteration barrier and its
+/// consumers re-walked. The converged annotations (and therefore the
+/// resolved AVFs) are bit-identical to a cold solve; only `SetId`
+/// numbering and the work telemetry differ.
 ///
 /// `values` supplies term values for the numeric telemetry only; the
 /// propagation itself is symbolic and independent of them.
@@ -772,154 +780,41 @@ impl SeqMeans {
 /// span also covers the mask set-up), plus the `relax.changed_sets` and
 /// `relax.walked_nodes` counters; collection never affects the computed
 /// annotations.
-///
-/// `threads` is a *ceiling*, not a demand: designs below
-/// [`RELAX_PARALLEL_WORK_THRESHOLD`] nodes run sequentially regardless,
-/// because the spawn/join overhead inverts the speedup there.
-/// The decision is visible as [`IterationStats::effective_threads`] and
-/// the `relax.sweep` span's `threads`/`requested_threads` fields.
-/// Equivalence tests and benchmarks that must exercise the parallel
-/// machinery on small designs use [`relax_partitioned_exact`].
 pub fn relax_partitioned(
     prop: &mut Propagator<'_>,
     values: &[f64],
     max_iterations: usize,
     threads: usize,
     incremental: bool,
+    warm_dirty: Option<&[bool]>,
     obs: &Collector,
 ) -> RelaxOutcome {
     let run = Request {
         values,
         max_iterations,
-        requested_threads: threads,
-        threads: clamp_threads(prop, threads),
-        incremental,
-        warm_dirty: None,
-    };
-    relax_partitioned_inner(prop, &run, obs)
-}
-
-/// Warm-started partitioned relaxation: the caller has already seeded
-/// `prop.fwd`/`prop.bwd` with a previously converged fixpoint (see
-/// `crate::fixpoint`), and `seed_dirty` flags exactly the FUBs whose
-/// content changed since that fixpoint was captured. The first sweep
-/// force-walks only those FUBs instead of flooding the whole design;
-/// from there the ordinary cross-FUB dirty propagation takes over, so
-/// work stays proportional to the edit's change cone.
-///
-/// Correctness leans on the same invariant as within-run incremental
-/// sweeps: a skipped node's annotation is reproduced exactly by
-/// recomputing it as long as none of its reads moved. Seeded annotations
-/// are the converged values of the *previous* run, so they satisfy that
-/// invariant for every FUB whose content — including its cross-FUB
-/// wiring, captured by `Netlist::fub_digests` — is unchanged; any value
-/// that does move is diffed at the iteration barrier and its consumers
-/// re-walked. The converged annotations (and therefore the resolved
-/// AVFs) are bit-identical to a cold solve; only `SetId` numbering and
-/// the work telemetry differ.
-///
-/// Always incremental (a warm start without change-cone tracking would
-/// silently recompute everything); subject to the same small-design
-/// thread clamp as [`relax_partitioned`].
-pub fn relax_partitioned_warm(
-    prop: &mut Propagator<'_>,
-    values: &[f64],
-    max_iterations: usize,
-    threads: usize,
-    seed_dirty: &[bool],
-    obs: &Collector,
-) -> RelaxOutcome {
-    let run = Request {
-        values,
-        max_iterations,
-        requested_threads: threads,
-        threads: clamp_threads(prop, threads),
-        incremental: true,
-        warm_dirty: Some(seed_dirty),
-    };
-    relax_partitioned_inner(prop, &run, obs)
-}
-
-/// [`relax_partitioned_warm`] without the small-design thread clamp, for
-/// equivalence tests that must drive the parallel warm path on designs
-/// below the crossover.
-pub fn relax_partitioned_warm_exact(
-    prop: &mut Propagator<'_>,
-    values: &[f64],
-    max_iterations: usize,
-    threads: usize,
-    seed_dirty: &[bool],
-    obs: &Collector,
-) -> RelaxOutcome {
-    let run = Request {
-        values,
-        max_iterations,
-        requested_threads: threads,
-        threads,
-        incremental: true,
-        warm_dirty: Some(seed_dirty),
-    };
-    relax_partitioned_inner(prop, &run, obs)
-}
-
-/// [`relax_partitioned`] without the small-design clamp: engages exactly
-/// `threads` workers whatever the node count. Bit-identical results either
-/// way — this exists so thread-equivalence tests and benchmark curves can
-/// drive the parallel path on designs below the crossover.
-pub fn relax_partitioned_exact(
-    prop: &mut Propagator<'_>,
-    values: &[f64],
-    max_iterations: usize,
-    threads: usize,
-    incremental: bool,
-    obs: &Collector,
-) -> RelaxOutcome {
-    let run = Request {
-        values,
-        max_iterations,
-        requested_threads: threads,
         threads,
         incremental,
-        warm_dirty: None,
+        warm_dirty,
     };
-    relax_partitioned_inner(prop, &run, obs)
-}
-
-/// The thread count a clamped entry point engages.
-fn clamp_threads(prop: &Propagator<'_>, threads: usize) -> usize {
-    if threads > 1 && prop.nl.node_count() < RELAX_PARALLEL_WORK_THRESHOLD {
-        1
-    } else {
-        threads
+    let words = prop.prep.terms.len().div_ceil(64);
+    match words {
+        1 => relax_masks::<[u64; 1]>(prop, &run, words, obs),
+        _ => relax_masks::<Box<[u64]>>(prop, &run, words, obs),
     }
 }
 
-/// One relaxation run as the entry points request it.
+/// One relaxation run's parameters.
 struct Request<'a> {
     values: &'a [f64],
     max_iterations: usize,
-    requested_threads: usize,
-    /// Threads engaged after any clamp.
     threads: usize,
     incremental: bool,
     /// FUBs a warm start must flood first; `None` floods every FUB.
     warm_dirty: Option<&'a [bool]>,
 }
 
-/// Picks the mask width once per run: one word for up to 64 terms, a
+/// The relaxation at one mask width: one word for up to 64 terms, a
 /// runtime width past that.
-fn relax_partitioned_inner(
-    prop: &mut Propagator<'_>,
-    run: &Request<'_>,
-    obs: &Collector,
-) -> RelaxOutcome {
-    let words = prop.prep.terms.len().div_ceil(64);
-    match words {
-        1 => relax_masks::<[u64; 1]>(prop, run, words, obs),
-        _ => relax_masks::<Box<[u64]>>(prop, run, words, obs),
-    }
-}
-
 fn relax_masks<M: Mask>(
     prop: &mut Propagator<'_>,
     run: &Request<'_>,
@@ -1025,10 +920,6 @@ fn relax_masks<M: Mask>(
                 ("changed_sets", FieldValue::U64(changed as u64)),
                 ("max_delta", FieldValue::F64(max_delta)),
                 ("threads", FieldValue::U64(run.threads as u64)),
-                (
-                    "requested_threads",
-                    FieldValue::U64(run.requested_threads as u64),
-                ),
                 ("dirty_fubs", FieldValue::U64(dirty_fubs as u64)),
                 ("skipped_fubs", FieldValue::U64(skipped_fubs as u64)),
             ],
@@ -1078,8 +969,8 @@ pub fn solve_global(prop: &mut Propagator<'_>, values: &[f64], obs: &Collector) 
         let t0 = Instant::now();
         let snap_f = prop.fwd.clone();
         let snap_b = prop.bwd.clone();
-        prop.forward_pass(None, None);
-        prop.backward_pass(None, None);
+        prop.forward_pass();
+        prop.backward_pass();
         let (changed, max_delta) = diff_stats(prop, &snap_f, &snap_b, values);
         let wall = t0.elapsed();
         obs.record_span(
@@ -1091,7 +982,6 @@ pub fn solve_global(prop: &mut Propagator<'_>, values: &[f64], obs: &Collector) 
                 ("changed_sets", FieldValue::U64(changed as u64)),
                 ("max_delta", FieldValue::F64(max_delta)),
                 ("threads", FieldValue::U64(1)),
-                ("requested_threads", FieldValue::U64(1)),
                 ("dirty_fubs", FieldValue::U64(fub_count as u64)),
                 ("skipped_fubs", FieldValue::U64(0)),
             ],
@@ -1231,7 +1121,8 @@ mod tests {
         let (nl, mut p1) = propagator(CHAIN);
         let mut p2 = p1.clone();
         let values = default_values(&p1);
-        let out_part = relax_partitioned(&mut p1, &values, 20, 1, true, &Collector::disabled());
+        let out_part =
+            relax_partitioned(&mut p1, &values, 20, 1, true, None, &Collector::disabled());
         let out_glob = solve_global(&mut p2, &values, &Collector::disabled());
         assert!(out_part.converged);
         assert!(out_glob.converged);
@@ -1254,22 +1145,22 @@ mod tests {
                 let values = default_values(&p0);
                 let mut p_full = p0.clone();
                 let mut p_inc = p0.clone();
-                // `_exact` so the parallel path actually runs on these
-                // tiny designs despite the small-design clamp.
-                let full = relax_partitioned_exact(
+                let full = relax_partitioned(
                     &mut p_full,
                     &values,
                     20,
                     threads,
                     false,
+                    None,
                     &Collector::disabled(),
                 );
-                let inc = relax_partitioned_exact(
+                let inc = relax_partitioned(
                     &mut p_inc,
                     &values,
                     20,
                     threads,
                     true,
+                    None,
                     &Collector::disabled(),
                 );
                 // Identical annotations, SetId numbering, arena contents,
@@ -1295,7 +1186,7 @@ mod tests {
     fn incremental_skips_clean_fubs() {
         let (nl, mut p) = propagator(CHAIN);
         let values = default_values(&p);
-        let out = relax_partitioned(&mut p, &values, 20, 1, true, &Collector::disabled());
+        let out = relax_partitioned(&mut p, &values, 20, 1, true, None, &Collector::disabled());
         assert!(out.converged);
         // The first sweep floods everything…
         assert_eq!(out.trace[0].dirty_fubs, nl.fub_count());
@@ -1312,7 +1203,7 @@ mod tests {
     fn single_fub_perturbation_marks_exactly_dependent_fubs() {
         let (nl, mut p) = propagator(FANOUT);
         let values = default_values(&p);
-        let out = relax_partitioned(&mut p, &values, 20, 1, true, &Collector::disabled());
+        let out = relax_partitioned(&mut p, &values, 20, 1, true, None, &Collector::disabled());
         assert!(out.converged);
         let boundary = &p.prep.boundary;
         let fub = |name: &str| nl.fub(nl.lookup(name).unwrap());
@@ -1369,7 +1260,7 @@ mod tests {
     fn chain_needs_multiple_iterations() {
         let (_, mut p) = propagator(CHAIN);
         let values = default_values(&p);
-        let out = relax_partitioned(&mut p, &values, 20, 1, true, &Collector::disabled());
+        let out = relax_partitioned(&mut p, &values, 20, 1, true, None, &Collector::disabled());
         assert!(out.converged);
         assert!(
             out.iterations >= 3,
@@ -1384,7 +1275,7 @@ mod tests {
     fn iteration_cap_respected() {
         let (_, mut p) = propagator(CHAIN);
         let values = default_values(&p);
-        let out = relax_partitioned(&mut p, &values, 1, 1, true, &Collector::disabled());
+        let out = relax_partitioned(&mut p, &values, 1, 1, true, None, &Collector::disabled());
         assert_eq!(out.iterations, 1);
         assert!(!out.converged);
     }
@@ -1393,7 +1284,7 @@ mod tests {
     fn deltas_shrink_to_zero() {
         let (_, mut p) = propagator(CHAIN);
         let values = default_values(&p);
-        let out = relax_partitioned(&mut p, &values, 20, 1, true, &Collector::disabled());
+        let out = relax_partitioned(&mut p, &values, 20, 1, true, None, &Collector::disabled());
         let last = out.trace.last().unwrap();
         assert_eq!(last.changed_sets, 0);
         assert_eq!(last.max_delta, 0.0);
@@ -1406,7 +1297,7 @@ mod tests {
     fn fub_means_tracked_per_iteration() {
         let (nl, mut p) = propagator(CHAIN);
         let values = default_values(&p);
-        let out = relax_partitioned(&mut p, &values, 20, 1, true, &Collector::disabled());
+        let out = relax_partitioned(&mut p, &values, 20, 1, true, None, &Collector::disabled());
         for s in &out.trace {
             assert_eq!(s.fub_seq_mean.len(), nl.fub_count());
             for &m in &s.fub_seq_mean {
@@ -1423,15 +1314,13 @@ mod tests {
             let mut runs = Vec::new();
             for threads in [1usize, 2, 3, 8] {
                 let mut p = p0.clone();
-                // `_exact` so the multi-thread variants genuinely spread
-                // FUBs over workers: the clamped entry point would run
-                // CHAIN sequentially.
-                let out = relax_partitioned_exact(
+                let out = relax_partitioned(
                     &mut p,
                     &values,
                     20,
                     threads,
                     incremental,
+                    None,
                     &Collector::disabled(),
                 );
                 assert!(out.converged, "threads={threads}");
@@ -1472,36 +1361,11 @@ mod tests {
     }
 
     #[test]
-    fn small_designs_clamp_to_sequential_and_record_the_decision() {
-        let (nl, p0) = propagator(CHAIN);
-        assert!(nl.node_count() < RELAX_PARALLEL_WORK_THRESHOLD);
-        let values = default_values(&p0);
-        // The clamped entry point drops to 1 worker below the crossover…
-        let mut p = p0.clone();
-        let clamped = relax_partitioned(&mut p, &values, 20, 8, true, &Collector::disabled());
-        assert!(clamped.trace.iter().all(|s| s.effective_threads == 1));
-        // …the exact variant honors the request…
-        let mut p_exact = p0.clone();
-        let exact =
-            relax_partitioned_exact(&mut p_exact, &values, 20, 8, true, &Collector::disabled());
-        assert!(exact.trace.iter().all(|s| s.effective_threads == 8));
-        // …and both produce bit-identical annotations and telemetry.
-        assert_eq!(p.fwd, p_exact.fwd);
-        assert_eq!(p.bwd, p_exact.bwd);
-        assert_eq!(p.arena.len(), p_exact.arena.len());
-        assert_eq!(clamped.iterations, exact.iterations);
-        // Sequential requests pass through the clamp untouched.
-        let mut p1 = p0.clone();
-        let seq = relax_partitioned(&mut p1, &values, 20, 1, true, &Collector::disabled());
-        assert!(seq.trace.iter().all(|s| s.effective_threads == 1));
-    }
-
-    #[test]
-    fn clamp_decision_lands_in_the_sweep_trace() {
+    fn thread_count_lands_in_the_sweep_trace() {
         let (_, mut p) = propagator(CHAIN);
         let values = default_values(&p);
         let obs = Collector::new();
-        relax_partitioned(&mut p, &values, 20, 8, true, &obs);
+        relax_partitioned(&mut p, &values, 20, 8, true, None, &obs);
         let spans = obs.spans();
         let sweeps: Vec<_> = spans.iter().filter(|s| s.name == "relax.sweep").collect();
         assert!(!sweeps.is_empty());
@@ -1514,8 +1378,7 @@ mod tests {
                     .1
                     .clone()
             };
-            assert_eq!(field("threads"), FieldValue::U64(1));
-            assert_eq!(field("requested_threads"), FieldValue::U64(8));
+            assert_eq!(field("threads"), FieldValue::U64(8));
         }
     }
 
@@ -1523,7 +1386,7 @@ mod tests {
     fn wall_time_is_recorded_per_iteration() {
         let (_, mut p) = propagator(CHAIN);
         let values = default_values(&p);
-        let out = relax_partitioned_exact(&mut p, &values, 20, 2, true, &Collector::disabled());
+        let out = relax_partitioned(&mut p, &values, 20, 2, true, None, &Collector::disabled());
         assert!(!out.trace.is_empty());
         for s in &out.trace {
             assert!(s.wall_seconds >= 0.0);
@@ -1580,14 +1443,17 @@ mod tests {
             default_port_pavf: 0.001,
             ..SartConfig::default()
         };
-        let engine = |c: SartConfig| SartEngine::new(&nl, &StructureMapping::new(), c);
-        let glob = engine(SartConfig {
+        let obs = Collector::disabled();
+        let run = |c: SartConfig| {
+            SartEngine::new_traced(&nl, &StructureMapping::new(), c, None, &obs)
+                .run_traced(&inputs, &obs)
+        };
+        let glob = run(SartConfig {
             partitioned: false,
             ..config.clone()
-        })
-        .run(&inputs);
+        });
         assert!(glob.terms.len() > 1024, "{} terms", glob.terms.len());
-        let base = engine(config.clone()).run(&inputs);
+        let base = run(config.clone());
         assert!(base.outcome.converged);
         for id in nl.nodes() {
             let i = id.index();
@@ -1608,12 +1474,11 @@ mod tests {
         let q = nl.lookup("f0.q518").unwrap();
         assert_eq!(base.arena.terms(base.fwd[q.index()]).len(), 520);
         for (threads, incremental) in [(3, true), (1, false), (3, false)] {
-            let r = engine(SartConfig {
+            let r = run(SartConfig {
                 threads,
                 incremental,
                 ..config.clone()
-            })
-            .run_exact(&inputs);
+            });
             assert_eq!(
                 r.fwd, base.fwd,
                 "threads={threads} incremental={incremental}"

@@ -136,6 +136,7 @@ mod tests {
     use crate::engine::{SartConfig, SartEngine};
     use crate::mapping::{PavfInputs, StructureMapping};
     use seqavf_netlist::flatten::parse_netlist;
+    use seqavf_obs::Collector;
 
     fn summary() -> SartSummary {
         let nl = parse_netlist(
@@ -157,8 +158,15 @@ mod tests {
         .unwrap();
         let mut inputs = PavfInputs::new();
         inputs.set_port("a.s1", 0.2, 0.4);
-        let engine = SartEngine::new(&nl, &StructureMapping::new(), SartConfig::default());
-        let r = engine.run(&inputs);
+        let obs = Collector::disabled();
+        let engine = SartEngine::new_traced(
+            &nl,
+            &StructureMapping::new(),
+            SartConfig::default(),
+            None,
+            &obs,
+        );
+        let r = engine.run_traced(&inputs, &obs);
         SartSummary::new(&nl, &r)
     }
 

@@ -8,12 +8,12 @@
 //!
 //! 1. [`run_sweep_with_loops_traced`] relaxes the design once (or loads a
 //!    cached compiled DAG), lowers the closed forms with
-//!    [`CompiledSweep::compile`], and evaluates every workload's summary
-//!    row — mean, min and max over the sequential nodes — with
+//!    [`CompiledSweep::compile_traced`], and evaluates every workload's
+//!    summary row — mean, min and max over the sequential nodes — with
 //!    [`CompiledSweep::evaluate_seq_stats_traced`], which folds them in
 //!    the DAG pass without writing node-length rows.
 //!    Callers that need every node's AVF evaluate the DAG themselves
-//!    ([`obtain_compiled_traced`], [`CompiledSweep::evaluate`]).
+//!    ([`obtain_compiled_traced`], [`CompiledSweep::evaluate_traced`]).
 //! 2. [`SweepCache`] persists the compiled DAG keyed by
 //!    **(netlist content hash, structure mapping, result-affecting
 //!    `SartConfig` fields)** — see [`cache_key`]. The relaxation fixpoint
@@ -363,10 +363,7 @@ fn obtain(
             Some((store, key))
         }
     };
-    let new_engine = || match loops {
-        Some(l) => SartEngine::new_with_loops_traced(nl, mapping, config.clone(), l, obs),
-        None => SartEngine::new_traced(nl, mapping, config.clone(), obs),
-    };
+    let new_engine = || SartEngine::new_traced(nl, mapping, config.clone(), loops, obs);
     let (compiled, fresh) = match &opts.warm_start {
         None => {
             let result = new_engine().run_traced(base_inputs, obs);

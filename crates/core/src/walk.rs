@@ -18,11 +18,12 @@
 //!   nothing — their write rate approaches zero, §5.1); a node's value is
 //!   the union of its fan-outs' contributions (Equations 8–10).
 //!
-//! The [`Propagator`] supports both a **global** pass over the whole design
-//! and **partitioned** per-FUB passes that read cross-FUB values from a
-//! snapshot taken at the start of each relaxation iteration (§5.2) — the
-//! partitioned mode reproduces the paper's "a walk can only cross one
-//! partition per iteration" behaviour.
+//! The [`Propagator`] holds the annotations and runs the **global** pass
+//! over the whole design. The **partitioned** per-FUB walks, which read
+//! cross-FUB values from a snapshot taken at the start of each relaxation
+//! iteration (§5.2) and so reproduce the paper's "a walk can only cross
+//! one partition per iteration" behaviour, are [`crate::relax`]'s mask
+//! walk over the same [`Prepared`] tables.
 
 use seqavf_netlist::graph::{FubId, Netlist, NodeId};
 
@@ -326,109 +327,50 @@ impl<'nl> Propagator<'nl> {
         }
     }
 
-    /// One forward pass over a FUB (or the whole design when `fub` is
-    /// `None`). Cross-partition fan-ins read from `snapshot` when provided.
-    ///
-    /// The global and partitioned variants are separate loops so the
-    /// partition membership test is hoisted out of the per-edge hot path —
-    /// the global walk never pays it at all.
-    pub fn forward_pass(&mut self, fub: Option<FubId>, snapshot: Option<&[SetId]>) {
-        match fub {
-            None => {
-                for k in 0..self.prep.topo.len() {
-                    let n = self.prep.topo[k];
-                    let i = n.index();
-                    if let Some(s) = self.prep.fwd_source[i] {
-                        self.fwd[i] = s;
-                        continue;
-                    }
-                    // A non-source node with no fan-in (e.g. a constant
-                    // gate) has no measured provenance. The empty set would
-                    // evaluate to 0.0 — optimistically un-ACE — so resolve
-                    // it conservatively to TOP; only injected sources and
-                    // boundary inputs may carry a non-conservative fixed
-                    // value.
-                    if self.nl.fanin(n).is_empty() {
-                        self.fwd[i] = self.arena.top();
-                        continue;
-                    }
-                    let mut acc = self.arena.empty();
-                    for &f in self.nl.fanin(n) {
-                        acc = self.arena.union2(acc, self.fwd[f.index()]);
-                    }
-                    self.fwd[i] = acc;
-                }
+    /// One forward pass over the whole design in topological order: the
+    /// global analysis, and the oracle the partitioned mask walk of
+    /// [`crate::relax`] is tested against.
+    pub fn forward_pass(&mut self) {
+        for k in 0..self.prep.topo.len() {
+            let n = self.prep.topo[k];
+            let i = n.index();
+            if let Some(s) = self.prep.fwd_source[i] {
+                self.fwd[i] = s;
+                continue;
             }
-            Some(fub) => {
-                for k in 0..self.prep.fub_topo[fub.index()].len() {
-                    let n = self.prep.fub_topo[fub.index()][k];
-                    let i = n.index();
-                    if let Some(s) = self.prep.fwd_source[i] {
-                        self.fwd[i] = s;
-                        continue;
-                    }
-                    if self.nl.fanin(n).is_empty() {
-                        self.fwd[i] = self.arena.top();
-                        continue;
-                    }
-                    let mut acc = self.arena.empty();
-                    for &f in self.nl.fanin(n) {
-                        let v = if self.nl.fub(f) == fub {
-                            self.fwd[f.index()]
-                        } else {
-                            snapshot.map_or(self.arena.top(), |s| s[f.index()])
-                        };
-                        acc = self.arena.union2(acc, v);
-                    }
-                    self.fwd[i] = acc;
-                }
+            // A non-source node with no fan-in (e.g. a constant gate) has
+            // no measured provenance. The empty set would evaluate to 0.0 —
+            // optimistically un-ACE — so resolve it conservatively to TOP;
+            // only injected sources and boundary inputs may carry a
+            // non-conservative fixed value.
+            if self.nl.fanin(n).is_empty() {
+                self.fwd[i] = self.arena.top();
+                continue;
             }
+            let mut acc = self.arena.empty();
+            for &f in self.nl.fanin(n) {
+                acc = self.arena.union2(acc, self.fwd[f.index()]);
+            }
+            self.fwd[i] = acc;
         }
     }
 
-    /// One backward pass over a FUB (or the whole design when `fub` is
-    /// `None`). Split into global/partitioned loops for the same
-    /// hoisted-partition-check reason as [`Propagator::forward_pass`].
-    pub fn backward_pass(&mut self, fub: Option<FubId>, snapshot: Option<&[SetId]>) {
-        match fub {
-            None => {
-                for k in (0..self.prep.topo.len()).rev() {
-                    let n = self.prep.topo[k];
-                    let i = n.index();
-                    if let Some(s) = self.prep.bwd_source[i] {
-                        self.bwd[i] = s;
-                        continue;
-                    }
-                    let mut acc = self.arena.empty();
-                    for &m in self.nl.fanout(n) {
-                        let v = self.prep.bwd_contrib[m.index()].unwrap_or(self.bwd[m.index()]);
-                        acc = self.arena.union2(acc, v);
-                    }
-                    self.bwd[i] = acc;
-                }
+    /// One backward pass over the whole design in reverse topological
+    /// order, the counterpart of [`Propagator::forward_pass`].
+    pub fn backward_pass(&mut self) {
+        for k in (0..self.prep.topo.len()).rev() {
+            let n = self.prep.topo[k];
+            let i = n.index();
+            if let Some(s) = self.prep.bwd_source[i] {
+                self.bwd[i] = s;
+                continue;
             }
-            Some(fub) => {
-                for k in (0..self.prep.fub_topo[fub.index()].len()).rev() {
-                    let n = self.prep.fub_topo[fub.index()][k];
-                    let i = n.index();
-                    if let Some(s) = self.prep.bwd_source[i] {
-                        self.bwd[i] = s;
-                        continue;
-                    }
-                    let mut acc = self.arena.empty();
-                    for &m in self.nl.fanout(n) {
-                        let v = if let Some(c) = self.prep.bwd_contrib[m.index()] {
-                            c
-                        } else if self.nl.fub(m) == fub {
-                            self.bwd[m.index()]
-                        } else {
-                            snapshot.map_or(self.arena.top(), |s| s[m.index()])
-                        };
-                        acc = self.arena.union2(acc, v);
-                    }
-                    self.bwd[i] = acc;
-                }
+            let mut acc = self.arena.empty();
+            for &m in self.nl.fanout(n) {
+                let v = self.prep.bwd_contrib[m.index()].unwrap_or(self.bwd[m.index()]);
+                acc = self.arena.union2(acc, v);
             }
+            self.bwd[i] = acc;
         }
     }
 }
@@ -468,7 +410,7 @@ mod tests {
     #[test]
     fn simple_pipeline_forward_copies_read_term() {
         let (nl, mut p) = build(PIPE, &[]);
-        p.forward_pass(None, None);
+        p.forward_pass();
         let s1 = nl.lookup("f.s1[0]").unwrap();
         for q in ["f.q1", "f.q2", "f.q3"] {
             let id = nl.lookup(q).unwrap();
@@ -479,7 +421,7 @@ mod tests {
     #[test]
     fn simple_pipeline_backward_copies_write_term() {
         let (nl, mut p) = build(PIPE, &[]);
-        p.backward_pass(None, None);
+        p.backward_pass();
         let s2 = nl.lookup("f.s2[0]").unwrap();
         for q in ["f.q1", "f.q2", "f.q3"] {
             let id = nl.lookup(q).unwrap();
@@ -505,12 +447,12 @@ mod tests {
     #[test]
     fn join_unions_input_terms() {
         let (nl, mut p) = build(JOIN, &[]);
-        p.forward_pass(None, None);
+        p.forward_pass();
         let q2a = nl.lookup("f.q2a").unwrap();
         let set = p.fwd[q2a.index()];
         assert_eq!(p.arena.terms(set).len(), 2, "union of two read terms");
         // Backward: both join inputs inherit the output value (Eq. 9).
-        p.backward_pass(None, None);
+        p.backward_pass();
         let q1a = nl.lookup("f.q1a").unwrap();
         let q1b = nl.lookup("f.q1b").unwrap();
         assert_eq!(p.bwd[q1a.index()], p.bwd[q1b.index()]);
@@ -535,13 +477,13 @@ mod tests {
     #[test]
     fn split_copies_forward_and_unions_backward() {
         let (nl, mut p) = build(SPLIT, &[]);
-        p.forward_pass(None, None);
+        p.forward_pass();
         let q1a = nl.lookup("f.q1a").unwrap();
         let q2a = nl.lookup("f.q2a").unwrap();
         let q2b = nl.lookup("f.q2b").unwrap();
         assert_eq!(p.fwd[q2a.index()], p.fwd[q1a.index()]);
         assert_eq!(p.fwd[q2b.index()], p.fwd[q1a.index()]);
-        p.backward_pass(None, None);
+        p.backward_pass();
         // Q1a's backward value is the union of the two write terms (Eq. 10).
         assert_eq!(p.arena.terms(p.bwd[q1a.index()]).len(), 2);
     }
@@ -562,8 +504,8 @@ mod tests {
 .end
 ";
         let (nl, mut p) = build(text, &[]);
-        p.forward_pass(None, None);
-        p.backward_pass(None, None);
+        p.forward_pass();
+        p.backward_pass();
         let a = nl.lookup("f.a").unwrap();
         let g = nl.lookup("f.out").unwrap();
         // a's forward value is the injected loop term.
@@ -600,8 +542,8 @@ mod tests {
 .end
 ";
         let (nl, mut p) = build(text, &["creg"]);
-        p.forward_pass(None, None);
-        p.backward_pass(None, None);
+        p.forward_pass();
+        p.backward_pass();
         let creg = nl.lookup("f.creg_x").unwrap();
         // Forward: the control-reg term.
         assert_eq!(
@@ -642,7 +584,7 @@ mod tests {
         let mut arena = UnionArena::new();
         let prep = prepare(nl, roles, &StructureMapping::new(), &mut arena);
         let mut p = Propagator::new(nl, prep, arena);
-        p.forward_pass(None, None);
+        p.forward_pass();
         // The constant gate has no fan-in and no injected source: its
         // forward value must be the conservative TOP, not the optimistic
         // empty set (which evaluates to 0.0).
@@ -698,38 +640,5 @@ mod tests {
             assert!(!deps.bwd_consumers_of(k).is_empty());
             assert!(!deps.bwd_consumers_of(k).contains(&nl.fub(n)));
         }
-    }
-
-    #[test]
-    fn partitioned_pass_reads_snapshot_for_cross_fub_edges() {
-        let text = r"
-.design x
-.fub a
-  .struct s1 1
-  .flop q s1[0]
-  .output o q
-.endfub
-.fub b
-  .flop r a.o
-  .output o2 r
-.endfub
-.end
-";
-        let (nl, mut p) = build(text, &[]);
-        let fub_a = seqavf_netlist::graph::FubId::from_index(0);
-        let fub_b = seqavf_netlist::graph::FubId::from_index(1);
-        // Iteration 1: snapshot is all-TOP, so b.r sees TOP.
-        let snap = p.fwd.clone();
-        p.forward_pass(Some(fub_a), Some(&snap));
-        p.forward_pass(Some(fub_b), Some(&snap));
-        let r = nl.lookup("b.r").unwrap();
-        assert_eq!(p.fwd[r.index()], p.arena.top());
-        // Iteration 2: the snapshot now carries a.o's real value.
-        let snap = p.fwd.clone();
-        p.forward_pass(Some(fub_a), Some(&snap));
-        p.forward_pass(Some(fub_b), Some(&snap));
-        let o = nl.lookup("a.o").unwrap();
-        assert_eq!(p.fwd[r.index()], p.fwd[o.index()]);
-        assert_ne!(p.fwd[r.index()], p.arena.top());
     }
 }

@@ -60,7 +60,7 @@ pub fn node_bits(
         .iter()
         .zip(&outcome.rows)
         .map(|((name, table), row)| {
-            let avfs = dag.evaluate(table);
+            let avfs = dag.evaluate_traced(table, &Collector::disabled());
             let mut st = SeqStats::IDENTITY;
             for &i in &seq {
                 st.fold(avfs[i]);

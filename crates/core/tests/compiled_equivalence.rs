@@ -138,11 +138,12 @@ proptest! {
     ) {
         let nl = build_circuit(&recipe, fubs);
         let config = SartConfig { loop_pavf, ..SartConfig::default() };
-        let engine = SartEngine::new(&nl, &StructureMapping::new(), config);
-        let result = engine.run(&tables[0]);
-        let compiled = CompiledSweep::compile(&result, &nl);
+        let obs = Collector::disabled();
+        let engine = SartEngine::new_traced(&nl, &StructureMapping::new(), config, None, &obs);
+        let result = engine.run_traced(&tables[0], &obs);
+        let compiled = CompiledSweep::compile_traced(&result, &nl, &obs);
         for (k, t) in tables.iter().enumerate() {
-            let fast = compiled.evaluate(t);
+            let fast = compiled.evaluate_traced(t, &obs);
             let slow = result.reevaluate(&nl, t);
             prop_assert_eq!(fast.len(), slow.len());
             for id in nl.nodes() {
@@ -155,7 +156,7 @@ proptest! {
             }
             // The relaxation fixpoint is symbolic and value-independent, so
             // a fresh run under the same config must agree bitwise too.
-            let fresh = engine.run(t);
+            let fresh = engine.run_traced(t, &obs);
             for id in nl.nodes() {
                 prop_assert_eq!(
                     fast[id.index()].to_bits(), fresh.avf(id).to_bits(),
@@ -176,17 +177,19 @@ proptest! {
         threads in 1usize..5,
     ) {
         let nl = build_circuit(&recipe, fubs);
-        let engine = SartEngine::new(&nl, &StructureMapping::new(), SartConfig::default());
-        let result = engine.run(&tables[0]);
-        let compiled = CompiledSweep::compile(&result, &nl);
-        let batch = compiled.evaluate_many(&tables, threads);
+        let obs = Collector::disabled();
+        let engine =
+            SartEngine::new_traced(&nl, &StructureMapping::new(), SartConfig::default(), None, &obs);
+        let result = engine.run_traced(&tables[0], &obs);
+        let compiled = CompiledSweep::compile_traced(&result, &nl, &obs);
+        let batch = compiled.evaluate_many_traced(&tables, threads, &obs);
         prop_assert_eq!(batch.len(), tables.len());
         let seq: Vec<usize> = nl.seq_nodes().map(|id| id.index()).collect();
         let stats =
-            compiled.evaluate_seq_stats_traced(&tables, &seq, threads, &Collector::disabled());
+            compiled.evaluate_seq_stats_traced(&tables, &seq, threads, &obs);
         prop_assert_eq!(stats.len(), tables.len());
         for (k, t) in tables.iter().enumerate() {
-            let single = compiled.evaluate(t);
+            let single = compiled.evaluate_traced(t, &obs);
             prop_assert_eq!(batch[k].len(), single.len());
             for (a, b) in batch[k].iter().zip(&single) {
                 prop_assert_eq!(a.to_bits(), b.to_bits(), "workload {}", k);
@@ -209,16 +212,18 @@ proptest! {
         table in table_strategy(),
     ) {
         let nl = build_circuit(&recipe, fubs);
-        let engine = SartEngine::new(&nl, &StructureMapping::new(), SartConfig::default());
-        let result = engine.run(&table);
-        let compiled = CompiledSweep::compile(&result, &nl);
+        let obs = Collector::disabled();
+        let engine =
+            SartEngine::new_traced(&nl, &StructureMapping::new(), SartConfig::default(), None, &obs);
+        let result = engine.run_traced(&table, &obs);
+        let compiled = CompiledSweep::compile_traced(&result, &nl, &obs);
         let bytes = compiled.encode();
         let back = CompiledSweep::decode(&bytes, compiled.config())
             .expect("serialized artifact decodes");
         prop_assert_eq!(&back, &compiled);
         prop_assert_eq!(back.encode(), bytes);
-        let a = compiled.evaluate(&table);
-        let b = back.evaluate(&table);
+        let a = compiled.evaluate_traced(&table, &obs);
+        let b = back.evaluate_traced(&table, &obs);
         for (x, y) in a.iter().zip(&b) {
             prop_assert_eq!(x.to_bits(), y.to_bits());
         }

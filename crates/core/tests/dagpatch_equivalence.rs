@@ -1,9 +1,9 @@
 //! Property tests pinning the incremental DAG patch to the cold
 //! compiler: for random synthetic designs and random one-FUB,
 //! several-FUB, and whole-design gate edits, patching the previous
-//! revision's compiled sweep DAG ([`CompiledSweep::patch`]) must
+//! revision's compiled sweep DAG ([`CompiledSweep::patch_traced`]) must
 //! evaluate **bit-identically** (`f64::to_bits`) to a cold
-//! [`CompiledSweep::compile`] of the edited design — at 1, 2, and 8
+//! [`CompiledSweep::compile_traced`] of the edited design — at 1, 2, and 8
 //! threads — and any violated precondition (corrupt layout, mismatched
 //! fixpoint, stale mask) must degrade to an `Err` the caller turns into
 //! a full rebuild, never a panic and never a wrong DAG.
@@ -79,12 +79,13 @@ fn compile_base(
     inputs: &PavfInputs,
 ) -> (CompiledSweep, StoredFixpoint) {
     let nl = flatten::parse_netlist(text).unwrap();
-    let engine = SartEngine::new(&nl, mapping, SartConfig::default());
-    let result = engine.run(inputs);
+    let obs = Collector::disabled();
+    let engine = SartEngine::new_traced(&nl, mapping, SartConfig::default(), None, &obs);
+    let result = engine.run_traced(inputs, &obs);
     let stored = engine
         .capture_fixpoint(&result)
         .expect("base revision must converge");
-    (CompiledSweep::compile(&result, &nl), stored)
+    (CompiledSweep::compile_traced(&result, &nl, &obs), stored)
 }
 
 /// The stored artifact's FUB layout: name and node count in FUB-id order.
@@ -112,17 +113,18 @@ fn assert_patch_matches_cold(
         threads,
         ..SartConfig::default()
     };
-    let engine = SartEngine::new(nl, mapping, config);
-    let cold = engine.run_exact(inputs);
-    let (warm, status, clean) = engine.run_warm_patch_exact(inputs, stored);
+    let obs = Collector::disabled();
+    let engine = SartEngine::new_traced(nl, mapping, config, None, &obs);
+    let cold = engine.run_traced(inputs, &obs);
+    let (warm, status, clean, _) = engine.run_warm_start_traced(inputs, Ok(stored), &obs);
     let clean = match status {
         WarmStatus::Warm { .. } => clean.expect("warm solve must produce a clean mask"),
         WarmStatus::Cold(reason) => panic!("warm path refused at {threads} threads: {reason}"),
     };
     let (patched, stats) = old
-        .patch_traced(&warm, nl, &layout(stored), &clean, &Collector::disabled())
+        .patch_traced(&warm, nl, &layout(stored), &clean, &obs)
         .expect("patch preconditions hold for a gate edit");
-    let reference = CompiledSweep::compile(&cold, nl);
+    let reference = CompiledSweep::compile_traced(&cold, nl, &obs);
     let mut tables = vec![inputs.clone()];
     for shift in [0.07, 0.41] {
         let mut t = PavfInputs::new();
@@ -130,8 +132,8 @@ fn assert_patch_matches_cold(
         tables.push(t);
     }
     for t in &tables {
-        let a = reference.evaluate(t);
-        let b = patched.evaluate(t);
+        let a = reference.evaluate_traced(t, &obs);
+        let b = patched.evaluate_traced(t, &obs);
         assert_eq!(a.len(), b.len());
         for (i, (x, y)) in a.iter().zip(&b).enumerate() {
             assert_eq!(
@@ -142,8 +144,8 @@ fn assert_patch_matches_cold(
         }
     }
     // And through the threaded batch evaluator the sweep driver uses.
-    let many_ref = reference.evaluate_many(&tables, threads);
-    let many_pat = patched.evaluate_many(&tables, threads);
+    let many_ref = reference.evaluate_many_traced(&tables, threads, &obs);
+    let many_pat = patched.evaluate_many_traced(&tables, threads, &obs);
     for (a, b) in many_ref.iter().zip(&many_pat) {
         for (x, y) in a.iter().zip(b) {
             assert_eq!(x.to_bits(), y.to_bits());
@@ -186,8 +188,9 @@ proptest! {
         let edited = flip_gates(&base, &[victim]).expect("synthetic design has gates");
         prop_assume!(edited != base);
         let nl = flatten::parse_netlist(&edited).unwrap();
-        let engine = SartEngine::new(&nl, &mapping, SartConfig::default());
-        let (warm, status, clean) = engine.run_warm_patch_exact(&inputs, &stored);
+        let obs = Collector::disabled();
+        let engine = SartEngine::new_traced(&nl, &mapping, SartConfig::default(), None, &obs);
+        let (warm, status, clean, _) = engine.run_warm_start_traced(&inputs, Ok(&stored), &obs);
         prop_assume!(matches!(status, WarmStatus::Warm { .. }));
         let clean = clean.unwrap();
 
@@ -195,18 +198,18 @@ proptest! {
         let mut grown = layout(&stored);
         let v = victim % grown.len();
         grown[v].1 += grow;
-        prop_assert!(old.patch_traced(&warm, &nl, &grown, &clean, &Collector::disabled()).is_err());
+        prop_assert!(old.patch_traced(&warm, &nl, &grown, &clean, &obs).is_err());
 
         // Layout with a FUB the netlist has never heard of, where a
         // clean FUB's name should be.
         let mut renamed = layout(&stored);
         renamed[clean.iter().position(|&c| c).unwrap_or(0)].0 = "no-such-fub";
-        prop_assert!(old.patch_traced(&warm, &nl, &renamed, &clean, &Collector::disabled()).is_err());
+        prop_assert!(old.patch_traced(&warm, &nl, &renamed, &clean, &obs).is_err());
 
         // A mask of the wrong arity (fixpoint from some other design).
         let mut short = clean.clone();
         short.pop();
-        prop_assert!(old.patch_traced(&warm, &nl, &layout(&stored), &short, &Collector::disabled()).is_err());
+        prop_assert!(old.patch_traced(&warm, &nl, &layout(&stored), &short, &obs).is_err());
     }
 }
 
@@ -274,10 +277,11 @@ fn full_rewrite_still_ends_bit_identical() {
     let edited = flip_all_gates(&base);
     assert_ne!(edited, base);
     let nl = flatten::parse_netlist(&edited).unwrap();
-    let engine = SartEngine::new(&nl, &mapping, SartConfig::default());
-    let cold = engine.run_exact(&inputs);
-    let reference = CompiledSweep::compile(&cold, &nl);
-    let (warm, status, clean) = engine.run_warm_patch_exact(&inputs, &stored);
+    let obs = Collector::disabled();
+    let engine = SartEngine::new_traced(&nl, &mapping, SartConfig::default(), None, &obs);
+    let cold = engine.run_traced(&inputs, &obs);
+    let reference = CompiledSweep::compile_traced(&cold, &nl, &obs);
+    let (warm, status, clean, _) = engine.run_warm_start_traced(&inputs, Ok(&stored), &obs);
     let evaluated = match (status, clean) {
         (WarmStatus::Warm { dirty_fubs, .. }, Some(mask)) => {
             assert!(
@@ -285,19 +289,19 @@ fn full_rewrite_still_ends_bit_identical() {
                 "a full rewrite dirtied only {dirty_fubs} of {} FUBs",
                 nl.fub_count()
             );
-            match old.patch_traced(&warm, &nl, &layout(&stored), &mask, &Collector::disabled()) {
+            match old.patch_traced(&warm, &nl, &layout(&stored), &mask, &obs) {
                 Ok((patched, _)) => patched,
                 // Precondition failure is a legal outcome of a rewrite;
                 // the fallback is the cold compile itself.
-                Err(_) => CompiledSweep::compile(&warm, &nl),
+                Err(_) => CompiledSweep::compile_traced(&warm, &nl, &obs),
             }
         }
         _ => reference.clone(),
     };
     for (x, y) in reference
-        .evaluate(&inputs)
+        .evaluate_traced(&inputs, &obs)
         .iter()
-        .zip(&evaluated.evaluate(&inputs))
+        .zip(&evaluated.evaluate_traced(&inputs, &obs))
     {
         assert_eq!(x.to_bits(), y.to_bits());
     }
@@ -316,19 +320,14 @@ fn mismatched_fixpoint_degrades_to_full_rebuild() {
 
     let edited = flip_gates(&base_a, &[0]).unwrap();
     let nl = flatten::parse_netlist(&edited).unwrap();
-    let engine = SartEngine::new(&nl, &mapping_a, SartConfig::default());
-    let result = engine.run_exact(&inputs);
+    let obs = Collector::disabled();
+    let engine = SartEngine::new_traced(&nl, &mapping_a, SartConfig::default(), None, &obs);
+    let result = engine.run_traced(&inputs, &obs);
     // Pretend every FUB is clean — the worst possible stale mask.
     let all_clean = vec![true; nl.fub_count()];
     assert!(
         old_a
-            .patch_traced(
-                &result,
-                &nl,
-                &layout(&stored_b),
-                &all_clean,
-                &Collector::disabled()
-            )
+            .patch_traced(&result, &nl, &layout(&stored_b), &all_clean, &obs)
             .is_err(),
         "a foreign fixpoint's layout must not cover the old DAG"
     );

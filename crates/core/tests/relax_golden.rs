@@ -18,6 +18,7 @@ use seqavf_core::mapping::{PavfInputs, StructureMapping};
 use seqavf_netlist::graph::Netlist;
 use seqavf_netlist::synth::{generate, SynthConfig};
 use seqavf_netlist::{exlif, flatten, Fnv1a64};
+use seqavf_obs::Collector;
 
 fn put(h: &mut Fnv1a64, v: u64) {
     h.update(&v.to_le_bytes());
@@ -97,19 +98,23 @@ fn flip_gate(text: &str, pick: usize) -> String {
 /// edit. Every thread count must reproduce the single-thread digests.
 fn digests(nl: &Netlist, mapping: &StructureMapping) -> (usize, u64, u64, u64) {
     let inputs = inputs();
+    let obs = Collector::disabled();
+    let engine = |nl, config| SartEngine::new_traced(nl, mapping, config, None, &obs);
     let cold = |config: SartConfig| {
-        let engine = SartEngine::new(nl, mapping, config);
-        let base = digest(&engine.run(&inputs));
+        let base = digest(&engine(nl, config.clone()).run_traced(&inputs, &obs));
         for threads in [2, 3] {
-            let par = SartEngine::new(
+            let par = engine(
                 nl,
-                mapping,
                 SartConfig {
                     threads,
-                    ..engine.config().clone()
+                    ..config.clone()
                 },
             );
-            assert_eq!(digest(&par.run_exact(&inputs)), base, "threads={threads}");
+            assert_eq!(
+                digest(&par.run_traced(&inputs, &obs)),
+                base,
+                "threads={threads}"
+            );
         }
         base
     };
@@ -119,28 +124,32 @@ fn digests(nl: &Netlist, mapping: &StructureMapping) -> (usize, u64, u64, u64) {
         ..config()
     });
 
-    let engine = SartEngine::new(nl, mapping, config());
-    let base = engine.run(&inputs);
+    let base_engine = engine(nl, config());
+    let base = base_engine.run_traced(&inputs, &obs);
     let terms = base.terms.len();
-    let stored: StoredFixpoint = engine
+    let stored: StoredFixpoint = base_engine
         .capture_fixpoint(&base)
         .expect("base revision converges");
     let edited = flatten::parse_netlist(&flip_gate(&exlif::write(nl), 7)).unwrap();
-    let warm_engine = SartEngine::new(&edited, mapping, config());
-    let (warm, status, _) = warm_engine.run_warm_patch_exact(&inputs, &stored);
-    assert!(matches!(status, WarmStatus::Warm { .. }), "{status:?}");
-    let warm_digest = digest(&warm);
-    for threads in [2, 3] {
-        let par = SartEngine::new(
+    let warm = |threads| {
+        engine(
             &edited,
-            mapping,
             SartConfig {
                 threads,
                 ..config()
             },
+        )
+        .run_warm_start_traced(&inputs, Ok(&stored), &obs)
+    };
+    let (r, status, _, _) = warm(1);
+    assert!(matches!(status, WarmStatus::Warm { .. }), "{status:?}");
+    let warm_digest = digest(&r);
+    for threads in [2, 3] {
+        assert_eq!(
+            digest(&warm(threads).0),
+            warm_digest,
+            "warm threads={threads}"
         );
-        let (r, _, _) = par.run_warm_patch_exact(&inputs, &stored);
-        assert_eq!(digest(&r), warm_digest, "warm threads={threads}");
     }
     (terms, incremental, full, warm_digest)
 }

@@ -278,8 +278,10 @@ fn flipped_slot_bit_is_a_miss_not_a_wrong_answer() {
             let mut forged = bytes[..bytes.len() - 8].to_vec();
             forged[pos] ^= 1 << bit;
             seal(&mut forged);
-            CompiledSweep::decode(&forged, &config)
-                .is_ok_and(|dag| dag.evaluate_many(&tables, 1) != stored.evaluate_many(&tables, 1))
+            CompiledSweep::decode(&forged, &config).is_ok_and(|dag| {
+                dag.evaluate_many_traced(&tables, 1, &Collector::disabled())
+                    != stored.evaluate_many_traced(&tables, 1, &Collector::disabled())
+            })
         })
         .expect("some slot bit flip decodes to different AVFs once re-sealed");
     bytes[pos] ^= 1 << bit;
@@ -317,9 +319,11 @@ fn concurrent_stores_and_loads_see_whole_artifacts() {
                 .replace(".struct s2 1", ".struct s2 1\n  .struct s3 1")
                 .replace(".sw s2[0] q3", &format!(".sw {cell} q3"));
             let nl = parse_netlist(&text).unwrap();
-            let result = SartEngine::new(&nl, &StructureMapping::new(), config.clone())
-                .run(&PavfInputs::new());
-            CompiledSweep::compile(&result, &nl)
+            let obs = Collector::disabled();
+            let result =
+                SartEngine::new_traced(&nl, &StructureMapping::new(), config.clone(), None, &obs)
+                    .run_traced(&PavfInputs::new(), &obs);
+            CompiledSweep::compile_traced(&result, &nl, &obs)
         })
         .collect();
     for (i, a) in artifacts.iter().enumerate() {

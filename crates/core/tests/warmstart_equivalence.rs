@@ -14,6 +14,7 @@ use seqavf_core::mapping::{PavfInputs, StructureMapping};
 use seqavf_netlist::exlif;
 use seqavf_netlist::flatten;
 use seqavf_netlist::synth::{generate, SynthConfig};
+use seqavf_obs::Collector;
 
 /// The base revision: a synthetic design's EXLIF text, its structure
 /// mapping, and a workload table.
@@ -61,8 +62,9 @@ fn solve_and_capture(
     inputs: &PavfInputs,
 ) -> StoredFixpoint {
     let nl = flatten::parse_netlist(text).unwrap();
-    let engine = SartEngine::new(&nl, mapping, SartConfig::default());
-    let result = engine.run(inputs);
+    let obs = Collector::disabled();
+    let engine = SartEngine::new_traced(&nl, mapping, SartConfig::default(), None, &obs);
+    let result = engine.run_traced(inputs, &obs);
     engine
         .capture_fixpoint(&result)
         .expect("base revision must converge")
@@ -85,11 +87,12 @@ proptest! {
         prop_assume!(edited != base);
 
         let nl = flatten::parse_netlist(&edited).unwrap();
+        let obs = Collector::disabled();
         for threads in [1usize, 2, 8] {
             let config = SartConfig { threads, ..SartConfig::default() };
-            let engine = SartEngine::new(&nl, &mapping, config);
-            let cold = engine.run_exact(&inputs);
-            let (warm, status, _) = engine.run_warm_patch_exact(&inputs, &stored);
+            let engine = SartEngine::new_traced(&nl, &mapping, config, None, &obs);
+            let cold = engine.run_traced(&inputs, &obs);
+            let (warm, status, _, _) = engine.run_warm_start_traced(&inputs, Ok(&stored), &obs);
             match status {
                 WarmStatus::Warm { seeded_fubs, dirty_fubs } => {
                     prop_assert!(seeded_fubs > 0, "no FUB seeded at {threads} threads");
@@ -155,10 +158,10 @@ fn unedited_warm_resolve_walks_nothing() {
     let (base, mapping, inputs) = base_revision(2);
     let stored = solve_and_capture(&base, &mapping, &inputs);
     let nl = flatten::parse_netlist(&base).unwrap();
-    let engine = SartEngine::new(&nl, &mapping, SartConfig::default());
-    let cold = engine.run(&inputs);
-    let (warm, status, _) =
-        engine.run_warm_patch_traced(&inputs, &stored, &seqavf_obs::Collector::disabled());
+    let obs = Collector::disabled();
+    let engine = SartEngine::new_traced(&nl, &mapping, SartConfig::default(), None, &obs);
+    let cold = engine.run_traced(&inputs, &obs);
+    let (warm, status, _, _) = engine.run_warm_start_traced(&inputs, Ok(&stored), &obs);
     match status {
         WarmStatus::Warm {
             seeded_fubs,
@@ -184,10 +187,10 @@ fn one_gate_edit_walks_fewer_nodes_than_cold() {
     let edited = flip_gates(&base, &[0]).unwrap();
     assert_ne!(edited, base);
     let nl = flatten::parse_netlist(&edited).unwrap();
-    let engine = SartEngine::new(&nl, &mapping, SartConfig::default());
-    let cold = engine.run(&inputs);
-    let (warm, status, _) =
-        engine.run_warm_patch_traced(&inputs, &stored, &seqavf_obs::Collector::disabled());
+    let obs = Collector::disabled();
+    let engine = SartEngine::new_traced(&nl, &mapping, SartConfig::default(), None, &obs);
+    let cold = engine.run_traced(&inputs, &obs);
+    let (warm, status, _, _) = engine.run_warm_start_traced(&inputs, Ok(&stored), &obs);
     assert!(
         matches!(status, WarmStatus::Warm { dirty_fubs: 1, .. }),
         "one gate flip must dirty exactly one FUB: {status:?}"
@@ -215,15 +218,15 @@ fn result_key_mismatch_falls_back_to_cold() {
         loop_pavf: 0.45,
         ..SartConfig::default()
     };
-    let engine = SartEngine::new(&nl, &mapping, config.clone());
-    let (warm, status, _) =
-        engine.run_warm_patch_traced(&inputs, &stored, &seqavf_obs::Collector::disabled());
+    let obs = Collector::disabled();
+    let engine = SartEngine::new_traced(&nl, &mapping, config.clone(), None, &obs);
+    let (warm, status, _, _) = engine.run_warm_start_traced(&inputs, Ok(&stored), &obs);
     assert!(
         matches!(status, WarmStatus::Cold(_)),
         "result_key mismatch must refuse the seed: {status:?}"
     );
     // The fallback is a full, correct solve.
-    let cold = engine.run(&inputs);
+    let cold = engine.run_traced(&inputs, &obs);
     for (c, w) in cold.avf.iter().zip(&warm.avf) {
         assert_eq!(c.to_bits(), w.to_bits());
     }

@@ -45,15 +45,14 @@ use crate::exlif::{self, DesignAst, FubAst, ModelAst, Stmt};
 use crate::graph::{FubId, Netlist, NetlistBuilder, NodeId, NodeKind, StructId};
 use crate::intern::{Sym, SymbolTable};
 
-/// Maximum worker count picked by [`build_netlist`] when the caller does
-/// not specify one.
+/// Maximum worker count [`build_netlist`] picks.
 const MAX_DEFAULT_THREADS: usize = 8;
 
-/// Minimum estimated flat-statement count before
-/// [`build_netlist_threaded`] engages worker threads. Below this the
-/// spawn/join overhead of the expand phase exceeds the work it splits —
-/// BENCH_5 measured a 0.67× *slowdown* on the ~3k-node reference design —
-/// so small ASTs take the sequential path.
+/// Minimum estimated flat-statement count before [`build_netlist`]
+/// engages worker threads. Below this the spawn/join overhead of the
+/// expand phase exceeds the work it splits — BENCH_5 measured a 0.67×
+/// *slowdown* on the ~3k-node reference design — so small ASTs take the
+/// sequential path.
 const PARALLEL_WORK_THRESHOLD: usize = 20_000;
 
 /// Stamp of a resolution-table slot no scope has written.
@@ -127,9 +126,11 @@ fn err0(kind: ExlifErrorKind) -> ExlifError {
 }
 
 /// Expands hierarchy and builds the flattened [`Netlist`] for a design,
-/// using up to [`available_parallelism`](std::thread::available_parallelism)
-/// (capped at 8) worker threads. The result is bit-identical to
-/// [`build_netlist_threaded`] at any other thread count.
+/// picking its own worker count: sequential when the estimated flat size
+/// falls below the parallel crossover (see [`estimated_flat_stmts`]),
+/// else up to [`available_parallelism`](std::thread::available_parallelism)
+/// (capped at 8) workers. The result is bit-identical to
+/// [`build_netlist_threaded`] at any thread count.
 ///
 /// # Errors
 ///
@@ -138,32 +139,27 @@ fn err0(kind: ExlifErrorKind) -> ExlifError {
 /// [`NetlistBuilder::finish`]. Semantic errors carry line number 0 (the AST
 /// does not retain source positions) but name the offending entity.
 pub fn build_netlist(ast: &DesignAst) -> Result<Netlist, ExlifError> {
-    build_netlist_threaded(ast, default_threads())
-}
-
-fn default_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get().min(MAX_DEFAULT_THREADS))
-        .unwrap_or(1)
-}
-
-/// [`build_netlist`] with an explicit worker-thread count (`0` and `1`
-/// both mean sequential). Output is bit-identical for every `threads`
-/// value: node ids, symbol ids, edge order, and error selection are all
-/// decided in the sequential merge, resolve and connect phases.
-///
-/// `threads` is a *ceiling*, not a demand: designs whose estimated flat
-/// size falls below the parallel crossover run sequentially regardless
-/// (see [`estimated_flat_stmts`]). Benchmarks and equivalence tests that
-/// must exercise the parallel expansion on small inputs use
-/// [`build_netlist_threaded_exact`].
-pub fn build_netlist_threaded(ast: &DesignAst, threads: usize) -> Result<Netlist, ExlifError> {
+    let threads =
+        std::thread::available_parallelism().map_or(1, |n| n.get().min(MAX_DEFAULT_THREADS));
     let threads = if threads > 1 && estimated_flat_stmts(ast) < PARALLEL_WORK_THRESHOLD {
         1
     } else {
         threads
     };
-    build_netlist_threaded_exact(ast, threads)
+    build_netlist_threaded(ast, threads)
+}
+
+/// [`build_netlist`] with an explicit worker-thread count (`0` and `1`
+/// both mean sequential), honoured at any design size (capped only at the
+/// number of FUBs). Output is bit-identical for every `threads` value:
+/// node ids, symbol ids, edge order, and error selection are all decided
+/// in the sequential merge, resolve and connect phases.
+pub fn build_netlist_threaded(ast: &DesignAst, threads: usize) -> Result<Netlist, ExlifError> {
+    let mut builder = NetlistBuilder::with_symbols(ast.name.clone(), ast.symbols.clone());
+    // The scratch of phases 1–4 is freed when `build_into` returns,
+    // before validation builds the CSR arrays.
+    build_into(ast, threads, &mut builder)?;
+    builder.finish().map_err(|e| err0(e.into()))
 }
 
 /// Estimates the design's flattened statement count without expanding it:
@@ -172,9 +168,9 @@ pub fn build_netlist_threaded(ast: &DesignAst, threads: usize) -> Result<Netlist
 /// instantiates. Recursive models are counted shallowly — flattening will
 /// reject them anyway.
 ///
-/// This drives the sequential-fallback decision in
-/// [`build_netlist_threaded`], and is exported so benchmarks can report
-/// which side of the crossover a design landed on.
+/// This drives [`build_netlist`]'s sequential-fallback decision, and is
+/// exported so benchmarks can report which side of the crossover a design
+/// landed on.
 pub fn estimated_flat_stmts(ast: &DesignAst) -> usize {
     let models: HashMap<Sym, &ModelAst> = ast.models.iter().map(|m| (m.name, m)).collect();
     let mut memo: HashMap<Sym, usize> = HashMap::new();
@@ -220,22 +216,6 @@ fn model_work(
     visiting.pop();
     memo.insert(model, w);
     w
-}
-
-/// [`build_netlist_threaded`] without the small-design sequential
-/// fallback: the requested thread count is honoured exactly (clamped only
-/// to the number of FUBs). This is the hook for thread-equivalence
-/// proptests and crossover benchmarks, which need the parallel expansion
-/// to actually run on arbitrarily small inputs.
-pub fn build_netlist_threaded_exact(
-    ast: &DesignAst,
-    threads: usize,
-) -> Result<Netlist, ExlifError> {
-    let mut builder = NetlistBuilder::with_symbols(ast.name.clone(), ast.symbols.clone());
-    // The scratch of phases 1–4 is freed when `build_into` returns,
-    // before validation builds the CSR arrays.
-    build_into(ast, threads, &mut builder)?;
-    builder.finish().map_err(|e| err0(e.into()))
 }
 
 /// Phases 1–4: expands, merges, resolves and connects every FUB into
@@ -666,9 +646,9 @@ mod tests {
     #[test]
     fn thread_counts_are_bit_identical() {
         let ast = exlif::parse(HIER).unwrap();
-        let n1 = build_netlist_threaded_exact(&ast, 1).unwrap();
-        let n2 = build_netlist_threaded_exact(&ast, 2).unwrap();
-        let n8 = build_netlist_threaded_exact(&ast, 8).unwrap();
+        let n1 = build_netlist_threaded(&ast, 1).unwrap();
+        let n2 = build_netlist_threaded(&ast, 2).unwrap();
+        let n8 = build_netlist_threaded(&ast, 8).unwrap();
         assert_eq!(n1, n2);
         assert_eq!(n1, n8);
         assert_eq!(n1.content_digest(), n8.content_digest());
@@ -684,11 +664,11 @@ mod tests {
         // f0: 3 own statements; twostage expands to 3 + 2×(stage = 1).
         let est = estimated_flat_stmts(&ast);
         assert_eq!(est, 3 + 3 + 2);
-        // Well under the crossover, so the threaded entry point must
-        // clamp to the sequential path — and still match exactly.
+        // Well under the crossover, so the self-scheduling entry point
+        // must take the sequential path — and still match exactly.
         assert!(est < PARALLEL_WORK_THRESHOLD);
-        let clamped = build_netlist_threaded(&ast, 8).unwrap();
-        let seq = build_netlist_threaded_exact(&ast, 1).unwrap();
+        let clamped = build_netlist(&ast).unwrap();
+        let seq = build_netlist_threaded(&ast, 1).unwrap();
         assert_eq!(clamped, seq);
     }
 

@@ -41,11 +41,11 @@ proptest! {
     #[test]
     fn thread_counts_yield_identical_graphs(src in common::arb_design()) {
         let ast = exlif::parse(&src).expect("generated design parses");
-        // `_exact` bypasses the small-design sequential fallback, so the
+        // An explicit thread count is honoured at any size, so the
         // parallel phases genuinely run on these small generated designs.
-        let seq = flatten::build_netlist_threaded_exact(&ast, 1).expect("flattens");
+        let seq = flatten::build_netlist_threaded(&ast, 1).expect("flattens");
         for threads in [2usize, 3, 8] {
-            let par = flatten::build_netlist_threaded_exact(&ast, threads).unwrap();
+            let par = flatten::build_netlist_threaded(&ast, threads).unwrap();
             prop_assert_eq!(&par, &seq);
             prop_assert_eq!(par.content_digest(), seq.content_digest());
             prop_assert_eq!(par.node_count(), seq.node_count());
@@ -67,10 +67,10 @@ proptest! {
             1,
         );
         let ast = exlif::parse(&src).expect("still parses");
-        let seq_err = flatten::build_netlist_threaded_exact(&ast, 1)
+        let seq_err = flatten::build_netlist_threaded(&ast, 1)
             .expect_err("undefined net must not flatten");
         for threads in [2usize, 8] {
-            let par_err = flatten::build_netlist_threaded_exact(&ast, threads)
+            let par_err = flatten::build_netlist_threaded(&ast, threads)
                 .expect_err("undefined net must not flatten");
             prop_assert_eq!(par_err.to_string(), seq_err.to_string());
         }

@@ -40,8 +40,8 @@ pub enum ReadError {
     Closed,
     /// Malformed request line or header block.
     Malformed(String),
-    /// Head exceeded [`MAX_HEAD_BYTES`] or body exceeded the cap — 431 /
-    /// 413 territory.
+    /// Head exceeded its 16 KiB cap or body exceeded [`MAX_BODY_BYTES`] —
+    /// 431 / 413 territory.
     TooLarge(String),
     /// Socket error or read timeout.
     Io(std::io::Error),

@@ -388,11 +388,11 @@ impl Resident {
                 (Arc::new(c), None)
             }
             None => {
-                let engine = SartEngine::new_with_loops_traced(
+                let engine = SartEngine::new_traced(
                     nl,
                     mapping,
                     config.clone(),
-                    &design.loops,
+                    Some(&design.loops),
                     &self.obs,
                 );
                 let fp_key = keys.fixpoint_key(nl.design_name());
@@ -1045,7 +1045,7 @@ mod tests {
         let old_dag = lock(&r.sweeps).get(dag_key).map(Arc::clone).unwrap();
         let inputs = request(&design, &map, 1).tables[0].inputs.clone();
         let before: Vec<u64> = old_dag
-            .evaluate(&inputs)
+            .evaluate_traced(&inputs, &Collector::disabled())
             .iter()
             .map(|v| v.to_bits())
             .collect();
@@ -1066,7 +1066,7 @@ mod tests {
         // The in-flight holder's DAG is unchanged — same values, bit for
         // bit — even though residency now serves the patched revision.
         let after: Vec<u64> = old_dag
-            .evaluate(&inputs)
+            .evaluate_traced(&inputs, &Collector::disabled())
             .iter()
             .map(|v| v.to_bits())
             .collect();

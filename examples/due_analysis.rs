@@ -15,6 +15,7 @@ use seqavf::core::due::DueAnalysis;
 use seqavf::core::engine::{SartConfig, SartEngine};
 use seqavf::core::mapping::{PavfInputs, StructureMapping};
 use seqavf::netlist::verilog;
+use seqavf::obs::Collector;
 
 const DESIGN: &str = r"
 // A small datapath: one source structure feeding two sinks through a
@@ -44,8 +45,15 @@ fn main() {
     inputs.set_port("dp.buffer", 0.10, 0.20);
     inputs.set_port("dp.pqueue", 0.10, 0.20);
 
-    let engine = SartEngine::new(&nl, &StructureMapping::new(), SartConfig::default());
-    let result = engine.run(&inputs);
+    let obs = Collector::disabled();
+    let engine = SartEngine::new_traced(
+        &nl,
+        &StructureMapping::new(),
+        SartConfig::default(),
+        None,
+        &obs,
+    );
+    let result = engine.run_traced(&inputs, &obs);
 
     let protected: BTreeSet<String> = ["dp.pqueue".to_owned()].into();
     let due = DueAnalysis::compute(&result, &nl, &inputs, &protected);

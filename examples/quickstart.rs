@@ -9,6 +9,7 @@
 use seqavf::core::engine::{SartConfig, SartEngine};
 use seqavf::core::mapping::{PavfInputs, StructureMapping};
 use seqavf::netlist::flatten::parse_netlist;
+use seqavf::obs::Collector;
 
 /// The Figure 7 circuit: S1 and S2 read ports feed a pipeline with a
 /// logical join (G1), a second join (G2) and a distribution split, ending
@@ -44,8 +45,15 @@ fn main() {
     inputs.set_port("f.s3", 0.50, 0.90);
     inputs.set_port("f.s4", 0.50, 0.90);
 
-    let engine = SartEngine::new(&netlist, &StructureMapping::new(), SartConfig::default());
-    let result = engine.run(&inputs);
+    let obs = Collector::disabled();
+    let engine = SartEngine::new_traced(
+        &netlist,
+        &StructureMapping::new(),
+        SartConfig::default(),
+        None,
+        &obs,
+    );
+    let result = engine.run_traced(&inputs, &obs);
 
     println!(
         "Figure 7 pAVF propagation ({} nodes, {} sequential)\n",

@@ -8,6 +8,7 @@ use seqavf::core::engine::{SartConfig, SartEngine};
 use seqavf::core::mapping::{PavfInputs, StructureMapping};
 use seqavf::netlist::graph::NodeId;
 use seqavf::netlist::synth::{generate, SynthConfig};
+use seqavf::obs::Collector;
 use seqavf::sfi::campaign::{run_campaign, CampaignConfig};
 
 fn main() {
@@ -29,8 +30,9 @@ fn main() {
         default_port_pavf: 1.0,
         ..SartConfig::default()
     };
-    let engine = SartEngine::new(nl, &mapping, config);
-    let sart = engine.run(&PavfInputs::new());
+    let obs = Collector::disabled();
+    let engine = SartEngine::new_traced(nl, &mapping, config, None, &obs);
+    let sart = engine.run_traced(&PavfInputs::new(), &obs);
 
     let targets: Vec<NodeId> = nl.seq_nodes().collect();
     let sample: Vec<NodeId> = targets.iter().step_by(4).copied().collect();

@@ -298,16 +298,13 @@ pub mod flow {
         let suite_report = run_suite_traced(&traces, &config.perf, obs);
         let inputs = inputs_from_suite(&suite_report);
         let mapping = StructureMapping::from_pairs(design.meta.structure_map.clone());
-        let engine = match &loops {
-            Some(l) => SartEngine::new_with_loops_traced(
-                &design.netlist,
-                &mapping,
-                config.sart.clone(),
-                l,
-                obs,
-            ),
-            None => SartEngine::new_traced(&design.netlist, &mapping, config.sart.clone(), obs),
-        };
+        let engine = SartEngine::new_traced(
+            &design.netlist,
+            &mapping,
+            config.sart.clone(),
+            loops.as_ref(),
+            obs,
+        );
         let result = engine.run_traced(&inputs, obs);
         let summary = SartSummary::new(&design.netlist, &result);
         FlowOutput {

@@ -8,6 +8,7 @@ use seqavf::core::mapping::StructureMapping;
 use seqavf::core::report::SartSummary;
 use seqavf::flow::{inputs_from_suite, run_suite};
 use seqavf::netlist::synth::{generate, SynthConfig};
+use seqavf::obs::Collector;
 use seqavf::sfi::campaign::{run_campaign, CampaignConfig};
 use seqavf::workloads::suite::{standard_suite, SuiteConfig};
 
@@ -25,8 +26,9 @@ fn embedded_core_flow_end_to_end() {
     let suite = run_suite(&traces, &Default::default());
     let inputs = inputs_from_suite(&suite);
     let mapping = StructureMapping::from_pairs(design.meta.structure_map.clone());
-    let engine = SartEngine::new(nl, &mapping, SartConfig::default());
-    let result = engine.run(&inputs);
+    let obs = Collector::disabled();
+    let result = SartEngine::new_traced(nl, &mapping, SartConfig::default(), None, &obs)
+        .run_traced(&inputs, &obs);
 
     assert!(result.outcome.converged);
     let summary = SartSummary::new(nl, &result);
@@ -53,7 +55,9 @@ fn embedded_core_is_sfi_tractable_and_sart_conservative() {
         ..SartConfig::default()
     };
     let mapping = StructureMapping::from_pairs(design.meta.structure_map.clone());
-    let sart = SartEngine::new(nl, &mapping, config).run(&Default::default());
+    let obs = Collector::disabled();
+    let sart = SartEngine::new_traced(nl, &mapping, config, None, &obs)
+        .run_traced(&Default::default(), &obs);
 
     let targets: Vec<_> = nl.seq_nodes().collect();
     let camp = run_campaign(

@@ -108,8 +108,10 @@ fn mapping_text_roundtrip_through_cli_formats() {
     let nl2 = seqavf::netlist::flatten::parse_netlist(&exlif_text).unwrap();
     let mapping2 = seqavf::core::mapping::StructureMapping::from_text(&nl2, &map_text).unwrap();
     let inputs2: seqavf::core::mapping::PavfInputs = serde_json::from_str(&inputs_json).unwrap();
-    let engine = seqavf::core::engine::SartEngine::new(&nl2, &mapping2, out.result.config.clone());
-    let result2 = engine.run(&inputs2);
+    let obs = seqavf::obs::Collector::disabled();
+    let config = out.result.config.clone();
+    let engine = seqavf::core::engine::SartEngine::new_traced(&nl2, &mapping2, config, None, &obs);
+    let result2 = engine.run_traced(&inputs2, &obs);
     // Same design, same inputs, same config → same AVFs (matched by name;
     // node ids are preserved by the writer's id-order emission).
     for id in nl.nodes() {

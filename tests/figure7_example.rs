@@ -8,9 +8,11 @@
 //! nested union `pAVF_1 ∪ (pAVF_1 ∪ pAVF_2)` simplifying to 0.12 by set
 //! semantics, not 0.22.
 
-use seqavf::core::engine::{SartConfig, SartEngine};
+use seqavf::core::engine::{SartConfig, SartEngine, SartResult};
 use seqavf::core::mapping::{PavfInputs, StructureMapping};
 use seqavf::netlist::flatten::parse_netlist;
+use seqavf::netlist::graph::Netlist;
+use seqavf::obs::Collector;
 
 const FIGURE7: &str = r"
 .design figure7
@@ -41,11 +43,22 @@ fn inputs() -> PavfInputs {
     p
 }
 
+fn solve(nl: &Netlist, inputs: &PavfInputs) -> SartResult {
+    let obs = Collector::disabled();
+    SartEngine::new_traced(
+        nl,
+        &StructureMapping::new(),
+        SartConfig::default(),
+        None,
+        &obs,
+    )
+    .run_traced(inputs, &obs)
+}
+
 #[test]
 fn figure7_forward_annotations_match_paper() {
     let nl = parse_netlist(FIGURE7).unwrap();
-    let engine = SartEngine::new(&nl, &StructureMapping::new(), SartConfig::default());
-    let r = engine.run(&inputs());
+    let r = solve(&nl, &inputs());
     let inputs = inputs();
     let fwd = |name: &str| r.forward_value(nl.lookup(name).unwrap(), &inputs);
 
@@ -69,8 +82,7 @@ fn figure7_forward_annotations_match_paper() {
 #[test]
 fn figure7_table1_resolution_rules() {
     let nl = parse_netlist(FIGURE7).unwrap();
-    let engine = SartEngine::new(&nl, &StructureMapping::new(), SartConfig::default());
-    let r = engine.run(&inputs());
+    let r = solve(&nl, &inputs());
     let inputs = inputs();
     // Table 1: AVF = MIN(forward union, backward union) for every node.
     for id in nl.seq_nodes() {
@@ -88,8 +100,7 @@ fn figure7_backward_dominates_when_writes_are_rare() {
     let mut p = inputs();
     p.set_port("f.s3", 0.50, 0.03);
     p.set_port("f.s4", 0.50, 0.01);
-    let engine = SartEngine::new(&nl, &StructureMapping::new(), SartConfig::default());
-    let r = engine.run(&p);
+    let r = solve(&nl, &p);
     // Q2a feeds both G1 and G2, reaching both sinks; backward = 0.03 + 0.01.
     let q2a = nl.lookup("f.q2a").unwrap();
     assert!((r.avf(q2a) - 0.04).abs() < 1e-12, "got {}", r.avf(q2a));
@@ -104,8 +115,7 @@ fn figure7_backward_dominates_when_writes_are_rare() {
 #[test]
 fn figure7_closed_forms_are_reported() {
     let nl = parse_netlist(FIGURE7).unwrap();
-    let engine = SartEngine::new(&nl, &StructureMapping::new(), SartConfig::default());
-    let r = engine.run(&inputs());
+    let r = solve(&nl, &inputs());
     let q3a = nl.lookup("f.q3a").unwrap();
     let form = r.closed_form(q3a);
     assert!(form.contains("pAVF_R(f.s1)"), "{form}");

@@ -6,9 +6,10 @@
 
 use proptest::prelude::*;
 
-use seqavf::core::engine::{SartConfig, SartEngine};
+use seqavf::core::engine::{SartConfig, SartEngine, SartResult};
 use seqavf::core::mapping::{PavfInputs, StructureMapping};
 use seqavf::netlist::graph::{GateOp, Netlist, NetlistBuilder, NodeId, NodeKind, SeqKind};
+use seqavf::obs::Collector;
 use seqavf::sfi::campaign::{run_campaign, CampaignConfig};
 
 /// Deterministically builds a valid circuit from a byte recipe: bytes
@@ -270,6 +271,13 @@ fn inputs_with(v: f64, w: f64) -> PavfInputs {
     p
 }
 
+/// One SART solve of `nl` with no structure mapping and no collection.
+fn solve(nl: &Netlist, config: SartConfig, inputs: &PavfInputs) -> SartResult {
+    let obs = Collector::disabled();
+    SartEngine::new_traced(nl, &StructureMapping::new(), config, None, &obs)
+        .run_traced(inputs, &obs)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -277,8 +285,7 @@ proptest! {
     fn avf_is_min_of_walks_and_in_range((recipe, fubs) in recipe_strategy()) {
         let nl = build_circuit(&recipe, fubs);
         let inputs = inputs_with(0.3, 0.4);
-        let engine = SartEngine::new(&nl, &StructureMapping::new(), SartConfig::default());
-        let r = engine.run(&inputs);
+        let r = solve(&nl, SartConfig::default(), &inputs);
         for id in nl.nodes() {
             let avf = r.avf(id);
             prop_assert!((0.0..=1.0).contains(&avf), "{}", nl.name(id));
@@ -296,14 +303,8 @@ proptest! {
     fn partitioned_equals_global((recipe, fubs) in recipe_strategy()) {
         let nl = build_circuit(&recipe, fubs);
         let inputs = inputs_with(0.25, 0.35);
-        let part = SartEngine::new(&nl, &StructureMapping::new(), SartConfig::default())
-            .run(&inputs);
-        let glob = SartEngine::new(
-            &nl,
-            &StructureMapping::new(),
-            SartConfig { partitioned: false, ..SartConfig::default() },
-        )
-        .run(&inputs);
+        let part = solve(&nl, SartConfig::default(), &inputs);
+        let glob = solve(&nl, SartConfig { partitioned: false, ..SartConfig::default() }, &inputs);
         prop_assert!(part.outcome.converged);
         for id in nl.nodes() {
             prop_assert!(
@@ -318,11 +319,10 @@ proptest! {
     fn closed_form_reuse_is_exact((recipe, fubs) in recipe_strategy(),
                                   v in 0.0f64..1.0, w in 0.0f64..1.0) {
         let nl = build_circuit(&recipe, fubs);
-        let engine = SartEngine::new(&nl, &StructureMapping::new(), SartConfig::default());
-        let first = engine.run(&inputs_with(0.5, 0.5));
+        let first = solve(&nl, SartConfig::default(), &inputs_with(0.5, 0.5));
         let new_inputs = inputs_with(v, w);
         let cheap = first.reevaluate(&nl, &new_inputs);
-        let fresh = engine.run(&new_inputs);
+        let fresh = solve(&nl, SartConfig::default(), &new_inputs);
         for id in nl.nodes() {
             prop_assert!((cheap[id.index()] - fresh.avf(id)).abs() < 1e-12);
         }
@@ -332,9 +332,8 @@ proptest! {
     fn avf_is_monotone_in_port_pavfs((recipe, fubs) in recipe_strategy(),
                                      lo in 0.0f64..0.5) {
         let nl = build_circuit(&recipe, fubs);
-        let engine = SartEngine::new(&nl, &StructureMapping::new(), SartConfig::default());
-        let low = engine.run(&inputs_with(lo, lo));
-        let high = engine.run(&inputs_with(lo + 0.4, lo + 0.4));
+        let low = solve(&nl, SartConfig::default(), &inputs_with(lo, lo));
+        let high = solve(&nl, SartConfig::default(), &inputs_with(lo + 0.4, lo + 0.4));
         for id in nl.nodes() {
             prop_assert!(
                 high.avf(id) + 1e-12 >= low.avf(id),
@@ -354,14 +353,8 @@ proptest! {
         let mut inputs = PavfInputs::new();
         inputs.set_port("g0.sa", 0.2, 0.6);
         let config = SartConfig { max_iterations: 64, ..SartConfig::default() };
-        let part = SartEngine::new(&nl, &StructureMapping::new(), config.clone())
-            .run(&inputs);
-        let glob = SartEngine::new(
-            &nl,
-            &StructureMapping::new(),
-            SartConfig { partitioned: false, ..config },
-        )
-        .run(&inputs);
+        let part = solve(&nl, config.clone(), &inputs);
+        let glob = solve(&nl, SartConfig { partitioned: false, ..config }, &inputs);
         prop_assert!(part.outcome.converged);
         prop_assert!(glob.outcome.converged);
         for id in nl.nodes() {
@@ -381,16 +374,8 @@ proptest! {
         let mut inputs = PavfInputs::new();
         inputs.set_port("g0.sa", 0.35, 0.15);
         let config = SartConfig { max_iterations: 64, ..SartConfig::default() };
-        let seq = SartEngine::new(&nl, &StructureMapping::new(), config.clone())
-            .run(&inputs);
-        // `run_exact`: these designs sit below the small-design clamp,
-        // and the clamped `run` would solve them on one worker.
-        let par = SartEngine::new(
-            &nl,
-            &StructureMapping::new(),
-            SartConfig { threads: 5, ..config },
-        )
-        .run_exact(&inputs);
+        let seq = solve(&nl, config.clone(), &inputs);
+        let par = solve(&nl, SartConfig { threads: 5, ..config }, &inputs);
         prop_assert!(par.outcome.trace.iter().all(|s| s.effective_threads == 5));
         prop_assert_eq!(&seq.fwd, &par.fwd);
         prop_assert_eq!(&seq.bwd, &par.bwd);
@@ -411,27 +396,12 @@ proptest! {
         let mut inputs = PavfInputs::new();
         inputs.set_port("g0.sa", 0.3, 0.45);
         let config = SartConfig { max_iterations: 64, ..SartConfig::default() };
-        let glob = SartEngine::new(
-            &nl,
-            &StructureMapping::new(),
-            SartConfig { partitioned: false, ..config.clone() },
-        )
-        .run(&inputs);
+        let glob = solve(&nl, SartConfig { partitioned: false, ..config.clone() }, &inputs);
         for threads in [1usize, 2, 8] {
-            // `run_exact` engages `threads` workers on these small
-            // designs; at one thread it is the same solve as `run`.
-            let full = SartEngine::new(
-                &nl,
-                &StructureMapping::new(),
-                SartConfig { threads, incremental: false, ..config.clone() },
-            )
-            .run_exact(&inputs);
-            let inc = SartEngine::new(
-                &nl,
-                &StructureMapping::new(),
-                SartConfig { threads, incremental: true, ..config.clone() },
-            )
-            .run_exact(&inputs);
+            let full =
+                solve(&nl, SartConfig { threads, incremental: false, ..config.clone() }, &inputs);
+            let inc =
+                solve(&nl, SartConfig { threads, incremental: true, ..config.clone() }, &inputs);
             for r in [&full, &inc] {
                 prop_assert!(r.outcome.trace.iter().all(|s| s.effective_threads == threads));
             }
@@ -476,10 +446,9 @@ proptest! {
             default_port_pavf: 0.01,
             ..SartConfig::default()
         };
-        let engine = |c: SartConfig| SartEngine::new(&nl, &StructureMapping::new(), c);
-        let glob = engine(SartConfig { partitioned: false, ..config.clone() }).run(&inputs);
+        let glob = solve(&nl, SartConfig { partitioned: false, ..config.clone() }, &inputs);
         prop_assert!(glob.terms.len() > 64, "{} terms", glob.terms.len());
-        let base = engine(config.clone()).run_exact(&inputs);
+        let base = solve(&nl, config.clone(), &inputs);
         prop_assert!(base.outcome.converged);
         for id in nl.nodes() {
             let i = id.index();
@@ -489,8 +458,7 @@ proptest! {
         }
         for threads in [1usize, 2, 8] {
             for incremental in [true, false] {
-                let r = engine(SartConfig { threads, incremental, ..config.clone() })
-                    .run_exact(&inputs);
+                let r = solve(&nl, SartConfig { threads, incremental, ..config.clone() }, &inputs);
                 prop_assert_eq!(&r.fwd, &base.fwd, "threads={} incremental={}", threads, incremental);
                 prop_assert_eq!(&r.bwd, &base.bwd, "threads={} incremental={}", threads, incremental);
                 prop_assert_eq!(r.arena.len(), base.arena.len());
@@ -554,10 +522,9 @@ fn closed_form_reuse_regression_seed() {
     ];
     let (fubs, v, w) = (2usize, 0.4015249373321048f64, 0.06049688487082415f64);
     let nl = build_circuit(&recipe, fubs);
-    let engine = SartEngine::new(&nl, &StructureMapping::new(), SartConfig::default());
-    let first = engine.run(&inputs_with(0.5, 0.5));
+    let first = solve(&nl, SartConfig::default(), &inputs_with(0.5, 0.5));
     let cheap = first.reevaluate(&nl, &inputs_with(v, w));
-    let fresh = engine.run(&inputs_with(v, w));
+    let fresh = solve(&nl, SartConfig::default(), &inputs_with(v, w));
     for id in nl.nodes() {
         assert!(
             (cheap[id.index()] - fresh.avf(id)).abs() < 1e-12,
@@ -583,8 +550,7 @@ proptest! {
             default_port_pavf: 1.0,
             ..SartConfig::default()
         };
-        let sart = SartEngine::new(&nl, &StructureMapping::new(), config)
-            .run(&PavfInputs::new());
+        let sart = solve(&nl, config, &PavfInputs::new());
         let targets: Vec<NodeId> = nl.seq_nodes().collect();
         let camp = run_campaign(
             &nl,

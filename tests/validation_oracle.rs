@@ -19,6 +19,7 @@ use seqavf::core::engine::{SartConfig, SartEngine};
 use seqavf::core::mapping::{PavfInputs, StructureMapping};
 use seqavf::netlist::flatten::parse_netlist;
 use seqavf::netlist::graph::{Netlist, NodeId, NodeKind};
+use seqavf::obs::Collector;
 use seqavf::sfi::campaign::{run_exhaustive, run_trials, TrialConfig};
 use seqavf::sfi::inject::observation_points;
 use seqavf::sfi::logic::PropModel;
@@ -97,8 +98,10 @@ proptest! {
         prop_assume!(!targets.is_empty());
         prop_assert!(targets.len() <= MAX_STATE_BITS);
 
-        let engine = SartEngine::new(&nl, &StructureMapping::new(), SartConfig::default());
-        let analytical = engine.run(&PavfInputs::new());
+        let obs = Collector::disabled();
+        let engine =
+            SartEngine::new_traced(&nl, &StructureMapping::new(), SartConfig::default(), None, &obs);
+        let analytical = engine.run_traced(&PavfInputs::new(), &obs);
         let model = PropModel::build(&nl, &observation_points(&nl));
 
         // Exhaustive: every site × every flip cycle. The horizon exceeds
