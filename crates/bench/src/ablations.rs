@@ -10,8 +10,9 @@
 //! - **HD-1 analysis off**: CAM structures lose their tag-bit refinement.
 //! - **Conservative vs precise residency**: the magnitude of the structure
 //!   AVF conservatism the sequential flow removes.
-//! - **Partitioned vs global analysis**: identical results, different
-//!   iteration counts (validates the FUBIO relaxation).
+//! - **Partitioned vs global analysis** (one partition per FUB against
+//!   the whole design as one): identical results, different iteration
+//!   counts (validates the FUBIO relaxation).
 
 use serde::{Deserialize, Serialize};
 

@@ -112,7 +112,7 @@ pub fn run(scale: Scale, seed: u64) -> SymbolicReport {
     let loops = find_loops(nl);
     let roles = classify(nl, &loops, &cfg.sart.ctrl_patterns);
     let mut arena = seqavf_core::arena::UnionArena::new();
-    let prep = prepare(nl, roles, &out.mapping, &mut arena);
+    let prep = prepare(nl, roles, &out.mapping, cfg.sart.partitioned, &mut arena);
     let prop = Propagator::new(nl, prep, arena);
     let values = out.result.term_values(&out.inputs);
     let numeric = solve_parallel(&prop, &values, cfg.sart.max_iterations, 4, 1e-12);

@@ -101,7 +101,9 @@ commands:
         [--no-incremental] [--protected a,b] [--equations node1,node2]
         [--graph-cache <dir>] [--warm-start <dir>]
         resolve sequential AVFs for every node (designs may be EXLIF or
-        structural Verilog, chosen by file extension); --no-incremental
+        structural Verilog, chosen by file extension); --global relaxes
+        the whole design as one partition instead of one per FUB (the
+        same AVFs, reached in one sweep); --no-incremental
         re-walks every FUB every relaxation sweep instead of only the
         boundary-dirty ones (bit-identical results, more work);
         --warm-start persists the converged fixpoint in <dir> and seeds
@@ -240,6 +242,25 @@ fn load_design(args: &Args, obs: &Collector) -> Result<(Netlist, Option<LoopAnal
         .map_err(|e| format!("parsing {path}: {e}"))
 }
 
+/// Reads a `--pavf` table.
+fn read_pavf(path: &str) -> Result<PavfInputs, String> {
+    serde_json::from_str(&read_file(path)?).map_err(|e| format!("parsing pAVF table: {e}"))
+}
+
+/// The [`SartConfig`] of `--loop-pavf`, `--iterations`, `--global`,
+/// `--no-incremental` and `--threads` (at least 1, `default_threads` when
+/// absent), shared by `sart`, `sweep` and `validate`.
+fn sart_config(args: &Args, default_threads: usize) -> Result<SartConfig, String> {
+    Ok(SartConfig {
+        loop_pavf: args.unit_f64("loop-pavf", 0.3)?,
+        max_iterations: args.num("iterations", 20usize)?,
+        partitioned: !args.has("global"),
+        incremental: !args.has("no-incremental"),
+        threads: args.num("threads", default_threads)?.max(1),
+        ..SartConfig::default()
+    })
+}
+
 /// Prints which path a warm-start request took.
 fn print_warm(status: WarmStatus) {
     match status {
@@ -333,16 +354,8 @@ fn cmd_sart(args: &Args) -> Result<(), String> {
     let obs = Obs::from_args(args);
     let (netlist, loops) = load_design(args, &obs.collector)?;
     let mapping = StructureMapping::from_text(&netlist, &read_file(args.require("map")?)?)?;
-    let inputs: PavfInputs = serde_json::from_str(&read_file(args.require("pavf")?)?)
-        .map_err(|e| format!("parsing pAVF table: {e}"))?;
-    let config = SartConfig {
-        loop_pavf: args.unit_f64("loop-pavf", 0.3)?,
-        max_iterations: args.num("iterations", 20usize)?,
-        partitioned: !args.has("global"),
-        incremental: !args.has("no-incremental"),
-        threads: args.num("threads", 1usize)?.max(1),
-        ..SartConfig::default()
-    };
+    let inputs = read_pavf(args.require("pavf")?)?;
+    let config = sart_config(args, 1)?;
     let engine = SartEngine::new_traced(&netlist, &mapping, config, loops.as_ref(), &obs.collector);
     let result = match args.get("warm-start") {
         None => engine.run_traced(&inputs, &obs.collector),
@@ -505,16 +518,8 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
     let obs = Obs::from_args(args);
     let (netlist, loops) = load_design(args, &obs.collector)?;
     let mapping = StructureMapping::from_text(&netlist, &read_file(args.require("map")?)?)?;
-    let base_inputs: PavfInputs = serde_json::from_str(&read_file(args.require("pavf")?)?)
-        .map_err(|e| format!("parsing pAVF table: {e}"))?;
-    let config = SartConfig {
-        loop_pavf: args.unit_f64("loop-pavf", 0.3)?,
-        max_iterations: args.num("iterations", 20usize)?,
-        partitioned: !args.has("global"),
-        incremental: !args.has("no-incremental"),
-        threads: args.num("threads", 1usize)?.max(1),
-        ..SartConfig::default()
-    };
+    let base_inputs = read_pavf(args.require("pavf")?)?;
+    let config = sart_config(args, 1)?;
     // Per-workload pAVF tables from the ACE model, one per suite trace.
     let suite_cfg = SuiteConfig {
         workloads: args.num("workloads", 8usize)?,
@@ -656,20 +661,11 @@ fn cmd_validate(args: &Args) -> Result<(), String> {
     // measured table validates the workload-derated AVFs instead — expect
     // weak correlation there, since ACE derating is invisible to random
     // stimulus by construction.
-    let inputs: PavfInputs = match args.get("pavf") {
-        Some(path) => serde_json::from_str(&read_file(path)?)
-            .map_err(|e| format!("parsing pAVF table: {e}"))?,
+    let inputs = match args.get("pavf") {
+        Some(path) => read_pavf(path)?,
         None => PavfInputs::new(),
     };
-    let threads = args.num("threads", 8usize)?.max(1);
-    let config = SartConfig {
-        loop_pavf: args.unit_f64("loop-pavf", 0.3)?,
-        max_iterations: args.num("iterations", 20usize)?,
-        partitioned: !args.has("global"),
-        incremental: !args.has("no-incremental"),
-        threads,
-        ..SartConfig::default()
-    };
+    let config = sart_config(args, 8)?;
 
     // Analytical side: the per-bit SART AVFs, via the same compiled-DAG
     // artifact cache the sweep uses (a prior `sweep --cache-dir` run makes
@@ -748,7 +744,7 @@ fn cmd_validate(args: &Args) -> Result<(), String> {
             seed: args.num("seed", 0xace_5eedu64)?,
             max_warmup: args.num("warmup", 32u64)?,
             horizon: args.num("horizon", 150u64)?,
-            threads,
+            threads: config.threads,
             burst: args.pos_usize("burst", 1)?,
             kernel,
         },
@@ -773,7 +769,7 @@ fn cmd_validate(args: &Args) -> Result<(), String> {
         "validated {} trials in {:?} ({} threads)",
         report.trials,
         t0.elapsed(),
-        threads
+        config.threads
     );
     if let Some(out) = args.get("out") {
         write_file(out, &report.to_json())?;
@@ -901,13 +897,7 @@ fn cmd_query(args: &Args) -> Result<(), String> {
             inputs: seqavf::flow::inputs_from_report(r),
         })
         .collect();
-    let base_inputs = match args.get("pavf") {
-        Some(path) => Some(
-            serde_json::from_str(&read_file(path)?)
-                .map_err(|e| format!("parsing pAVF table: {e}"))?,
-        ),
-        None => None,
-    };
+    let base_inputs = args.get("pavf").map(read_pavf).transpose()?;
     let request = AvfRequest {
         design_path: args.get("design").map(str::to_owned),
         design_ref: args.get("design-ref").map(str::to_owned),

@@ -115,10 +115,11 @@ fn incremental_relaxation_writes_the_bytes_of_full_sweeps() {
     let (design, map, pavf) = (s.file("inc.exlif"), s.file("inc.map"), s.file("pavf.json"));
     run_ok(&["gen", "--out", &design, "--map", &map, "--scale", "0.3"]);
     run_ok(&["ace", "--out", &pavf, "--workloads", "4", "--len", "1000"]);
-    let sart = |threads: &str, incremental: bool| {
+    // `flag` is `--no-incremental`, `--global` or nothing.
+    let sart = |threads: &str, flag: Option<&str>| {
         let out = s.file(&format!(
             "avf-{}-t{threads}.json",
-            if incremental { "inc" } else { "full" }
+            flag.unwrap_or("--inc").trim_start_matches('-')
         ));
         let mut args = vec![
             "sart",
@@ -133,19 +134,21 @@ fn incremental_relaxation_writes_the_bytes_of_full_sweeps() {
             "--out",
             &out,
         ];
-        if !incremental {
-            args.push("--no-incremental");
-        }
+        args.extend(flag);
         run_ok(&args);
         std::fs::read(&out).unwrap()
     };
-    let reference = sart("1", true);
+    let reference = sart("1", None);
     assert!(!reference.is_empty());
-    for (threads, incremental) in [("1", false), ("8", true), ("8", false)] {
-        assert!(
-            sart(threads, incremental) == reference,
-            "--threads {threads}{} changed the AVF output",
-            if incremental { "" } else { " --no-incremental" }
-        );
+    // The whole design as one partition (`--global`) reaches the same
+    // fixpoint, so it writes the same bytes too.
+    for threads in ["1", "8"] {
+        for flag in [None, Some("--no-incremental"), Some("--global")] {
+            assert!(
+                sart(threads, flag) == reference,
+                "--threads {threads} {} changed the AVF output",
+                flag.unwrap_or("")
+            );
+        }
     }
 }

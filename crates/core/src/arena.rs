@@ -222,16 +222,13 @@ impl SetId {
     }
 }
 
-/// Hash-consing arena for term sets (symbolic unions).
+/// Hash-consing arena for term sets (symbolic unions). Unions are formed
+/// by the relaxation's term masks (OR with TOP absorbing, see
+/// [`crate::relax`]); the arena stores each distinct result once.
 #[derive(Debug, Clone)]
 pub struct UnionArena {
     sets: Vec<Box<[TermId]>>,
     index: HashMap<Box<[TermId]>, SetId>,
-    /// Memo for [`UnionArena::union2`] results past the trivial fast
-    /// paths, keyed by the unordered operand pair (stored min-first).
-    /// Interned ids never change, so entries stay valid for the arena's
-    /// whole lifetime.
-    union_memo: HashMap<(SetId, SetId), SetId>,
 }
 
 impl UnionArena {
@@ -244,7 +241,6 @@ impl UnionArena {
         let mut a = UnionArena {
             sets: Vec::new(),
             index: HashMap::new(),
-            union_memo: HashMap::new(),
         };
         let empty = a.intern(Vec::new());
         debug_assert_eq!(empty.index(), 0);
@@ -294,40 +290,6 @@ impl UnionArena {
     /// so the resulting [`SetId`] does too.
     pub fn intern_terms(&mut self, terms: &[TermId]) -> SetId {
         self.intern(terms.to_vec())
-    }
-
-    /// Set union of two sets.
-    pub fn union2(&mut self, a: SetId, b: SetId) -> SetId {
-        if a == b {
-            return a;
-        }
-        if a == self.empty() {
-            return b;
-        }
-        if b == self.empty() {
-            return a;
-        }
-        if a == self.top() || b == self.top() {
-            return self.top();
-        }
-        let key = if a < b { (a, b) } else { (b, a) };
-        if let Some(&s) = self.union_memo.get(&key) {
-            return s;
-        }
-        let mut v: Vec<TermId> = self.sets[a.index()].to_vec();
-        v.extend_from_slice(&self.sets[b.index()]);
-        let s = self.intern(v);
-        self.union_memo.insert(key, s);
-        s
-    }
-
-    /// Set union of many sets.
-    pub fn union_many<I: IntoIterator<Item = SetId>>(&mut self, sets: I) -> SetId {
-        let mut acc = self.empty();
-        for s in sets {
-            acc = self.union2(acc, s);
-        }
-        acc
     }
 
     /// The terms of a set, sorted.
@@ -430,70 +392,31 @@ mod tests {
     }
 
     #[test]
-    fn union_has_set_semantics() {
+    fn interning_has_set_semantics() {
         let (_, a, b, _) = table();
         let mut ar = UnionArena::new();
-        let sa = ar.singleton(a);
-        let sb = ar.singleton(b);
-        let sab = ar.union2(sa, sb);
+        let sab = ar.intern_terms(&[a, b]);
         // pAVF_1 ∪ (pAVF_1 ∪ pAVF_2) = pAVF_1 ∪ pAVF_2 — the Figure 7
-        // simplification.
-        let again = ar.union2(sa, sab);
-        assert_eq!(again, sab);
+        // simplification: order and repeats do not change the set.
+        assert_eq!(ar.intern_terms(&[b, a, a]), sab);
         assert_eq!(ar.terms(sab).len(), 2);
-    }
-
-    #[test]
-    fn union_identities() {
-        let (_, a, b, _) = table();
-        let mut ar = UnionArena::new();
-        let sa = ar.singleton(a);
-        let sb = ar.singleton(b);
-        assert_eq!(ar.union2(sa, ar.empty()), sa);
-        assert_eq!(ar.union2(ar.empty(), sb), sb);
-        assert_eq!(ar.union2(sa, sb), ar.union2(sb, sa));
-        assert_eq!(ar.union2(sa, sa), sa);
-    }
-
-    #[test]
-    fn union_memo_is_transparent() {
-        let (_, a, b, c) = table();
-        let mut ar = UnionArena::new();
-        let sa = ar.singleton(a);
-        let sb = ar.singleton(b);
-        let sc = ar.singleton(c);
-        let first = ar.union2(sa, sb);
-        // The memoized pair returns the same id in either operand order
-        // without growing the arena.
-        let len = ar.len();
-        assert_eq!(ar.union2(sa, sb), first);
-        assert_eq!(ar.union2(sb, sa), first);
-        assert_eq!(ar.len(), len);
-        // Unseen pairs still intern fresh sets.
-        let abc = ar.union2(first, sc);
-        assert_eq!(ar.terms(abc).len(), 3);
+        assert_eq!(ar.intern_terms(&[]), ar.empty());
+        assert_eq!(ar.singleton(a), ar.intern_terms(&[a, a]));
     }
 
     #[test]
     fn top_absorbs() {
-        let (_, a, _, _) = table();
+        let (t, a, _, _) = table();
         let mut ar = UnionArena::new();
-        let sa = ar.singleton(a);
-        let top = ar.top();
-        assert_eq!(ar.union2(sa, top), top);
-        let explicit = ar.intern(vec![TermId(0), a]);
-        assert_eq!(explicit, top);
+        let explicit = ar.intern_terms(&[a, t.top()]);
+        assert_eq!(explicit, ar.top());
     }
 
     #[test]
     fn eval_is_capped_sum() {
         let (t, a, b, c) = table();
         let mut ar = UnionArena::new();
-        let sab = {
-            let sa = ar.singleton(a);
-            let sb = ar.singleton(b);
-            ar.union2(sa, sb)
-        };
+        let sab = ar.intern_terms(&[a, b]);
         let values = t.values(
             &|name| match name {
                 "s1" => Some((0.10, 0.0)),
@@ -508,10 +431,9 @@ mod tests {
         assert!((ar.eval(sab, &values) - 0.12).abs() < 1e-12);
         assert_eq!(ar.eval(ar.empty(), &values), 0.0);
         assert_eq!(ar.eval(ar.top(), &values), 1.0);
-        let sc = ar.singleton(c);
-        let big = ar.union2(sab, sc);
-        let full = ar.union2(big, sc);
-        assert!((ar.eval(full, &values) - 1.0).abs() < 1e-12 || ar.eval(full, &values) < 1.0);
+        // 0.10 + 0.02 + 0.95 caps at 1.0.
+        let full = ar.intern_terms(&[a, b, c]);
+        assert_eq!(ar.eval(full, &values), 1.0);
         // eval_all agrees with eval.
         let all = ar.eval_all(&values);
         for (i, v) in all.iter().enumerate() {
@@ -534,21 +456,10 @@ mod tests {
     fn display_renders_union() {
         let (t, a, b, _) = table();
         let mut ar = UnionArena::new();
-        let sa = ar.singleton(a);
-        let sb = ar.singleton(b);
-        let sab = ar.union2(sa, sb);
+        let sab = ar.intern_terms(&[a, b]);
         let s = ar.display(sab, &t);
         assert!(s.contains("pAVF_R(s1)"));
         assert!(s.contains("∪"));
         assert_eq!(ar.display(ar.empty(), &t), "∅");
-    }
-
-    #[test]
-    fn union_many_folds() {
-        let (_, a, b, c) = table();
-        let mut ar = UnionArena::new();
-        let singles: Vec<SetId> = [a, b, c].iter().map(|&t| ar.singleton(t)).collect();
-        let u = ar.union_many(singles.iter().copied());
-        assert_eq!(ar.terms(u).len(), 3);
     }
 }

@@ -4,7 +4,7 @@
 //! [`SartResult::reevaluate`] is already the paper's "plug new pAVFs into
 //! the closed form equations" fast path, but it *interprets* the union-set
 //! structure on every call: it evaluates **every** set the relaxation ever
-//! interned (most are dead intermediates of the walks), re-matches each
+//! interned (many hold annotations a later sweep moved past), re-matches each
 //! node's role, and resolves struct-cell overrides through per-node string
 //! map lookups. [`CompiledSweep`] lowers the resolved annotations once into
 //! a three-level DAG —
@@ -50,7 +50,7 @@
 
 use std::collections::HashMap;
 
-use seqavf_netlist::graph::{Netlist, NodeKind};
+use seqavf_netlist::graph::{Netlist, NodeId, NodeKind};
 use seqavf_netlist::snapshot::{
     open_sealed, put_delta, put_section, put_str, put_varint, seal, Cursor, SnapshotError,
 };
@@ -109,8 +109,9 @@ pub struct CompileStats {
     pub sum_ops: usize,
     /// Distinct `(F, B)` pairs lowered to MIN ops.
     pub min_ops: usize,
-    /// Sets the relaxation arena held in total (dead intermediates the
-    /// compiled DAG does not evaluate).
+    /// Sets the relaxation arena held in total, including those of
+    /// annotations a later sweep moved past (the compiled DAG does not
+    /// evaluate them).
     pub arena_sets: usize,
     /// Interned pAVF terms (DAG leaves).
     pub terms: usize,
@@ -201,73 +202,123 @@ impl RowIds {
     }
 }
 
+/// The per-node lowering shared by compile and patch: the ops emitted so
+/// far and the content maps that dedupe them (a live set to its sum op,
+/// an `(F, B)` pair to its MIN op, a performance name to its index).
+/// Compile starts it empty; patch seeds it with the ops it retains.
+struct Lowering<'r> {
+    result: &'r SartResult,
+    sum_terms: Vec<u32>,
+    sum_bounds: Vec<u32>,
+    sum_index: HashMap<SetId, u32>,
+    mins: Vec<(u32, u32)>,
+    min_index: HashMap<(SetId, SetId), u32>,
+    perf_names: Vec<String>,
+    perf_index: HashMap<String, u32>,
+    slots: Vec<Slot>,
+}
+
+impl<'r> Lowering<'r> {
+    fn new(result: &'r SartResult, nodes: usize) -> Lowering<'r> {
+        Lowering {
+            result,
+            sum_terms: Vec::new(),
+            sum_bounds: vec![0],
+            sum_index: HashMap::new(),
+            mins: Vec::new(),
+            min_index: HashMap::new(),
+            perf_names: Vec::new(),
+            perf_index: HashMap::new(),
+            slots: Vec::with_capacity(nodes),
+        }
+    }
+
+    /// The sum op of set `s`, lowered on first sight.
+    fn sum(&mut self, s: SetId) -> u32 {
+        let Lowering {
+            result,
+            sum_terms,
+            sum_bounds,
+            sum_index,
+            ..
+        } = self;
+        *sum_index.entry(s).or_insert_with(|| {
+            let k = sum_bounds.len() - 1;
+            sum_terms.extend(result.arena.terms(s).iter().map(|t| t.index() as u32));
+            sum_bounds.push(sum_terms.len() as u32);
+            u32::try_from(k).expect("sum op count fits u32")
+        })
+    }
+
+    /// The index of performance name `name`, added on first sight.
+    fn perf(&mut self, name: &str) -> u32 {
+        if let Some(&k) = self.perf_index.get(name) {
+            return k;
+        }
+        self.perf_names.push(name.to_owned());
+        let k = u32::try_from(self.perf_names.len() - 1).expect("perf count fits u32");
+        self.perf_index.insert(name.to_owned(), k);
+        k
+    }
+
+    /// Lowers node `id` of the result and appends its slot.
+    fn node(&mut self, nl: &Netlist, id: NodeId) {
+        let i = id.index();
+        let slot = match self.result.roles.role(id) {
+            NodeRole::ControlReg => Slot::Ctrl,
+            NodeRole::LoopSeq => Slot::Loop,
+            role => {
+                let pair = (self.result.fwd[i], self.result.bwd[i]);
+                let min = match self.min_index.get(&pair) {
+                    Some(&m) => m,
+                    None => {
+                        let a = self.sum(pair.0);
+                        let b = self.sum(pair.1);
+                        self.mins.push((a, b));
+                        let m = u32::try_from(self.mins.len() - 1).expect("min op count fits u32");
+                        self.min_index.insert(pair, m);
+                        m
+                    }
+                };
+                if role == NodeRole::StructCell {
+                    let NodeKind::StructCell { structure, .. } = nl.kind(id) else {
+                        unreachable!("role implies kind");
+                    };
+                    let perf = self.perf(&self.result.struct_perf_names[structure.index()]);
+                    Slot::Struct { perf, min }
+                } else {
+                    Slot::Min(min)
+                }
+            }
+        };
+        self.slots.push(slot);
+    }
+
+    fn finish(self) -> CompiledSweep {
+        CompiledSweep {
+            config: self.result.config.clone(),
+            terms: self.result.terms.clone(),
+            sum_terms: self.sum_terms,
+            sum_bounds: self.sum_bounds,
+            rows: RowIds::derive(&self.slots, self.mins.len()),
+            mins: self.mins,
+            slots: self.slots,
+            perf_names: self.perf_names,
+            arena_sets: self.result.arena.len(),
+        }
+    }
+}
+
 impl CompiledSweep {
     /// Lowers a resolved [`SartResult`] into the compiled DAG, recording
     /// one `sweep.compile` span carrying the sharing statistics.
     pub fn compile_traced(result: &SartResult, nl: &Netlist, obs: &Collector) -> CompiledSweep {
         let mut span = obs.span("sweep.compile");
-        let n = nl.node_count();
-        let mut sum_terms: Vec<u32> = Vec::new();
-        let mut sum_bounds: Vec<u32> = vec![0];
-        let mut sum_index: HashMap<SetId, u32> = HashMap::new();
-        let mut mins: Vec<(u32, u32)> = Vec::new();
-        let mut min_index: HashMap<(SetId, SetId), u32> = HashMap::new();
-        let mut perf_names: Vec<String> = Vec::new();
-        let mut perf_index: HashMap<String, u32> = HashMap::new();
-        let mut slots: Vec<Slot> = Vec::with_capacity(n);
-
-        let mut lower_sum =
-            |s: SetId, sum_terms: &mut Vec<u32>, sum_bounds: &mut Vec<u32>| -> u32 {
-                *sum_index.entry(s).or_insert_with(|| {
-                    let k = sum_bounds.len() - 1;
-                    sum_terms.extend(result.arena.terms(s).iter().map(|t| t.index() as u32));
-                    sum_bounds.push(sum_terms.len() as u32);
-                    u32::try_from(k).expect("sum op count fits u32")
-                })
-            };
-
+        let mut lower = Lowering::new(result, nl.node_count());
         for id in nl.nodes() {
-            let i = id.index();
-            let slot = match result.roles.role(id) {
-                NodeRole::ControlReg => Slot::Ctrl,
-                NodeRole::LoopSeq => Slot::Loop,
-                role => {
-                    let pair = (result.fwd[i], result.bwd[i]);
-                    let min = *min_index.entry(pair).or_insert_with(|| {
-                        let a = lower_sum(pair.0, &mut sum_terms, &mut sum_bounds);
-                        let b = lower_sum(pair.1, &mut sum_terms, &mut sum_bounds);
-                        mins.push((a, b));
-                        u32::try_from(mins.len() - 1).expect("min op count fits u32")
-                    });
-                    if role == NodeRole::StructCell {
-                        let NodeKind::StructCell { structure, .. } = nl.kind(id) else {
-                            unreachable!("role implies kind");
-                        };
-                        let name = &result.struct_perf_names[structure.index()];
-                        let perf = *perf_index.entry(name.clone()).or_insert_with(|| {
-                            perf_names.push(name.clone());
-                            u32::try_from(perf_names.len() - 1).expect("perf count fits u32")
-                        });
-                        Slot::Struct { perf, min }
-                    } else {
-                        Slot::Min(min)
-                    }
-                }
-            };
-            slots.push(slot);
+            lower.node(nl, id);
         }
-
-        let compiled = CompiledSweep {
-            config: result.config.clone(),
-            terms: result.terms.clone(),
-            sum_terms,
-            sum_bounds,
-            rows: RowIds::derive(&slots, mins.len()),
-            mins,
-            slots,
-            perf_names,
-            arena_sets: result.arena.len(),
-        };
+        let compiled = lower.finish();
         let st = compiled.stats();
         span.field_u64("nodes", st.nodes as u64);
         span.field_u64("sum_ops", st.sum_ops as u64);
@@ -454,49 +505,47 @@ impl CompiledSweep {
             slots_retained += nodes.len();
         }
 
-        // Phase 2 — compact: copy the live ops in old-index order,
-        // remapping term ids when the term table changed. Dead ops are
-        // simply not copied (tombstone + compact in one pass).
-        let mut sum_terms: Vec<u32> = Vec::new();
-        let mut sum_bounds: Vec<u32> = vec![0];
-        let mut sum_index: HashMap<SetId, u32> = HashMap::new();
+        // Phase 2 — compact: copy the live ops in old-index order into
+        // the lowering, remapping term ids when the term table changed.
+        // Dead ops are simply not copied (tombstone + compact in one pass).
+        let mut lower = Lowering::new(result, nl.node_count());
         let mut sum_remap: Vec<u32> = vec![u32::MAX; n_old_sums];
         for s in 0..n_old_sums {
             let Some(set) = sum_set[s] else { continue };
-            let k = u32::try_from(sum_bounds.len() - 1).expect("sum op count fits u32");
+            let k = u32::try_from(lower.sum_bounds.len() - 1).expect("sum op count fits u32");
             let lo = self.sum_bounds[s] as usize;
             let hi = self.sum_bounds[s + 1] as usize;
             if same_terms {
-                sum_terms.extend_from_slice(&self.sum_terms[lo..hi]);
+                lower.sum_terms.extend_from_slice(&self.sum_terms[lo..hi]);
             } else {
-                let start = sum_terms.len();
+                let start = lower.sum_terms.len();
                 for &t in &self.sum_terms[lo..hi] {
-                    sum_terms.push(
+                    lower.sum_terms.push(
                         tmap[t as usize].ok_or("live sum references a term the edit removed")?,
                     );
                 }
                 // Sums fold in sorted term-id order; re-sort under the
                 // new ids so the fold order matches a cold compile.
-                sum_terms[start..].sort_unstable();
+                lower.sum_terms[start..].sort_unstable();
             }
-            sum_bounds.push(sum_terms.len() as u32);
+            lower.sum_bounds.push(lower.sum_terms.len() as u32);
             sum_remap[s] = k;
-            sum_index.insert(set, k);
+            lower.sum_index.insert(set, k);
         }
-        let retained_sums = sum_bounds.len() - 1;
+        let retained_sums = lower.sum_bounds.len() - 1;
 
-        let mut mins: Vec<(u32, u32)> = Vec::new();
-        let mut min_index: HashMap<(SetId, SetId), u32> = HashMap::new();
         let mut min_remap: Vec<u32> = vec![u32::MAX; self.mins.len()];
         for m in 0..self.mins.len() {
             let Some(pair) = min_pair[m] else { continue };
             let (a, b) = self.mins[m];
-            mins.push((sum_remap[a as usize], sum_remap[b as usize]));
-            let k = u32::try_from(mins.len() - 1).expect("min op count fits u32");
+            lower
+                .mins
+                .push((sum_remap[a as usize], sum_remap[b as usize]));
+            let k = u32::try_from(lower.mins.len() - 1).expect("min op count fits u32");
             min_remap[m] = k;
-            min_index.insert(pair, k);
+            lower.min_index.insert(pair, k);
         }
-        let retained_mins = mins.len();
+        let retained_mins = lower.mins.len();
         let ops_retained = retained_sums + retained_mins;
         let ops_orphaned = (n_old_sums - retained_sums) + (self.mins.len() - retained_mins);
 
@@ -504,37 +553,23 @@ impl CompiledSweep {
         // per evaluation and vanish on the next full compile, while
         // compacting them would force a slot rewrite of every retained
         // struct cell.
-        let mut perf_names = self.perf_names.clone();
-        let mut perf_index: HashMap<String, u32> = perf_names
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (n.clone(), i as u32))
+        lower.perf_names = self.perf_names.clone();
+        lower.perf_index = (0u32..)
+            .zip(&self.perf_names)
+            .map(|(k, name)| (name.clone(), k))
             .collect();
 
         // Phase 3 — lower: emit slots in node-id order. Clean FUBs
         // relocate their old slots through the compaction remaps; dirty
         // FUBs run the cold compile's per-node lowering against the new
         // result, deduping into the retained ops via the content maps.
-        let lower_sum = |s: SetId,
-                         sum_terms: &mut Vec<u32>,
-                         sum_bounds: &mut Vec<u32>,
-                         sum_index: &mut HashMap<SetId, u32>|
-         -> u32 {
-            *sum_index.entry(s).or_insert_with(|| {
-                let k = sum_bounds.len() - 1;
-                sum_terms.extend(result.arena.terms(s).iter().map(|t| t.index() as u32));
-                sum_bounds.push(sum_terms.len() as u32);
-                u32::try_from(k).expect("sum op count fits u32")
-            })
-        };
-        let mut slots: Vec<Slot> = Vec::with_capacity(nl.node_count());
         let mut slots_relowered = 0usize;
         for f in nl.fub_ids() {
             let nodes = &fub_nodes[f.index()];
             if clean[f.index()] {
                 let (base, _) = old_base[nl.fub_name(f)];
                 for k in 0..nodes.len() {
-                    slots.push(match self.slots[base + k] {
+                    lower.slots.push(match self.slots[base + k] {
                         Slot::Min(m) => Slot::Min(min_remap[m as usize]),
                         Slot::Ctrl => Slot::Ctrl,
                         Slot::Loop => Slot::Loop,
@@ -546,69 +581,16 @@ impl CompiledSweep {
                 }
                 continue;
             }
-            for id in nodes {
-                let i = id.index();
-                let slot = match result.roles.role(*id) {
-                    NodeRole::ControlReg => Slot::Ctrl,
-                    NodeRole::LoopSeq => Slot::Loop,
-                    role => {
-                        let pair = (result.fwd[i], result.bwd[i]);
-                        let min = match min_index.get(&pair) {
-                            Some(&m) => m,
-                            None => {
-                                let a = lower_sum(
-                                    pair.0,
-                                    &mut sum_terms,
-                                    &mut sum_bounds,
-                                    &mut sum_index,
-                                );
-                                let b = lower_sum(
-                                    pair.1,
-                                    &mut sum_terms,
-                                    &mut sum_bounds,
-                                    &mut sum_index,
-                                );
-                                mins.push((a, b));
-                                let m =
-                                    u32::try_from(mins.len() - 1).expect("min op count fits u32");
-                                min_index.insert(pair, m);
-                                m
-                            }
-                        };
-                        if role == NodeRole::StructCell {
-                            let NodeKind::StructCell { structure, .. } = nl.kind(*id) else {
-                                unreachable!("role implies kind");
-                            };
-                            let name = &result.struct_perf_names[structure.index()];
-                            let perf = *perf_index.entry(name.clone()).or_insert_with(|| {
-                                perf_names.push(name.clone());
-                                u32::try_from(perf_names.len() - 1).expect("perf count fits u32")
-                            });
-                            Slot::Struct { perf, min }
-                        } else {
-                            Slot::Min(min)
-                        }
-                    }
-                };
-                slots.push(slot);
+            for &id in nodes {
+                lower.node(nl, id);
             }
             slots_relowered += nodes.len();
         }
 
-        let ops_added = (sum_bounds.len() - 1 - retained_sums) + (mins.len() - retained_mins);
-        let patched = CompiledSweep {
-            config: result.config.clone(),
-            terms: result.terms.clone(),
-            sum_terms,
-            sum_bounds,
-            rows: RowIds::derive(&slots, mins.len()),
-            mins,
-            slots,
-            perf_names,
-            arena_sets: result.arena.len(),
-        };
+        let ops_added =
+            (lower.sum_bounds.len() - 1 - retained_sums) + (lower.mins.len() - retained_mins);
         Ok((
-            patched,
+            lower.finish(),
             PatchStats {
                 slots_retained,
                 slots_relowered,

@@ -10,7 +10,7 @@ use crate::arena::{SetId, TermTable, UnionArena};
 use crate::classify::{classify, NodeRole, RoleMap};
 use crate::fixpoint::{self, StoredFixpoint};
 use crate::mapping::{PavfInputs, StructureMapping};
-use crate::relax::{relax_partitioned, solve_global, RelaxOutcome};
+use crate::relax::{relax_partitioned, RelaxOutcome};
 use crate::walk::{prepare, Propagator, INJ_BOUNDARY_IN, INJ_BOUNDARY_OUT, INJ_CTRL, INJ_LOOP};
 
 /// Configuration of a SART run.
@@ -33,9 +33,10 @@ pub struct SartConfig {
     pub ctrl_patterns: Vec<String>,
     /// Relaxation iteration cap (the paper used 20).
     pub max_iterations: usize,
-    /// Analyze FUB-partitioned with FUBIO merging (`true`, the paper's
-    /// mode) or as one global pass (`false`; same fixpoint, useful for
-    /// validation).
+    /// Relax one partition per FUB with FUBIO merging (`true`, the
+    /// paper's mode) or the whole design as one partition (`false`; same
+    /// fixpoint in one sweep, useful for validation). Both run the same
+    /// walk.
     pub partitioned: bool,
     /// Skip FUBs whose cross-partition boundary reads did not change in
     /// the previous relaxation sweep (`true`, the default). Results are
@@ -60,8 +61,9 @@ impl SartConfig {
     /// by `--threads 1` and vice versa. Every other field either injects a
     /// term value (`loop_pavf`, `ctrl_read_pavf`, boundary/default pAVFs),
     /// selects node roles (`ctrl_patterns`), or changes which fixpoint is
-    /// reached (`max_iterations` caps convergence, `partitioned` picks the
-    /// solver) — all result-affecting, all keyed.
+    /// reached (`max_iterations` caps convergence, and `partitioned`
+    /// changes how far each sweep gets, so a capped run stops elsewhere)
+    /// — all result-affecting, all keyed.
     ///
     /// Floats render via `{:?}` (shortest round-trip), so distinct values
     /// never collide.
@@ -138,7 +140,7 @@ impl<'nl> SartEngine<'nl> {
         let mut span = obs.span("sart.prepare");
         let roles = classify(nl, loops, &config.ctrl_patterns);
         let mut arena = UnionArena::new();
-        let prep = prepare(nl, roles, mapping, &mut arena);
+        let prep = prepare(nl, roles, mapping, config.partitioned, &mut arena);
         // Per-FUB content digests and the mapping digest anchor cross-run
         // warm starts (see `crate::fixpoint`); both are cheap relative to
         // `prepare` and loops are only available here.
@@ -187,9 +189,8 @@ impl<'nl> SartEngine<'nl> {
         self.assemble(prop, outcome, inputs, obs)
     }
 
-    /// The configured solve over `prop`: partitioned relaxation, warm
-    /// when `warm_dirty` flags the FUBs to flood first, or the global
-    /// analysis.
+    /// The configured relaxation over `prop`, warm when `warm_dirty`
+    /// flags the FUBs to flood first.
     fn relax(
         &self,
         prop: &mut Propagator<'nl>,
@@ -198,19 +199,15 @@ impl<'nl> SartEngine<'nl> {
         obs: &Collector,
     ) -> RelaxOutcome {
         let values = term_values(&prop.prep.terms, inputs, &self.config);
-        if self.config.partitioned {
-            relax_partitioned(
-                prop,
-                &values,
-                self.config.max_iterations,
-                self.config.threads,
-                self.config.incremental,
-                warm_dirty,
-                obs,
-            )
-        } else {
-            solve_global(prop, &values, obs)
-        }
+        relax_partitioned(
+            prop,
+            &values,
+            self.config.max_iterations,
+            self.config.threads,
+            self.config.incremental,
+            warm_dirty,
+            obs,
+        )
     }
 
     fn assemble(
@@ -250,16 +247,10 @@ impl<'nl> SartEngine<'nl> {
         self.mapping_digest
     }
 
-    /// Packages a converged result as a `seqavf-fixpoint/2` artifact for
+    /// Packages a converged result as a `seqavf-fixpoint/3` artifact for
     /// a later warm start. `None` when the relaxation did not converge.
     pub fn capture_fixpoint(&self, result: &SartResult) -> Option<StoredFixpoint> {
-        fixpoint::capture(
-            self.nl,
-            &self.fub_digests,
-            &self.prop_template.prep.boundary,
-            self.mapping_digest,
-            result,
-        )
+        fixpoint::capture(self.nl, &self.fub_digests, self.mapping_digest, result)
     }
 
     /// The warm solve every surface runs: seeded from `prev`, the previous
@@ -720,6 +711,31 @@ mod tests {
         for id in nl.nodes() {
             assert!((part.avf(id) - glob.avf(id)).abs() < 1e-12);
         }
+    }
+
+    #[test]
+    fn global_run_obeys_the_iteration_cap() {
+        let inputs = fig7_inputs();
+        let global = |max_iterations| SartConfig {
+            partitioned: false,
+            max_iterations,
+            ..SartConfig::default()
+        };
+        // One sweep reaches the fixpoint; only the second can confirm it.
+        let (_, one) = run(FIGURE7, &inputs, global(1));
+        assert!(!one.outcome.converged);
+        assert_eq!(one.outcome.trace.len(), 1);
+        let (nl, two) = run(FIGURE7, &inputs, global(2));
+        assert!(two.outcome.converged);
+        assert_eq!(two.iterations(), 1);
+        for id in nl.nodes() {
+            assert_eq!(one.avf(id).to_bits(), two.avf(id).to_bits());
+        }
+        // No sweep leaves every node at the conservative start.
+        let (_, none) = run(FIGURE7, &inputs, global(0));
+        assert!(!none.outcome.converged);
+        let top = none.arena.top();
+        assert!(none.fwd.iter().chain(&none.bwd).all(|&s| s == top));
     }
 
     #[test]

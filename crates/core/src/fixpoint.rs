@@ -1,12 +1,11 @@
-//! The `seqavf-fixpoint/2` artifact: a converged relaxation state
+//! The `seqavf-fixpoint/3` artifact: a converged relaxation state
 //! persisted across runs so an edited design re-solves at the cost of its
 //! change cone instead of a cold flood.
 //!
 //! The artifact stores everything needed to re-seed [`crate::relax`]:
 //! the canonical term table and [`UnionArena`](crate::arena::UnionArena)
 //! set contents, the per-node forward/backward annotations grouped per
-//! FUB, the [`BoundaryDeps`] CSR of the run that produced them, and one
-//! content digest per FUB
+//! FUB, and one content digest per FUB
 //! ([`seqavf_netlist::graph::Netlist::fub_digests`]). A warm start
 //! diffs the edited netlist's FUB digests against the stored ones:
 //! matching FUBs have their annotations translated into the
@@ -34,13 +33,15 @@ use seqavf_netlist::Fnv1a64;
 
 use crate::arena::{SetId, TermId, TermKind};
 use crate::engine::SartResult;
-use crate::walk::{BoundaryDeps, Propagator};
+use crate::walk::Propagator;
 
 /// Format magic of the fixpoint artifact, bumped whenever the layout or
 /// the meaning of a stored value changes. `/2`: per-FUB digests fold the
 /// interner's name hashes ([`Netlist::fub_digests`]), so a `/1` file's
-/// digests would match no FUB.
-const FIXPOINT_MAGIC: &[u8] = b"seqavf-fixpoint/2\n";
+/// digests would match no FUB. `/3`: the boundary-dependency section is
+/// gone (a warm start rebuilds it from the edited netlist, and nothing
+/// read the stored copy).
+const FIXPOINT_MAGIC: &[u8] = b"seqavf-fixpoint/3\n";
 
 /// Version-family prefix of [`FIXPOINT_MAGIC`].
 const FIXPOINT_MAGIC_FAMILY: &[u8] = b"seqavf-fixpoint/";
@@ -49,7 +50,6 @@ const SEC_META: u8 = 1;
 const SEC_TERMS: u8 = 2;
 const SEC_SETS: u8 = 3;
 const SEC_FUBS: u8 = 4;
-const SEC_BOUNDARY: u8 = 5;
 
 /// One FUB's slice of the stored fixpoint: its content digest plus the
 /// converged annotations of its nodes in dense-id order. Positional
@@ -67,27 +67,7 @@ pub struct StoredFub {
     pub bwd: Vec<u32>,
 }
 
-/// The [`BoundaryDeps`] CSR of the captured run, stored as raw indices.
-/// Warm starts rebuild boundary deps from the edited netlist (they are a
-/// pure function of it), so this section exists for artifact
-/// introspection and shape validation, not for seeding.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct StoredBoundary {
-    /// Forward boundary-read node ids, ascending.
-    pub fwd_reads: Vec<u32>,
-    /// CSR offsets into `fwd_consumers`.
-    pub fwd_offsets: Vec<u32>,
-    /// Consumer FUB ids per forward read.
-    pub fwd_consumers: Vec<u32>,
-    /// Backward boundary-read node ids, ascending.
-    pub bwd_reads: Vec<u32>,
-    /// CSR offsets into `bwd_consumers`.
-    pub bwd_offsets: Vec<u32>,
-    /// Consumer FUB ids per backward read.
-    pub bwd_consumers: Vec<u32>,
-}
-
-/// A decoded (or about-to-be-encoded) `seqavf-fixpoint/2` artifact.
+/// A decoded (or about-to-be-encoded) `seqavf-fixpoint/3` artifact.
 ///
 /// Stored set ids use the arena's canonical numbering: `0` is the empty
 /// set, `1` is `{TOP}` (both implicit), and id `s >= 2` indexes
@@ -116,8 +96,6 @@ pub struct StoredFixpoint {
     pub sets: Vec<Vec<u32>>,
     /// Per-FUB digests and annotations, in FUB-id order.
     pub fubs: Vec<StoredFub>,
-    /// The captured run's boundary-dependency CSR.
-    pub boundary: StoredBoundary,
 }
 
 /// What [`seed`] did: how many FUBs took stored annotations and how many
@@ -131,7 +109,7 @@ pub struct SeedPlan {
 }
 
 impl StoredFixpoint {
-    /// Serializes to the sealed `seqavf-fixpoint/2` wire format.
+    /// Serializes to the sealed `seqavf-fixpoint/3` wire format.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(
             64 + self.design.len()
@@ -184,22 +162,6 @@ impl StoredFixpoint {
             }
         }
         put_section(&mut out, SEC_FUBS, &fubs);
-
-        let mut boundary = Vec::new();
-        for arr in [
-            &self.boundary.fwd_reads,
-            &self.boundary.fwd_offsets,
-            &self.boundary.fwd_consumers,
-            &self.boundary.bwd_reads,
-            &self.boundary.bwd_offsets,
-            &self.boundary.bwd_consumers,
-        ] {
-            put_varint(&mut boundary, arr.len() as u64);
-            for &v in arr.iter() {
-                put_varint(&mut boundary, u64::from(v));
-            }
-        }
-        put_section(&mut out, SEC_BOUNDARY, &boundary);
 
         seal(&mut out);
         out
@@ -286,53 +248,6 @@ impl StoredFixpoint {
             return Err(SnapshotError::BadIndex);
         }
 
-        let mut bc = top.section(SEC_BOUNDARY)?;
-        let read_arr = |bc: &mut Cursor<'_>| -> Result<Vec<u32>, SnapshotError> {
-            let n = bc.count()?;
-            let mut v = Vec::with_capacity(n);
-            for _ in 0..n {
-                v.push(u32::try_from(bc.varint()?).map_err(|_| SnapshotError::BadIndex)?);
-            }
-            Ok(v)
-        };
-        let boundary = StoredBoundary {
-            fwd_reads: read_arr(&mut bc)?,
-            fwd_offsets: read_arr(&mut bc)?,
-            fwd_consumers: read_arr(&mut bc)?,
-            bwd_reads: read_arr(&mut bc)?,
-            bwd_offsets: read_arr(&mut bc)?,
-            bwd_consumers: read_arr(&mut bc)?,
-        };
-        bc.end()?;
-        for (reads, offsets, consumers) in [
-            (
-                &boundary.fwd_reads,
-                &boundary.fwd_offsets,
-                &boundary.fwd_consumers,
-            ),
-            (
-                &boundary.bwd_reads,
-                &boundary.bwd_offsets,
-                &boundary.bwd_consumers,
-            ),
-        ] {
-            if !reads.is_empty() {
-                if offsets.len() != reads.len() + 1 {
-                    return Err(SnapshotError::BadIndex);
-                }
-                if offsets.windows(2).any(|w| w[0] > w[1])
-                    || offsets.last().copied().unwrap_or(0) as usize != consumers.len()
-                {
-                    return Err(SnapshotError::BadIndex);
-                }
-                if reads.iter().any(|&n| n as usize >= node_count)
-                    || consumers.iter().any(|&f| f as usize >= fubs.len())
-                {
-                    return Err(SnapshotError::BadIndex);
-                }
-            }
-        }
-
         top.end()?;
         Ok(StoredFixpoint {
             design,
@@ -344,7 +259,6 @@ impl StoredFixpoint {
             terms,
             sets,
             fubs,
-            boundary,
         })
     }
 }
@@ -434,7 +348,6 @@ pub fn store(path: &Path, stored: &StoredFixpoint) -> io::Result<()> {
 pub fn capture(
     nl: &Netlist,
     fub_digests: &[u64],
-    boundary: &BoundaryDeps,
     mapping_digest: u64,
     result: &SartResult,
 ) -> Option<StoredFixpoint> {
@@ -481,30 +394,6 @@ pub fn capture(
         terms,
         sets,
         fubs,
-        boundary: StoredBoundary {
-            fwd_reads: boundary
-                .fwd_reads
-                .iter()
-                .map(|n| n.index() as u32)
-                .collect(),
-            fwd_offsets: boundary.fwd_offsets.clone(),
-            fwd_consumers: boundary
-                .fwd_consumers
-                .iter()
-                .map(|f| f.index() as u32)
-                .collect(),
-            bwd_reads: boundary
-                .bwd_reads
-                .iter()
-                .map(|n| n.index() as u32)
-                .collect(),
-            bwd_offsets: boundary.bwd_offsets.clone(),
-            bwd_consumers: boundary
-                .bwd_consumers
-                .iter()
-                .map(|f| f.index() as u32)
-                .collect(),
-        },
     })
 }
 

@@ -9,11 +9,11 @@
 //!    `pAVF₁` twice; the symbolic engine's set semantics count it once.
 //!    Numeric results therefore dominate symbolic results node-by-node,
 //!    and the gap measures what the set representation buys.
-//! 2. **Parallelism** — per-iteration FUB passes are independent given the
-//!    FUBIO snapshot (Jacobi relaxation), so they parallelize trivially
-//!    with scoped threads. The symbolic engine parallelizes the same way
-//!    over term bitmasks, interned at the iteration barrier (see
-//!    [`crate::relax`]).
+//! 2. **Parallelism** — per-iteration partition passes are independent
+//!    given the FUBIO snapshot (Jacobi relaxation), so they parallelize
+//!    trivially with scoped threads. It walks the same partitions as the
+//!    symbolic engine, which parallelizes the same way over term bitmasks,
+//!    interned at the iteration barrier (see [`crate::relax`]).
 
 use seqavf_netlist::graph::NodeId;
 
@@ -39,9 +39,9 @@ impl NumericOutcome {
     }
 }
 
-/// Runs FUB-partitioned numeric relaxation over the same prepared walk
-/// state the symbolic engine uses. `values` is a term-value vector (from
-/// [`crate::engine::SartResult::term_values`] or
+/// Runs numeric relaxation over the same prepared walk state and
+/// partitions the symbolic engine uses. `values` is a term-value vector
+/// (from [`crate::engine::SartResult::term_values`] or
 /// [`crate::arena::TermTable::values`]).
 pub fn solve_parallel(
     prop: &Propagator<'_>,
@@ -52,6 +52,7 @@ pub fn solve_parallel(
 ) -> NumericOutcome {
     let nl = prop.nl;
     let n = nl.node_count();
+    let part_of = &prop.prep.part_of;
     // Numeric source values from the prepared source sets.
     let src_val = |s: Option<crate::arena::SetId>| s.map(|s| prop.arena.eval(s, values));
     let fwd_source: Vec<Option<f64>> = prop.prep.fwd_source.iter().map(|&s| src_val(s)).collect();
@@ -69,27 +70,28 @@ pub fn solve_parallel(
         iterations += 1;
         let snap_f = fwd.clone();
         let snap_b = bwd.clone();
-        let fub_ids: Vec<_> = nl.fub_ids().collect();
-        let chunk = fub_ids.len().div_ceil(threads);
+        let parts: Vec<usize> = (0..prop.prep.parts.len()).collect();
+        let chunk = parts.len().div_ceil(threads);
 
-        let pass = |fubs: &[seqavf_netlist::graph::FubId]| -> Vec<(usize, f64, f64)> {
+        let pass = |parts: &[usize]| -> Vec<(usize, f64, f64)> {
             let mut local_f = snap_f.clone();
             let mut local_b = snap_b.clone();
             let mut out = Vec::new();
-            for &fub in fubs {
-                let order = &prop.prep.fub_topo[fub.index()];
+            for &part in parts {
+                let order = &prop.prep.parts[part];
+                let here = part as u32;
                 for &node in order {
                     let i = node.index();
                     local_f[i] = match fwd_source[i] {
                         Some(v) => v,
                         // Zero-fanin non-source nodes resolve to the
                         // conservative 1.0, matching the symbolic walk's
-                        // TOP (see `Propagator::forward_pass`).
+                        // TOP (see `crate::relax`).
                         None if nl.fanin(node).is_empty() => 1.0,
                         None => {
                             let mut acc = 0.0;
                             for &f in nl.fanin(node) {
-                                let v = if nl.fub(f) == fub {
+                                let v = if part_of[f.index()] == here {
                                     local_f[f.index()]
                                 } else {
                                     snap_f[f.index()]
@@ -110,7 +112,7 @@ pub fn solve_parallel(
                                 let v = match bwd_contrib[m.index()] {
                                     Some(c) => c,
                                     None => {
-                                        if nl.fub(m) == fub {
+                                        if part_of[m.index()] == here {
                                             local_b[m.index()]
                                         } else {
                                             snap_b[m.index()]
@@ -131,11 +133,11 @@ pub fn solve_parallel(
             out
         };
 
-        let updates: Vec<(usize, f64, f64)> = if threads == 1 || fub_ids.len() == 1 {
-            pass(&fub_ids)
+        let updates: Vec<(usize, f64, f64)> = if threads == 1 || parts.len() == 1 {
+            pass(&parts)
         } else {
             std::thread::scope(|s| {
-                let handles: Vec<_> = fub_ids
+                let handles: Vec<_> = parts
                     .chunks(chunk)
                     .map(|part| s.spawn(|| pass(part)))
                     .collect();
@@ -235,7 +237,7 @@ mod tests {
         let loops = find_loops(&nl);
         let roles = classify(&nl, &loops, &["creg".to_owned()]);
         let mut arena = crate::arena::UnionArena::new();
-        let prep = prepare(&nl, roles, &StructureMapping::new(), &mut arena);
+        let prep = prepare(&nl, roles, &StructureMapping::new(), true, &mut arena);
         let prop = Propagator::new(&nl, prep, arena);
         let values = symbolic.term_values(inputs);
         let numeric = solve_parallel(&prop, &values, 20, 2, 1e-12);
@@ -296,7 +298,7 @@ mod tests {
         let loops = find_loops(&nl);
         let roles = classify(&nl, &loops, &["creg".to_owned()]);
         let mut arena = crate::arena::UnionArena::new();
-        let prep = prepare(&nl, roles, &StructureMapping::new(), &mut arena);
+        let prep = prepare(&nl, roles, &StructureMapping::new(), true, &mut arena);
         let prop = Propagator::new(&nl, prep, arena);
         let values = symbolic.term_values(&inputs());
         let one = solve_parallel(&prop, &values, 20, 1, 1e-12);
@@ -312,7 +314,7 @@ mod tests {
         let loops = find_loops(&nl);
         let roles = classify(&nl, &loops, &["creg".to_owned()]);
         let mut arena = crate::arena::UnionArena::new();
-        let prep = prepare(&nl, roles, &StructureMapping::new(), &mut arena);
+        let prep = prepare(&nl, roles, &StructureMapping::new(), true, &mut arena);
         let prop = Propagator::new(&nl, prep, arena);
         let values = symbolic.term_values(&inputs());
         let out = solve_parallel(&prop, &values, 1, 1, 0.0);

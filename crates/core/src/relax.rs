@@ -8,13 +8,19 @@
 //! to the analysis. … any walk can only cross one partition during each
 //! iteration."
 //!
-//! Each iteration re-walks FUBs against the iteration-start annotations
-//! (the FUBIO merge of the previous iteration) and measures both
-//! structural change (how many node annotations got a new term set) and
+//! Each iteration re-walks partitions against the iteration-start
+//! annotations (the FUBIO merge of the previous iteration) and measures
+//! both structural change (how many node annotations got a new term set) and
 //! numeric change (the largest pAVF movement under a given term-value
 //! vector). Convergence is declared when nothing changes structurally — an
 //! exact, input-independent criterion available because the propagation is
 //! symbolic.
+//!
+//! The partitions are [`Prepared::parts`]: one per FUB for the paper's
+//! partitioned analysis, or the whole design as one. One partition is the
+//! unpartitioned analysis: its walk reads every fan-in and fan-out in the
+//! same sweep, so one sweep reaches the fixpoint and a second verifies it.
+//! Both settings run this one walk; only the partitions differ.
 //!
 //! # Term bitmasks, interned at the barrier
 //!
@@ -30,7 +36,7 @@
 //! mask costs no allocation of its own.
 //!
 //! Walks intern nothing. At the iteration barrier the main thread visits
-//! exactly the annotations whose mask moved, in a fixed order — FUB
+//! exactly the annotations whose mask moved, in a fixed order — partition
 //! ascending, forward before backward, topological position ascending —
 //! and maps each mask to its canonical [`SetId`] through a mask→id index,
 //! interning the set into the shared arena on first sight. Canonical ids
@@ -40,32 +46,33 @@
 //!
 //! # Parallelism
 //!
-//! Every cross-FUB read sees the iteration-start mask (Jacobi relaxation),
-//! even when the same worker already walked the FUB it reads from, so the
-//! per-FUB walks of one iteration are data parallel. FUBs are spread over
-//! workers by longest-processing-time scheduling over their topological
-//! sizes; each worker writes only its own FUBs' scratch masks and
-//! worklists, which the barrier then reads in place. Only the grouping
-//! depends on the schedule, never the results.
+//! Every cross-partition read sees the iteration-start mask (Jacobi
+//! relaxation), even when the same worker already walked the partition it
+//! reads from, so the per-partition walks of one iteration are data
+//! parallel. Partitions are spread over workers by
+//! longest-processing-time scheduling over their sizes; each worker writes
+//! only its own partitions' scratch masks and worklists, which the barrier
+//! then reads in place. Only the grouping depends on the schedule, never
+//! the results.
 //!
 //! # Change worklists
 //!
 //! A node's walk is a pure function of its reads, so it needs recomputing
-//! only when one of them moved. Each FUB keeps one pending bitset per walk
-//! direction over its topological positions (its slice of
-//! [`Prepared::fub_topo`]):
+//! only when one of them moved. Each partition keeps one pending bitset
+//! per walk direction over its topological positions:
 //!
-//! * a recompute whose mask moved marks its readers in the same FUB —
+//! * a recompute whose mask moved marks its readers in the same
+//!   partition —
 //!   forward, the fan-outs with no fixed forward source; backward, the
 //!   fan-ins with no fixed backward source, unless the node's backward
 //!   contribution is overridden — which the walk, visiting positions in
 //!   topological (forward) or reverse (backward) order, reaches later in
 //!   the same sweep;
 //! * at the barrier, a moved boundary value (one of the
-//!   [`BoundaryDeps`] reads) marks its readers in other FUBs for the next
-//!   sweep.
+//!   [`BoundaryDeps`] reads) marks its readers in other partitions for the
+//!   next sweep.
 //!
-//! A FUB with a pending bit is exactly a FUB one of whose boundary reads
+//! A partition with a pending bit is exactly one whose boundary reads
 //! changed (§5.2 re-walks only what a changed FUBIO value reaches), and
 //! inside it only the change cone is recomputed: propagation stops where a
 //! recompute reproduces its previous mask. The first sweep floods every
@@ -78,7 +85,7 @@
 //! both modes intern and count only moved masks, in the same order.
 //!
 //! [`BoundaryDeps`]: crate::walk::BoundaryDeps
-//! [`Prepared::fub_topo`]: crate::walk::Prepared::fub_topo
+//! [`Prepared::parts`]: crate::walk::Prepared::parts
 
 use std::borrow::BorrowMut;
 use std::collections::HashMap;
@@ -86,7 +93,7 @@ use std::hash::Hash;
 use std::marker::PhantomData;
 use std::time::Instant;
 
-use seqavf_netlist::graph::{FubId, Netlist, NodeId};
+use seqavf_netlist::graph::{Netlist, NodeId};
 use seqavf_obs::{Collector, FieldValue};
 
 use crate::arena::{SetId, TermId, UnionArena};
@@ -99,24 +106,25 @@ pub struct IterationStats {
     pub changed_sets: usize,
     /// Largest numeric pAVF movement across node annotations.
     pub max_delta: f64,
-    /// FUBs walked this sweep (all of them in full-sweep mode; only the
-    /// boundary-dirty ones in incremental mode).
+    /// Partitions walked this sweep (all of them in full-sweep mode; only
+    /// the boundary-dirty ones in incremental mode). Partitions are FUBs
+    /// when partitioned; the unpartitioned analysis has one.
     pub dirty_fubs: usize,
-    /// FUBs skipped this sweep because no boundary value they read
+    /// Partitions skipped this sweep because no boundary value they read
     /// changed (always 0 in full-sweep mode).
     pub skipped_fubs: usize,
     /// Nodes actually recomputed this sweep (in either walk direction) —
     /// the work metric the incremental mode reduces. Full sweeps recompute
-    /// every node of every FUB; incremental sweeps only the change cones
-    /// inside dirty FUBs.
+    /// every node of every partition; incremental sweeps only the change
+    /// cones inside dirty partitions.
     pub walked_nodes: usize,
     /// Mean sequential-node `MIN(F, B)` value per FUB after this iteration
     /// (the paper's convergence plot, §6.1).
     pub fub_seq_mean: Vec<f64>,
     /// Worker threads requested for the sweep (0 counts as 1), honoured
-    /// at any design size; a sweep with fewer dirty FUBs than that
-    /// engages one worker per dirty FUB. Results never depend on it; wall
-    /// time does.
+    /// at any design size; a sweep with fewer dirty partitions than that
+    /// engages one worker per dirty partition. Results never depend on
+    /// it; wall time does.
     pub effective_threads: usize,
     /// Wall-clock time this iteration took (walks, barrier, telemetry),
     /// in seconds.
@@ -338,9 +346,9 @@ impl<M: Mask> SetIndex<M> {
     }
 }
 
-/// One FUB's change worklists, one bit per position of its topological
-/// order: `pending_*` marks the recomputes a sweep still owes, `moved_*`
-/// the recomputes of this sweep whose mask differs from the
+/// One partition's change worklists, one bit per position of its
+/// topological order: `pending_*` marks the recomputes a sweep still owes,
+/// `moved_*` the recomputes of this sweep whose mask differs from the
 /// iteration-start mask.
 struct Worklist {
     pending_f: Vec<u64>,
@@ -379,9 +387,9 @@ impl Worklist {
     }
 }
 
-/// One FUB's recomputed masks by topological position. An entry is valid
-/// in the sweep that set its pending bit; the barrier reads the moved
-/// ones in place. Allocated on the calling thread before any worker
+/// One partition's recomputed masks by topological position. An entry is
+/// valid in the sweep that set its pending bit; the barrier reads the
+/// moved ones in place. Allocated on the calling thread before any worker
 /// starts: allocating it lazily inside the workers slowed every later
 /// request of a resident server (serve-query benchmark, 2-vCPU host).
 struct Scratch<M> {
@@ -398,10 +406,10 @@ struct Masks<M> {
     cur_b: MaskVec<M>,
 }
 
-/// Each node's position in its FUB's topological order.
-fn positions(fub_topo: &[Vec<NodeId>], node_count: usize) -> Vec<u32> {
+/// Each node's position in its partition's topological order.
+fn positions(parts: &[Vec<NodeId>], node_count: usize) -> Vec<u32> {
     let mut pos = vec![0u32; node_count];
-    for order in fub_topo {
+    for order in parts {
         for (k, n) in order.iter().enumerate() {
             pos[n.index()] = k as u32;
         }
@@ -409,29 +417,33 @@ fn positions(fub_topo: &[Vec<NodeId>], node_count: usize) -> Vec<u32> {
     pos
 }
 
-/// Recomputes the pending nodes of one FUB against the iteration-start
-/// masks — forward in topological order, then backward in reverse — and
-/// returns how many nodes it recomputed in either direction. Mirrors
-/// [`Propagator::forward_pass`]/[`Propagator::backward_pass`] exactly,
-/// including the conservative TOP for zero-fanin non-source nodes. New
-/// masks land in `scratch`, the moved ones are flagged in `list`, and no
-/// pending bit is left behind.
+/// Recomputes the pending nodes of one partition against the
+/// iteration-start masks — forward in topological order, then backward in
+/// reverse — and returns how many nodes it recomputed in either direction.
+/// This is §4.1's rule, the only implementation of it: a source takes its
+/// fixed set, a zero-fanin non-source node the conservative TOP, any other
+/// node the union of its fan-ins (forward) or of its fan-outs'
+/// contributions (backward), with TOP absorbing. New masks land in
+/// `scratch`, the moved ones are flagged in `list`, and no pending bit is
+/// left behind.
 ///
-/// A same-FUB read takes this sweep's mask when the read node was
+/// A same-partition read takes this sweep's mask when the read node was
 /// recomputed (its pending bit is set, and topological order put it
-/// first), the iteration-start mask otherwise; a cross-FUB read always
-/// takes the iteration-start mask.
-fn walk_fub<M: Mask>(
+/// first), the iteration-start mask otherwise; a cross-partition read
+/// always takes the iteration-start mask.
+fn walk_part<M: Mask>(
     prop: &Propagator<'_>,
     pos: &[u32],
     masks: &Masks<M>,
-    fub: FubId,
+    part: usize,
     list: &mut Worklist,
     scratch: &mut Scratch<M>,
 ) -> usize {
     let nl = prop.nl;
     let prep = &prop.prep;
-    let order = &prep.fub_topo[fub.index()];
+    let order = &prep.parts[part];
+    let part_of = &prep.part_of;
+    let here = part as u32;
     let set_mask = &masks.sets.set_mask;
     let Worklist {
         pending_f,
@@ -466,7 +478,7 @@ fn walk_fub<M: Mask>(
                 for &f in fanin {
                     let j = f.index();
                     let p = pos[j] as usize;
-                    let m = if nl.fub(f) == fub && bit(pending_f, p) {
+                    let m = if part_of[j] == here && bit(pending_f, p) {
                         next_f.get(p)
                     } else {
                         masks.cur_f.get(j)
@@ -478,7 +490,7 @@ fn walk_fub<M: Mask>(
             if acc.words() != masks.cur_f.get(i) {
                 set_bit(moved_f, k);
                 for &m in nl.fanout(node) {
-                    if nl.fub(m) == fub && prep.fwd_source[m.index()].is_none() {
+                    if part_of[m.index()] == here && prep.fwd_source[m.index()].is_none() {
                         set_bit(pending_f, pos[m.index()] as usize);
                     }
                 }
@@ -508,7 +520,7 @@ fn walk_fub<M: Mask>(
                     let p = pos[j] as usize;
                     let c = if let Some(c) = prep.bwd_contrib[j] {
                         set_mask.get(c.index())
-                    } else if nl.fub(m) == fub && bit(pending_b, p) {
+                    } else if part_of[j] == here && bit(pending_b, p) {
                         next_b.get(p)
                     } else {
                         masks.cur_b.get(j)
@@ -521,7 +533,7 @@ fn walk_fub<M: Mask>(
                 set_bit(moved_b, k);
                 if prep.bwd_contrib[i].is_none() {
                     for &p in nl.fanin(node) {
-                        if nl.fub(p) == fub && prep.bwd_source[p.index()].is_none() {
+                        if part_of[p.index()] == here && prep.bwd_source[p.index()].is_none() {
                             set_bit(pending_b, pos[p.index()] as usize);
                         }
                     }
@@ -540,60 +552,58 @@ fn walk_fub<M: Mask>(
     walked
 }
 
-/// Longest-processing-time assignment of FUBs to `workers` groups,
-/// weighted by per-FUB topo size: biggest FUB first, each to the
-/// least-loaded worker. Keeps sweeps balanced even when the incremental
-/// dirty set is a skewed slice of the design. Only the grouping depends
-/// on this choice — the barrier interns in ascending FUB order
-/// regardless, so results are unaffected.
-fn lpt_partition(fubs: &[FubId], fub_topo: &[Vec<NodeId>], workers: usize) -> Vec<Vec<FubId>> {
-    let mut order: Vec<FubId> = fubs.to_vec();
-    order.sort_by_key(|&f| (std::cmp::Reverse(fub_topo[f.index()].len()), f.index()));
+/// Longest-processing-time assignment of partitions to `workers` groups,
+/// weighted by partition size: biggest first, each to the least-loaded
+/// worker. Keeps sweeps balanced even when the incremental dirty set is a
+/// skewed slice of the design. Only the grouping depends on this choice —
+/// the barrier interns in ascending partition order regardless, so
+/// results are unaffected.
+fn lpt_schedule(active: &[usize], parts: &[Vec<NodeId>], workers: usize) -> Vec<Vec<usize>> {
+    let mut order: Vec<usize> = active.to_vec();
+    order.sort_by_key(|&p| (std::cmp::Reverse(parts[p].len()), p));
     let mut loads = vec![0usize; workers];
-    let mut parts: Vec<Vec<FubId>> = vec![Vec::new(); workers];
-    for f in order {
+    let mut groups: Vec<Vec<usize>> = vec![Vec::new(); workers];
+    for p in order {
         let w = (0..workers)
             .min_by_key(|&w| (loads[w], w))
             .expect("at least one worker");
-        parts[w].push(f);
-        loads[w] += fub_topo[f.index()].len().max(1);
+        groups[w].push(p);
+        loads[w] += parts[p].len().max(1);
     }
-    parts.retain(|p| !p.is_empty());
-    parts
+    groups.retain(|g| !g.is_empty());
+    groups
 }
 
-/// Walks the pending nodes of every FUB in `active`, concurrently when
-/// `threads > 1`, and returns the nodes recomputed.
+/// Walks the pending nodes of every partition in `active`, concurrently
+/// when `threads > 1`, and returns the nodes recomputed.
 fn walk_sweep<M: Mask>(
     prop: &Propagator<'_>,
     pos: &[u32],
     masks: &Masks<M>,
     lists: &mut [Worklist],
     scratch: &mut [Scratch<M>],
-    active: &[FubId],
+    active: &[usize],
     threads: usize,
 ) -> usize {
     if threads <= 1 || active.len() <= 1 {
         return active
             .iter()
-            .map(|&f| {
-                let i = f.index();
-                walk_fub(prop, pos, masks, f, &mut lists[i], &mut scratch[i])
-            })
+            .map(|&p| walk_part(prop, pos, masks, p, &mut lists[p], &mut scratch[p]))
             .sum();
     }
-    let parts = lpt_partition(active, &prop.prep.fub_topo, threads.min(active.len()));
+    let groups = lpt_schedule(active, &prop.prep.parts, threads.min(active.len()));
     let mut slots: Vec<Option<(&mut Worklist, &mut Scratch<M>)>> =
         lists.iter_mut().zip(scratch.iter_mut()).map(Some).collect();
-    let jobs: Vec<Vec<_>> = parts
+    let jobs: Vec<Vec<_>> = groups
         .iter()
-        .map(|part| {
-            part.iter()
-                .map(|&f| {
-                    let (list, scr) = slots[f.index()]
+        .map(|group| {
+            group
+                .iter()
+                .map(|&p| {
+                    let (list, scr) = slots[p]
                         .take()
-                        .expect("LPT assigns every FUB exactly once");
-                    (f, list, scr)
+                        .expect("LPT assigns every partition exactly once");
+                    (p, list, scr)
                 })
                 .collect()
         })
@@ -604,7 +614,7 @@ fn walk_sweep<M: Mask>(
             .map(|job| {
                 s.spawn(move || {
                     job.into_iter()
-                        .map(|(f, list, scr)| walk_fub(prop, pos, masks, f, list, scr))
+                        .map(|(p, list, scr)| walk_part(prop, pos, masks, p, list, scr))
                         .sum::<usize>()
                 })
             })
@@ -617,17 +627,17 @@ fn walk_sweep<M: Mask>(
 }
 
 /// Iteration barrier: interns every mask that moved this sweep in the
-/// canonical order — FUB ascending, forward before backward, topological
-/// position ascending — so every `SetId` is independent of how FUBs were
-/// spread over workers. Writes the new ids and iteration-start masks,
-/// flags FUBs whose sequential annotations moved in `seq_moved`, and
-/// returns `(changed_sets, max_delta)`.
+/// canonical order — partition ascending, forward before backward,
+/// topological position ascending — so every `SetId` is independent of
+/// how partitions were spread over workers. Writes the new ids and
+/// iteration-start masks, flags the FUBs whose sequential annotations
+/// moved in `seq_moved`, and returns `(changed_sets, max_delta)`.
 fn barrier<M: Mask>(
     prop: &mut Propagator<'_>,
     masks: &mut Masks<M>,
     lists: &[Worklist],
     scratch: &[Scratch<M>],
-    active: &[FubId],
+    active: &[usize],
     values: &[f64],
     seq_moved: &mut [bool],
 ) -> (usize, f64) {
@@ -643,9 +653,8 @@ fn barrier<M: Mask>(
     } = masks;
     let mut changed = 0usize;
     let mut max_delta = 0.0f64;
-    for &fub in active {
-        let f = fub.index();
-        let order = &prep.fub_topo[f];
+    for &p in active {
+        let order = &prep.parts[p];
         let mut settle = |k: usize, m: &[u64], ann: &mut [SetId], cur: &mut MaskVec<M>| {
             let node = order[k];
             let i = node.index();
@@ -656,20 +665,20 @@ fn barrier<M: Mask>(
             ann[i] = id;
             cur.get_mut(i).copy_from_slice(m);
             if nl.kind(node).is_sequential() {
-                seq_moved[f] = true;
+                seq_moved[nl.fub(node).index()] = true;
             }
         };
-        for k in ones(&lists[f].moved_f) {
-            settle(k, scratch[f].next_f.get(k), fwd, cur_f);
+        for k in ones(&lists[p].moved_f) {
+            settle(k, scratch[p].next_f.get(k), fwd, cur_f);
         }
-        for k in ones(&lists[f].moved_b) {
-            settle(k, scratch[f].next_b.get(k), bwd, cur_b);
+        for k in ones(&lists[p].moved_b) {
+            settle(k, scratch[p].next_b.get(k), bwd, cur_b);
         }
     }
     (changed, max_delta)
 }
 
-/// Marks, for the next sweep, every reader in another FUB of a boundary
+/// Marks, for the next sweep, every reader in another partition of a boundary
 /// value that moved this sweep: the forward readers of a moved
 /// [`BoundaryDeps::fwd_reads`] node are its foreign fan-outs with no fixed
 /// forward source, the backward readers of a moved
@@ -682,27 +691,28 @@ fn barrier<M: Mask>(
 fn mark_boundary_readers(prop: &Propagator<'_>, pos: &[u32], lists: &mut [Worklist]) {
     let nl = prop.nl;
     let prep = &prop.prep;
+    let part_of = &prep.part_of;
     for &n in &prep.boundary.fwd_reads {
-        let home = nl.fub(n);
-        if !bit(&lists[home.index()].moved_f, pos[n.index()] as usize) {
+        let home = part_of[n.index()];
+        if !bit(&lists[home as usize].moved_f, pos[n.index()] as usize) {
             continue;
         }
         for &m in nl.fanout(n) {
-            let g = nl.fub(m);
+            let g = part_of[m.index()];
             if g != home && prep.fwd_source[m.index()].is_none() {
-                set_bit(&mut lists[g.index()].pending_f, pos[m.index()] as usize);
+                set_bit(&mut lists[g as usize].pending_f, pos[m.index()] as usize);
             }
         }
     }
     for &n in &prep.boundary.bwd_reads {
-        let home = nl.fub(n);
-        if !bit(&lists[home.index()].moved_b, pos[n.index()] as usize) {
+        let home = part_of[n.index()];
+        if !bit(&lists[home as usize].moved_b, pos[n.index()] as usize) {
             continue;
         }
         for &p in nl.fanin(n) {
-            let g = nl.fub(p);
+            let g = part_of[p.index()];
             if g != home && prep.bwd_source[p.index()].is_none() {
-                set_bit(&mut lists[g.index()].pending_b, pos[p.index()] as usize);
+                set_bit(&mut lists[g as usize].pending_b, pos[p.index()] as usize);
             }
         }
     }
@@ -744,21 +754,23 @@ impl SeqMeans {
     }
 }
 
-/// Runs partitioned relaxation to a structural fixpoint, fanning the
-/// per-FUB walks of each iteration out over exactly `threads` workers
-/// (see the module docs), whatever the design size. Any thread count
-/// yields bit-identical annotations and `SetId` numbering.
+/// Runs the relaxation over `prop.prep`'s partitions to a structural
+/// fixpoint, fanning the per-partition walks of each iteration out over
+/// exactly `threads` workers (see the module docs), whatever the design
+/// size. Any thread count yields bit-identical annotations and `SetId`
+/// numbering.
 ///
-/// With `incremental` set, each sweep walks only the FUBs whose
+/// With `incremental` set, each sweep walks only the partitions whose
 /// cross-partition boundary reads changed in the previous sweep; clean
-/// FUBs keep their annotations untouched. Annotations, `SetId` numbering,
+/// partitions keep their annotations untouched. Annotations, `SetId` numbering,
 /// and per-sweep `changed_sets`/`max_delta` telemetry are bit-identical
 /// to full sweeps — only the work (`walked_nodes`) shrinks.
 ///
 /// `warm_dirty` starts the run warm: the caller has already seeded
 /// `prop.fwd`/`prop.bwd` with a previously converged fixpoint (see
 /// `crate::fixpoint`), and the slice flags exactly the FUBs whose content
-/// changed since that fixpoint was captured. The first sweep force-walks
+/// changed since that fixpoint was captured; it indexes partitions, so a
+/// warm start needs one partition per FUB. The first sweep force-walks
 /// only those FUBs instead of flooding the whole design; from there the
 /// ordinary cross-FUB dirty propagation takes over, so with `incremental`
 /// set the work stays proportional to the edit's change cone. This leans
@@ -780,6 +792,10 @@ impl SeqMeans {
 /// span also covers the mask set-up), plus the `relax.changed_sets` and
 /// `relax.walked_nodes` counters; collection never affects the computed
 /// annotations.
+///
+/// # Panics
+///
+/// Panics if `warm_dirty` does not flag exactly one partition per FUB.
 pub fn relax_partitioned(
     prop: &mut Propagator<'_>,
     values: &[f64],
@@ -789,6 +805,12 @@ pub fn relax_partitioned(
     warm_dirty: Option<&[bool]>,
     obs: &Collector,
 ) -> RelaxOutcome {
+    if let Some(dirty) = warm_dirty {
+        assert!(
+            dirty.len() == prop.prep.parts.len() && dirty.len() == prop.nl.fub_count(),
+            "warm_dirty flags one partition per FUB"
+        );
+    }
     let run = Request {
         values,
         max_iterations,
@@ -809,7 +831,7 @@ struct Request<'a> {
     max_iterations: usize,
     threads: usize,
     incremental: bool,
-    /// FUBs a warm start must flood first; `None` floods every FUB.
+    /// Partitions a warm start must flood first; `None` floods every one.
     warm_dirty: Option<&'a [bool]>,
 }
 
@@ -824,8 +846,8 @@ fn relax_masks<M: Mask>(
     // The first sweep's span also covers this set-up.
     let mut t0 = Instant::now();
     let nl = prop.nl;
-    let fub_count = nl.fub_count();
-    let all_fubs: Vec<FubId> = nl.fub_ids().collect();
+    let parts = &prop.prep.parts;
+    let part_count = parts.len();
     let sets = SetIndex::<M>::new(&prop.arena, words, run.values);
     let mut masks = Masks {
         words,
@@ -833,16 +855,12 @@ fn relax_masks<M: Mask>(
         cur_b: MaskVec::gather(&sets.set_mask, &prop.bwd),
         sets,
     };
-    let pos = positions(&prop.prep.fub_topo, nl.node_count());
-    let mut lists: Vec<Worklist> = prop
-        .prep
-        .fub_topo
+    let pos = positions(parts, nl.node_count());
+    let mut lists: Vec<Worklist> = parts
         .iter()
         .map(|order| Worklist::new(order.len()))
         .collect();
-    let mut scratch: Vec<Scratch<M>> = prop
-        .prep
-        .fub_topo
+    let mut scratch: Vec<Scratch<M>> = parts
         .iter()
         .map(|order| Scratch {
             next_f: MaskVec::new(words, order.len()),
@@ -852,33 +870,31 @@ fn relax_masks<M: Mask>(
     let mut seq = SeqMeans::new(nl);
     // Every FUB's mean is folded after the first sweep; later sweeps
     // refold only FUBs whose sequential annotations moved.
-    let mut seq_moved = vec![true; fub_count];
+    let mut seq_moved = vec![true; nl.fub_count()];
 
     let mut trace = Vec::new();
     let mut converged = false;
     for iter in 0..run.max_iterations {
-        // Full sweeps and the first incremental sweep flood their FUBs:
-        // all of them cold, the edited ones warm. Afterwards a FUB is
-        // walked exactly when a boundary read marked it.
+        // Full sweeps and the first incremental sweep flood their
+        // partitions: all of them cold, the edited ones warm. Afterwards a
+        // partition is walked exactly when a boundary read marked it.
         let flood = !run.incremental || iter == 0;
-        let active: Vec<FubId> = all_fubs
-            .iter()
-            .copied()
-            .filter(|f| {
+        let active: Vec<usize> = (0..part_count)
+            .filter(|&p| {
                 if iter == 0 {
-                    run.warm_dirty.is_none_or(|dirty| dirty[f.index()])
+                    run.warm_dirty.is_none_or(|dirty| dirty[p])
                 } else {
-                    flood || lists[f.index()].is_pending()
+                    flood || lists[p].is_pending()
                 }
             })
             .collect();
         if flood {
-            for &f in &active {
-                lists[f.index()].flood(prop.prep.fub_topo[f.index()].len());
+            for &p in &active {
+                lists[p].flood(prop.prep.parts[p].len());
             }
         }
         let dirty_fubs = active.len();
-        let skipped_fubs = fub_count - dirty_fubs;
+        let skipped_fubs = part_count - dirty_fubs;
         let walked_nodes = walk_sweep(
             prop,
             &pos,
@@ -900,8 +916,8 @@ fn relax_masks<M: Mask>(
         if run.incremental {
             mark_boundary_readers(prop, &pos, &mut lists);
         }
-        for &f in &active {
-            let list = &mut lists[f.index()];
+        for &p in &active {
+            let list = &mut lists[p];
             list.moved_f.fill(0);
             list.moved_b.fill(0);
         }
@@ -954,94 +970,6 @@ fn relax_masks<M: Mask>(
         converged,
         trace,
     }
-}
-
-/// Runs the unpartitioned global analysis: one down walk and one up walk
-/// over the whole design. Because the loop-cut graph is acyclic, this
-/// computes the same fixpoint the partitioned relaxation converges to —
-/// but the claim is *verified*, not assumed: a second sweep re-walks the
-/// design and the outcome reports convergence only if it changed nothing.
-pub fn solve_global(prop: &mut Propagator<'_>, values: &[f64], obs: &Collector) -> RelaxOutcome {
-    let fub_count = prop.nl.fub_count();
-    let mut seq = SeqMeans::new(prop.nl);
-    let mut trace = Vec::new();
-    for sweep in 0..2 {
-        let t0 = Instant::now();
-        let snap_f = prop.fwd.clone();
-        let snap_b = prop.bwd.clone();
-        prop.forward_pass();
-        prop.backward_pass();
-        let (changed, max_delta) = diff_stats(prop, &snap_f, &snap_b, values);
-        let wall = t0.elapsed();
-        obs.record_span(
-            "relax.sweep",
-            t0,
-            wall,
-            vec![
-                ("iter", FieldValue::U64(sweep as u64)),
-                ("changed_sets", FieldValue::U64(changed as u64)),
-                ("max_delta", FieldValue::F64(max_delta)),
-                ("threads", FieldValue::U64(1)),
-                ("dirty_fubs", FieldValue::U64(fub_count as u64)),
-                ("skipped_fubs", FieldValue::U64(0)),
-            ],
-        );
-        obs.count("relax.changed_sets", changed as u64);
-        obs.count("relax.walked_nodes", prop.nl.node_count() as u64);
-        let set_vals = prop.arena.eval_all(values);
-        for f in 0..fub_count {
-            seq.refresh(f, &prop.fwd, &prop.bwd, &set_vals);
-        }
-        trace.push(IterationStats {
-            changed_sets: changed,
-            max_delta,
-            dirty_fubs: fub_count,
-            skipped_fubs: 0,
-            walked_nodes: prop.nl.node_count(),
-            fub_seq_mean: seq.means.clone(),
-            effective_threads: 1,
-            wall_seconds: wall.as_secs_f64(),
-        });
-    }
-    let converged = trace.last().is_some_and(|s| s.changed_sets == 0);
-    let iterations = if converged {
-        trace.len().saturating_sub(1)
-    } else {
-        trace.len()
-    };
-    RelaxOutcome {
-        iterations,
-        converged,
-        trace,
-    }
-}
-
-/// Counts annotation changes against a snapshot and the largest numeric
-/// movement under `values` (global mode only; the partitioned barrier
-/// diffs as it interns).
-fn diff_stats(
-    prop: &Propagator<'_>,
-    snap_f: &[SetId],
-    snap_b: &[SetId],
-    values: &[f64],
-) -> (usize, f64) {
-    let mut changed = 0usize;
-    let mut max_delta = 0.0f64;
-    for i in 0..prop.nl.node_count() {
-        if prop.fwd[i] != snap_f[i] {
-            changed += 1;
-            let d =
-                (prop.arena.eval(prop.fwd[i], values) - prop.arena.eval(snap_f[i], values)).abs();
-            max_delta = max_delta.max(d);
-        }
-        if prop.bwd[i] != snap_b[i] {
-            changed += 1;
-            let d =
-                (prop.arena.eval(prop.bwd[i], values) - prop.arena.eval(snap_b[i], values)).abs();
-            max_delta = max_delta.max(d);
-        }
-    }
-    (changed, max_delta)
 }
 
 #[cfg(test)]
@@ -1101,12 +1029,17 @@ mod tests {
 .end
 ";
 
+    /// A fresh propagator over one partition per FUB.
     fn propagator(text: &str) -> (Netlist, Propagator<'static>) {
+        prepared(text, true)
+    }
+
+    fn prepared(text: &str, partitioned: bool) -> (Netlist, Propagator<'static>) {
         let nl = Box::leak(Box::new(parse_netlist(text).unwrap()));
         let loops = find_loops(nl);
         let roles = classify(nl, &loops, &["creg".to_owned()]);
         let mut arena = UnionArena::new();
-        let prep = prepare(nl, roles, &StructureMapping::new(), &mut arena);
+        let prep = prepare(nl, roles, &StructureMapping::new(), partitioned, &mut arena);
         (nl.clone(), Propagator::new(nl, prep, arena))
     }
 
@@ -1119,21 +1052,27 @@ mod tests {
     #[test]
     fn partitioned_matches_global() {
         let (nl, mut p1) = propagator(CHAIN);
-        let mut p2 = p1.clone();
+        let (_, mut p2) = prepared(CHAIN, false);
         let values = default_values(&p1);
         let out_part =
             relax_partitioned(&mut p1, &values, 20, 1, true, None, &Collector::disabled());
-        let out_glob = solve_global(&mut p2, &values, &Collector::disabled());
+        let out_glob =
+            relax_partitioned(&mut p2, &values, 20, 1, true, None, &Collector::disabled());
         assert!(out_part.converged);
         assert!(out_glob.converged);
         for id in nl.nodes() {
             let i = id.index();
-            let a = p1.arena.eval(p1.fwd[i], &values);
-            let b = p2.arena.eval(p2.fwd[i], &values);
-            assert!((a - b).abs() < 1e-12, "fwd mismatch at {}", nl.name(id));
-            let a = p1.arena.eval(p1.bwd[i], &values);
-            let b = p2.arena.eval(p2.bwd[i], &values);
-            assert!((a - b).abs() < 1e-12, "bwd mismatch at {}", nl.name(id));
+            let name = nl.name(id);
+            assert_eq!(
+                p1.arena.terms(p1.fwd[i]),
+                p2.arena.terms(p2.fwd[i]),
+                "fwd {name}"
+            );
+            assert_eq!(
+                p1.arena.terms(p1.bwd[i]),
+                p2.arena.terms(p2.bwd[i]),
+                "bwd {name}"
+            );
         }
     }
 
@@ -1207,20 +1146,14 @@ mod tests {
         assert!(out.converged);
         let boundary = &p.prep.boundary;
         let fub = |name: &str| nl.fub(nl.lookup(name).unwrap());
-        // The isolated FUB `d` neither exposes nor consumes boundary
-        // values.
-        for k in 0..boundary.fwd_reads.len() {
-            assert_ne!(nl.fub(boundary.fwd_reads[k]), fub("d.u"));
-            assert!(!boundary.fwd_consumers_of(k).contains(&fub("d.u")));
+        // The isolated FUB `d` exposes no boundary value.
+        for &n in boundary.fwd_reads.iter().chain(&boundary.bwd_reads) {
+            assert_ne!(nl.fub(n), fub("d.u"));
         }
-        for k in 0..boundary.bwd_reads.len() {
-            assert_ne!(nl.fub(boundary.bwd_reads[k]), fub("d.u"));
-            assert!(!boundary.bwd_consumers_of(k).contains(&fub("d.u")));
-        }
-        let pos = positions(&p.prep.fub_topo, nl.node_count());
+        let pos = positions(&p.prep.parts, nl.node_count());
         let mut lists: Vec<Worklist> = p
             .prep
-            .fub_topo
+            .parts
             .iter()
             .map(|order| Worklist::new(order.len()))
             .collect();
@@ -1348,16 +1281,16 @@ mod tests {
 
     #[test]
     fn lpt_balances_loads() {
-        let (nl, p) = propagator(CHAIN);
-        let fubs: Vec<FubId> = nl.fub_ids().collect();
-        let parts = lpt_partition(&fubs, &p.prep.fub_topo, 2);
-        // Every FUB appears exactly once across the groups.
-        let mut seen: Vec<FubId> = parts.iter().flatten().copied().collect();
-        seen.sort_by_key(|f| f.index());
-        assert_eq!(seen, fubs);
+        let (_, p) = propagator(CHAIN);
+        let all: Vec<usize> = (0..p.prep.parts.len()).collect();
+        let groups = lpt_schedule(&all, &p.prep.parts, 2);
+        // Every partition appears exactly once across the groups.
+        let mut seen: Vec<usize> = groups.iter().flatten().copied().collect();
+        seen.sort_unstable();
+        assert_eq!(seen, all);
         // No group holds everything when more than one worker is asked for.
-        assert!(parts.len() > 1);
-        assert!(parts.iter().all(|p| !p.is_empty()));
+        assert!(groups.len() > 1);
+        assert!(groups.iter().all(|g| !g.is_empty()));
     }
 
     #[test]
@@ -1405,7 +1338,7 @@ mod tests {
     fn wide_masks_match_the_global_solve() {
         use crate::engine::{SartConfig, SartEngine};
         use crate::mapping::PavfInputs;
-        use seqavf_netlist::graph::{GateOp, NetlistBuilder, NodeKind, SeqKind};
+        use seqavf_netlist::graph::{FubId, GateOp, NetlistBuilder, NodeKind, SeqKind};
 
         let flop = NodeKind::Seq {
             kind: SeqKind::Flop,
@@ -1493,21 +1426,56 @@ mod tests {
     }
 
     #[test]
-    fn global_telemetry_is_honest() {
-        let (nl, mut p) = propagator(CHAIN);
-        let values = default_values(&p);
-        let out = solve_global(&mut p, &values, &Collector::disabled());
-        // The first sweep moves annotations off the conservative TOP; the
-        // second verifies the fixpoint rather than assuming it.
-        assert_eq!(out.trace.len(), 2);
-        assert!(out.trace[0].changed_sets > 0);
-        assert_eq!(out.trace.last().unwrap().changed_sets, 0);
-        assert!(out.converged);
-        assert_eq!(out.iterations, 1);
-        for s in &out.trace {
-            assert_eq!(s.dirty_fubs, nl.fub_count());
-            assert_eq!(s.skipped_fubs, 0);
-            assert_eq!(s.walked_nodes, nl.node_count());
+    fn one_partition_converges_in_one_sweep() {
+        for incremental in [true, false] {
+            let (nl, mut p) = prepared(CHAIN, false);
+            let values = default_values(&p);
+            let out = relax_partitioned(
+                &mut p,
+                &values,
+                20,
+                3,
+                incremental,
+                None,
+                &Collector::disabled(),
+            );
+            // The first sweep walks the whole design once and reaches the
+            // fixpoint; the second verifies it rather than assuming it.
+            assert_eq!(out.trace.len(), 2);
+            assert!(out.trace[0].changed_sets > 0);
+            assert_eq!(out.trace[1].changed_sets, 0);
+            assert!(out.converged);
+            assert_eq!(out.iterations, 1);
+            let first = &out.trace[0];
+            assert_eq!((first.dirty_fubs, first.skipped_fubs), (1, 0));
+            assert_eq!(first.walked_nodes, nl.node_count());
+            // An incremental verification sweep finds no boundary read
+            // moved, so it walks nothing; a full sweep re-walks everything.
+            let last = &out.trace[1];
+            let walked = if incremental { 0 } else { nl.node_count() };
+            assert_eq!(last.walked_nodes, walked);
+            assert_eq!(last.dirty_fubs + last.skipped_fubs, 1);
+            for s in &out.trace {
+                assert_eq!(s.fub_seq_mean.len(), nl.fub_count());
+            }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "warm_dirty flags one partition per FUB")]
+    fn a_warm_start_needs_one_partition_per_fub() {
+        // One partition would read FUB 0's flag for the whole design.
+        let (nl, mut p) = prepared(CHAIN, false);
+        let values = default_values(&p);
+        let dirty = vec![false; nl.fub_count()];
+        relax_partitioned(
+            &mut p,
+            &values,
+            20,
+            1,
+            true,
+            Some(&dirty),
+            &Collector::disabled(),
+        );
     }
 }

@@ -18,14 +18,13 @@
 //!   nothing — their write rate approaches zero, §5.1); a node's value is
 //!   the union of its fan-outs' contributions (Equations 8–10).
 //!
-//! The [`Propagator`] holds the annotations and runs the **global** pass
-//! over the whole design. The **partitioned** per-FUB walks, which read
-//! cross-FUB values from a snapshot taken at the start of each relaxation
-//! iteration (§5.2) and so reproduce the paper's "a walk can only cross
-//! one partition per iteration" behaviour, are [`crate::relax`]'s mask
-//! walk over the same [`Prepared`] tables.
+//! [`prepare`] fixes the sources and splits the design into the
+//! relaxation's partitions: one per FUB for the paper's partitioned
+//! analysis (§5.2), or the whole design as one. The walks themselves are
+//! [`crate::relax`]'s mask walk over those partitions; the [`Propagator`]
+//! holds their annotations.
 
-use seqavf_netlist::graph::{FubId, Netlist, NodeId};
+use seqavf_netlist::graph::{Netlist, NodeId};
 
 use crate::arena::{SetId, TermId, TermKind, TermTable, UnionArena};
 use crate::classify::{NodeRole, RoleMap};
@@ -41,8 +40,8 @@ pub const INJ_BOUNDARY_IN: &str = "boundary_in";
 pub const INJ_BOUNDARY_OUT: &str = "boundary_out";
 
 /// Immutable preparation shared by all walks over one netlist: terms,
-/// per-node source/contribution overrides, and a topological order of the
-/// loop-cut graph.
+/// per-node source/contribution overrides, and the partitions the
+/// relaxation walks.
 #[derive(Debug, Clone)]
 pub struct Prepared {
     /// Interned pAVF terms.
@@ -57,91 +56,43 @@ pub struct Prepared {
     /// Override of the contribution a node makes to its fan-ins' backward
     /// values (`None` = the node's own backward value).
     pub bwd_contrib: Vec<Option<SetId>>,
-    /// Topological order of the loop-cut graph.
-    pub topo: Vec<NodeId>,
-    /// `topo` filtered per FUB.
-    pub fub_topo: Vec<Vec<NodeId>>,
-    /// Cross-partition boundary-dependency graph for incremental
-    /// relaxation.
+    /// The relaxation's partitions, each one topological order of the
+    /// loop-cut graph restricted to its nodes: one per FUB (partition `f`
+    /// is FUB `f`) when partitioned, else the whole design as one.
+    pub parts: Vec<Vec<NodeId>>,
+    /// Partition of every node, indexed by [`NodeId::index`].
+    pub part_of: Vec<u32>,
+    /// Cross-partition boundary reads for incremental relaxation.
     pub boundary: BoundaryDeps,
 }
 
-/// Which FUBs read which nodes across the partition, in each walk
-/// direction — the FUB-level dependency graph the incremental relaxation
-/// diffs at every iteration barrier (§5.2 only re-walks FUBs downstream
-/// of a changed FUBIO value).
+/// The nodes whose annotations another partition reads, in each walk
+/// direction — what the incremental relaxation diffs at every iteration
+/// barrier (§5.2 only re-walks partitions downstream of a changed FUBIO
+/// value).
 ///
-/// A node appears as a *forward* boundary read when some node of another
-/// FUB takes it as a fan-in and is not itself a fixed forward source: the
-/// partitioned walk then reads the node's forward annotation from the
+/// A node is a *forward* boundary read when some node of another
+/// partition takes it as a fan-in and is not itself a fixed forward
+/// source: the walk then reads the node's forward annotation from the
 /// iteration snapshot. Symmetrically, a node is a *backward* boundary read
-/// when some node of another FUB has it as a fan-out, is not a fixed
+/// when some node of another partition has it as a fan-out, is not a fixed
 /// backward source, and the read node's backward contribution is not
-/// overridden (overridden contributions are iteration-invariant).
-///
-/// Both directions are stored as a CSR: `*_reads[k]` is the observed node
-/// and `*_consumers[*_offsets[k]..*_offsets[k + 1]]` the deduplicated
-/// FUBs whose next walk depends on it.
+/// overridden (overridden contributions are iteration-invariant). Which
+/// partitions read a moved node follows from its fan-outs (forward) or
+/// fan-ins (backward), so only the read nodes are stored. One partition
+/// reads nothing across a boundary.
 #[derive(Debug, Clone, Default)]
 pub struct BoundaryDeps {
     /// Nodes whose forward annotation is read across a partition,
     /// ascending.
     pub fwd_reads: Vec<NodeId>,
-    /// CSR offsets into [`BoundaryDeps::fwd_consumers`].
-    pub fwd_offsets: Vec<u32>,
-    /// Consumer FUBs per forward boundary read.
-    pub fwd_consumers: Vec<FubId>,
     /// Nodes whose backward annotation is read across a partition,
     /// ascending.
     pub bwd_reads: Vec<NodeId>,
-    /// CSR offsets into [`BoundaryDeps::bwd_consumers`].
-    pub bwd_offsets: Vec<u32>,
-    /// Consumer FUBs per backward boundary read.
-    pub bwd_consumers: Vec<FubId>,
 }
 
-impl BoundaryDeps {
-    /// FUBs whose forward walk reads `fwd_reads[k]` from the snapshot.
-    pub fn fwd_consumers_of(&self, k: usize) -> &[FubId] {
-        &self.fwd_consumers[self.fwd_offsets[k] as usize..self.fwd_offsets[k + 1] as usize]
-    }
-
-    /// FUBs whose backward walk reads `bwd_reads[k]` from the snapshot.
-    pub fn bwd_consumers_of(&self, k: usize) -> &[FubId] {
-        &self.bwd_consumers[self.bwd_offsets[k] as usize..self.bwd_offsets[k + 1] as usize]
-    }
-
-    fn from_pairs(fwd: Vec<(NodeId, FubId)>, bwd: Vec<(NodeId, FubId)>) -> BoundaryDeps {
-        fn csr(mut pairs: Vec<(NodeId, FubId)>) -> (Vec<NodeId>, Vec<u32>, Vec<FubId>) {
-            pairs.sort_unstable_by_key(|&(n, f)| (n.index(), f.index()));
-            pairs.dedup();
-            let mut reads = Vec::new();
-            let mut offsets = vec![0u32];
-            let mut consumers = Vec::with_capacity(pairs.len());
-            for (n, f) in pairs {
-                if reads.last() != Some(&n) {
-                    reads.push(n);
-                    offsets.push(consumers.len() as u32);
-                }
-                consumers.push(f);
-                *offsets.last_mut().expect("offsets never empty") = consumers.len() as u32;
-            }
-            (reads, offsets, consumers)
-        }
-        let (fwd_reads, fwd_offsets, fwd_consumers) = csr(fwd);
-        let (bwd_reads, bwd_offsets, bwd_consumers) = csr(bwd);
-        BoundaryDeps {
-            fwd_reads,
-            fwd_offsets,
-            fwd_consumers,
-            bwd_reads,
-            bwd_offsets,
-            bwd_consumers,
-        }
-    }
-}
-
-/// Builds the walk preparation for a netlist.
+/// Builds the walk preparation for a netlist, split into one partition
+/// per FUB when `partitioned`, else into one partition.
 ///
 /// # Panics
 ///
@@ -152,6 +103,7 @@ pub fn prepare(
     nl: &Netlist,
     roles: RoleMap,
     mapping: &StructureMapping,
+    partitioned: bool,
     arena: &mut UnionArena,
 ) -> Prepared {
     let mut terms = TermTable::with_capacity(8 + 2 * nl.structure_count());
@@ -222,6 +174,8 @@ pub fn prepare(
 
     // Kahn topological sort over the loop-cut graph: fan-in edges of
     // injected nodes are ignored (walks never propagate into a source).
+    // Ready nodes leave in arrival order, which fixes each partition's
+    // order and so the `SetId` numbering.
     let cut = |id: NodeId| fwd_source[id.index()].is_some() && roles.role(id).is_injected();
     let mut indeg = vec![0u32; n];
     for id in nl.nodes() {
@@ -253,35 +207,45 @@ pub fn prepare(
         "loop-cut graph must be acyclic; an uncut cycle remains"
     );
 
-    let mut fub_topo: Vec<Vec<NodeId>> = vec![Vec::new(); nl.fub_count()];
-    for &id in &topo {
-        fub_topo[nl.fub(id).index()].push(id);
+    let part_of: Vec<u32> = if partitioned {
+        nl.nodes().map(|id| nl.fub(id).index() as u32).collect()
+    } else {
+        vec![0; n]
+    };
+    let mut parts: Vec<Vec<NodeId>> =
+        vec![Vec::new(); if partitioned { nl.fub_count() } else { 1 }];
+    for id in topo {
+        parts[part_of[id.index()] as usize].push(id);
     }
 
-    // Boundary-dependency graph: exactly the cross-partition snapshot
-    // reads the partitioned walks perform. Forward: a non-source node
-    // reads every foreign fan-in. Backward: a non-source node reads every
-    // foreign fan-out whose contribution is not overridden.
-    let mut fwd_pairs: Vec<(NodeId, FubId)> = Vec::new();
-    let mut bwd_pairs: Vec<(NodeId, FubId)> = Vec::new();
+    // Boundary reads: exactly the cross-partition snapshot reads the
+    // walks perform. Forward: a non-source node reads every foreign
+    // fan-in. Backward: a non-source node reads every foreign fan-out
+    // whose contribution is not overridden.
+    let mut fwd_read = vec![false; n];
+    let mut bwd_read = vec![false; n];
     for id in nl.nodes() {
-        let fub = nl.fub(id);
+        let part = part_of[id.index()];
         if fwd_source[id.index()].is_none() {
             for &f in nl.fanin(id) {
-                if nl.fub(f) != fub {
-                    fwd_pairs.push((f, fub));
+                if part_of[f.index()] != part {
+                    fwd_read[f.index()] = true;
                 }
             }
         }
         if bwd_source[id.index()].is_none() {
             for &m in nl.fanout(id) {
-                if bwd_contrib[m.index()].is_none() && nl.fub(m) != fub {
-                    bwd_pairs.push((m, fub));
+                if bwd_contrib[m.index()].is_none() && part_of[m.index()] != part {
+                    bwd_read[m.index()] = true;
                 }
             }
         }
     }
-    let boundary = BoundaryDeps::from_pairs(fwd_pairs, bwd_pairs);
+    let reads = |marked: &[bool]| nl.nodes().filter(|n| marked[n.index()]).collect();
+    let boundary = BoundaryDeps {
+        fwd_reads: reads(&fwd_read),
+        bwd_reads: reads(&bwd_read),
+    };
 
     Prepared {
         terms,
@@ -289,8 +253,8 @@ pub fn prepare(
         fwd_source,
         bwd_source,
         bwd_contrib,
-        topo,
-        fub_topo,
+        parts,
+        part_of,
         boundary,
     }
 }
@@ -303,7 +267,7 @@ pub struct Propagator<'nl> {
     pub nl: &'nl Netlist,
     /// Walk preparation.
     pub prep: Prepared,
-    /// Union arena (grows as new sets are formed).
+    /// Union arena (grows as the relaxation interns new sets).
     pub arena: UnionArena,
     /// Per-node forward annotation; starts at the conservative `{TOP}`.
     pub fwd: Vec<SetId>,
@@ -326,53 +290,6 @@ impl<'nl> Propagator<'nl> {
             bwd: vec![top; n],
         }
     }
-
-    /// One forward pass over the whole design in topological order: the
-    /// global analysis, and the oracle the partitioned mask walk of
-    /// [`crate::relax`] is tested against.
-    pub fn forward_pass(&mut self) {
-        for k in 0..self.prep.topo.len() {
-            let n = self.prep.topo[k];
-            let i = n.index();
-            if let Some(s) = self.prep.fwd_source[i] {
-                self.fwd[i] = s;
-                continue;
-            }
-            // A non-source node with no fan-in (e.g. a constant gate) has
-            // no measured provenance. The empty set would evaluate to 0.0 —
-            // optimistically un-ACE — so resolve it conservatively to TOP;
-            // only injected sources and boundary inputs may carry a
-            // non-conservative fixed value.
-            if self.nl.fanin(n).is_empty() {
-                self.fwd[i] = self.arena.top();
-                continue;
-            }
-            let mut acc = self.arena.empty();
-            for &f in self.nl.fanin(n) {
-                acc = self.arena.union2(acc, self.fwd[f.index()]);
-            }
-            self.fwd[i] = acc;
-        }
-    }
-
-    /// One backward pass over the whole design in reverse topological
-    /// order, the counterpart of [`Propagator::forward_pass`].
-    pub fn backward_pass(&mut self) {
-        for k in (0..self.prep.topo.len()).rev() {
-            let n = self.prep.topo[k];
-            let i = n.index();
-            if let Some(s) = self.prep.bwd_source[i] {
-                self.bwd[i] = s;
-                continue;
-            }
-            let mut acc = self.arena.empty();
-            for &m in self.nl.fanout(n) {
-                let v = self.prep.bwd_contrib[m.index()].unwrap_or(self.bwd[m.index()]);
-                acc = self.arena.union2(acc, v);
-            }
-            self.bwd[i] = acc;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -380,18 +297,38 @@ mod tests {
     use super::*;
     use crate::classify::classify;
     use crate::mapping::StructureMapping;
+    use crate::relax::relax_partitioned;
     use seqavf_netlist::flatten::parse_netlist;
     use seqavf_netlist::scc::find_loops;
+    use seqavf_obs::Collector;
 
-    fn build(text: &str, patterns: &[&str]) -> (Netlist, Propagator<'static>) {
+    fn prepared(
+        text: &str,
+        patterns: &[&str],
+        partitioned: bool,
+    ) -> (Netlist, Propagator<'static>) {
         let nl = Box::leak(Box::new(parse_netlist(text).unwrap()));
         let loops = find_loops(nl);
         let pats: Vec<String> = patterns.iter().map(|s| (*s).to_owned()).collect();
         let roles = classify(nl, &loops, &pats);
         let mut arena = UnionArena::new();
-        let prep = prepare(nl, roles, &StructureMapping::new(), &mut arena);
+        let prep = prepare(nl, roles, &StructureMapping::new(), partitioned, &mut arena);
         let prop = Propagator::new(nl, prep, arena);
         (nl.clone(), prop)
+    }
+
+    /// Relaxes `p` to its fixpoint through the production walk.
+    fn relax(p: &mut Propagator<'_>) {
+        let values = p.prep.terms.values(&|_| None, &|_| None, 1.0, 1.0);
+        let out = relax_partitioned(p, &values, 20, 1, true, None, &Collector::disabled());
+        assert!(out.converged);
+    }
+
+    /// The walked annotations of a one-FUB design.
+    fn build(text: &str, patterns: &[&str]) -> (Netlist, Propagator<'static>) {
+        let (nl, mut p) = prepared(text, patterns, true);
+        relax(&mut p);
+        (nl, p)
     }
 
     const PIPE: &str = r"
@@ -409,8 +346,7 @@ mod tests {
 
     #[test]
     fn simple_pipeline_forward_copies_read_term() {
-        let (nl, mut p) = build(PIPE, &[]);
-        p.forward_pass();
+        let (nl, p) = build(PIPE, &[]);
         let s1 = nl.lookup("f.s1[0]").unwrap();
         for q in ["f.q1", "f.q2", "f.q3"] {
             let id = nl.lookup(q).unwrap();
@@ -420,8 +356,7 @@ mod tests {
 
     #[test]
     fn simple_pipeline_backward_copies_write_term() {
-        let (nl, mut p) = build(PIPE, &[]);
-        p.backward_pass();
+        let (nl, p) = build(PIPE, &[]);
         let s2 = nl.lookup("f.s2[0]").unwrap();
         for q in ["f.q1", "f.q2", "f.q3"] {
             let id = nl.lookup(q).unwrap();
@@ -446,13 +381,11 @@ mod tests {
 
     #[test]
     fn join_unions_input_terms() {
-        let (nl, mut p) = build(JOIN, &[]);
-        p.forward_pass();
+        let (nl, p) = build(JOIN, &[]);
         let q2a = nl.lookup("f.q2a").unwrap();
         let set = p.fwd[q2a.index()];
         assert_eq!(p.arena.terms(set).len(), 2, "union of two read terms");
         // Backward: both join inputs inherit the output value (Eq. 9).
-        p.backward_pass();
         let q1a = nl.lookup("f.q1a").unwrap();
         let q1b = nl.lookup("f.q1b").unwrap();
         assert_eq!(p.bwd[q1a.index()], p.bwd[q1b.index()]);
@@ -476,14 +409,12 @@ mod tests {
 
     #[test]
     fn split_copies_forward_and_unions_backward() {
-        let (nl, mut p) = build(SPLIT, &[]);
-        p.forward_pass();
+        let (nl, p) = build(SPLIT, &[]);
         let q1a = nl.lookup("f.q1a").unwrap();
         let q2a = nl.lookup("f.q2a").unwrap();
         let q2b = nl.lookup("f.q2b").unwrap();
         assert_eq!(p.fwd[q2a.index()], p.fwd[q1a.index()]);
         assert_eq!(p.fwd[q2b.index()], p.fwd[q1a.index()]);
-        p.backward_pass();
         // Q1a's backward value is the union of the two write terms (Eq. 10).
         assert_eq!(p.arena.terms(p.bwd[q1a.index()]).len(), 2);
     }
@@ -503,9 +434,7 @@ mod tests {
 .endfub
 .end
 ";
-        let (nl, mut p) = build(text, &[]);
-        p.forward_pass();
-        p.backward_pass();
+        let (nl, p) = build(text, &[]);
         let a = nl.lookup("f.a").unwrap();
         let g = nl.lookup("f.out").unwrap();
         // a's forward value is the injected loop term.
@@ -541,9 +470,7 @@ mod tests {
 .endfub
 .end
 ";
-        let (nl, mut p) = build(text, &["creg"]);
-        p.forward_pass();
-        p.backward_pass();
+        let (nl, p) = build(text, &["creg"]);
         let creg = nl.lookup("f.creg_x").unwrap();
         // Forward: the control-reg term.
         assert_eq!(
@@ -582,9 +509,9 @@ mod tests {
         let roles = classify(nl, &loops, &[]);
         assert_eq!(roles.role(c), crate::classify::NodeRole::Normal);
         let mut arena = UnionArena::new();
-        let prep = prepare(nl, roles, &StructureMapping::new(), &mut arena);
+        let prep = prepare(nl, roles, &StructureMapping::new(), true, &mut arena);
         let mut p = Propagator::new(nl, prep, arena);
-        p.forward_pass();
+        relax(&mut p);
         // The constant gate has no fan-in and no injected source: its
         // forward value must be the conservative TOP, not the optimistic
         // empty set (which evaluates to 0.0).
@@ -594,9 +521,8 @@ mod tests {
         assert_eq!(p.fwd[q.index()], p.arena.top());
     }
 
-    #[test]
-    fn boundary_deps_record_cross_fub_reads() {
-        let text = r"
+    /// Two FUBs, `a` feeding `b` through `a.o`.
+    const TWO_FUBS: &str = r"
 .design x
 .fub a
   .struct s1 1
@@ -610,35 +536,51 @@ mod tests {
 .endfub
 .end
 ";
-        let (nl, p) = build(text, &[]);
-        let deps = &p.prep.boundary;
+
+    #[test]
+    fn boundary_deps_record_cross_fub_reads() {
+        let (nl, p) = prepared(TWO_FUBS, &[], true);
         let a_o = nl.lookup("a.o").unwrap();
         let b_r = nl.lookup("b.r").unwrap();
-        let fub_a = nl.fub(a_o);
-        let fub_b = nl.fub(b_r);
-        // Forward: b reads a.o's annotation from the snapshot.
-        let k = deps
-            .fwd_reads
-            .iter()
-            .position(|&n| n == a_o)
-            .expect("a.o is a forward boundary read");
-        assert_eq!(deps.fwd_consumers_of(k), &[fub_b]);
-        // Backward: a reads b.r's annotation from the snapshot.
-        let k = deps
-            .bwd_reads
-            .iter()
-            .position(|&n| n == b_r)
-            .expect("b.r is a backward boundary read");
-        assert_eq!(deps.bwd_consumers_of(k), &[fub_a]);
-        // Every recorded read really crosses the partition, and no
-        // consumer list names the read node's own FUB.
-        for (k, &n) in deps.fwd_reads.iter().enumerate() {
-            assert!(!deps.fwd_consumers_of(k).is_empty());
-            assert!(!deps.fwd_consumers_of(k).contains(&nl.fub(n)));
+        // Forward: b reads a.o's annotation from the snapshot. Backward: a
+        // reads b.r's. Nothing else crosses.
+        assert_eq!(p.prep.boundary.fwd_reads, vec![a_o]);
+        assert_eq!(p.prep.boundary.bwd_reads, vec![b_r]);
+        // One partition reads nothing across a boundary.
+        let (_, one) = prepared(TWO_FUBS, &[], false);
+        assert!(one.prep.boundary.fwd_reads.is_empty());
+        assert!(one.prep.boundary.bwd_reads.is_empty());
+    }
+
+    #[test]
+    fn partitions_are_the_fubs_or_the_whole_design() {
+        let (nl, p) = prepared(TWO_FUBS, &[], true);
+        assert_eq!(p.prep.parts.len(), nl.fub_count());
+        for (k, order) in p.prep.parts.iter().enumerate() {
+            let mut members: Vec<NodeId> = order.clone();
+            members.sort_by_key(|n| n.index());
+            let fub: Vec<NodeId> = nl.nodes().filter(|&n| nl.fub(n).index() == k).collect();
+            assert_eq!(members, fub, "partition {k} is FUB {k}");
+            assert!(order
+                .iter()
+                .all(|n| p.prep.part_of[n.index()] as usize == k));
         }
-        for (k, &n) in deps.bwd_reads.iter().enumerate() {
-            assert!(!deps.bwd_consumers_of(k).is_empty());
-            assert!(!deps.bwd_consumers_of(k).contains(&nl.fub(n)));
+        let (_, one) = prepared(TWO_FUBS, &[], false);
+        assert_eq!(one.prep.parts.len(), 1);
+        assert_eq!(one.prep.parts[0].len(), nl.node_count());
+        assert!(one.prep.part_of.iter().all(|&k| k == 0));
+        // The whole-design order is topological: every fan-in of a walked
+        // (non-source) node comes first.
+        let mut pos = vec![0; nl.node_count()];
+        for (k, n) in one.prep.parts[0].iter().enumerate() {
+            pos[n.index()] = k;
+        }
+        for n in nl.nodes() {
+            if one.prep.fwd_source[n.index()].is_none() {
+                for f in nl.fanin(n) {
+                    assert!(pos[f.index()] < pos[n.index()]);
+                }
+            }
         }
     }
 }

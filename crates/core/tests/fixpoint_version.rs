@@ -1,7 +1,8 @@
-//! The `seqavf-fixpoint/2` version bump: per-FUB digests changed meaning
-//! (they fold interned name hashes), so an artifact written under `/1`
+//! The fixpoint artifact's version bumps. `/2` changed what per-FUB
+//! digests mean (they fold interned name hashes) and `/3` dropped the
+//! boundary-dependency section, so an artifact written under `/1` or `/2`
 //! must be refused as a version mismatch — one cold solve with unchanged
-//! answers that rewrites the file as `/2` — never trusted as a seed.
+//! answers that rewrites the file as `/3` — never trusted as a seed.
 
 mod common;
 
@@ -13,7 +14,7 @@ use seqavf_core::mapping::{PavfInputs, StructureMapping};
 use seqavf_core::sweep::{run_sweep_with_loops_traced, SweepOptions, SweepOutcome};
 use seqavf_netlist::exlif;
 use seqavf_netlist::flatten::parse_netlist;
-use seqavf_netlist::snapshot::{seal, SnapshotError};
+use seqavf_netlist::snapshot::{put_section, seal, SnapshotError};
 use seqavf_netlist::synth::{generate, SynthConfig};
 use seqavf_obs::Collector;
 
@@ -21,6 +22,7 @@ use common::{cached_dag, fresh_dag, node_bits};
 
 const V1: &[u8] = b"seqavf-fixpoint/1\n";
 const V2: &[u8] = b"seqavf-fixpoint/2\n";
+const V3: &[u8] = b"seqavf-fixpoint/3\n";
 
 struct Revision {
     text: String,
@@ -113,34 +115,42 @@ fn artifact(dir: &Path) -> PathBuf {
     files.into_iter().next().unwrap()
 }
 
-/// `bytes` re-sealed under the `/1` magic: the body is untouched, the
-/// checksum valid.
-fn as_v1(bytes: &[u8]) -> Vec<u8> {
-    assert!(bytes.starts_with(V2));
-    let mut out = V1.to_vec();
-    out.extend_from_slice(&bytes[V2.len()..bytes.len() - 8]);
+/// A current artifact's body re-sealed under an older magic, with a
+/// valid checksum. A `/2` body also gets back the boundary section `/3`
+/// dropped (section 5: six empty arrays), so it is a well-formed `/2`
+/// file.
+fn as_version(bytes: &[u8], magic: &[u8]) -> Vec<u8> {
+    assert!(bytes.starts_with(V3));
+    let mut out = magic.to_vec();
+    out.extend_from_slice(&bytes[V3.len()..bytes.len() - 8]);
+    if magic == V2 {
+        put_section(&mut out, 5, &[0; 6]);
+    }
     seal(&mut out);
     out
 }
 
-#[test]
-fn a_v1_artifact_runs_cold_once_and_is_rewritten_as_v2() {
-    let dir = std::env::temp_dir().join(format!("seqavf-fixpoint-v1-{}", std::process::id()));
+/// The first edit after `old` replaced the artifact runs cold with the
+/// answers of no warm start and rewrites the file as `/3`; the next edit
+/// then runs warm, still bit-identical to cold.
+fn old_artifact_runs_cold_once_and_is_rewritten(old: &[u8]) {
+    let tag = String::from_utf8_lossy(&old[old.len() - 2..old.len() - 1]).into_owned();
+    let dir = std::env::temp_dir().join(format!("seqavf-fixpoint-v{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let base = Revision::base();
     base.sweep(Some(&dir));
     let path = artifact(&dir);
-    let v2 = std::fs::read(&path).unwrap();
-    assert!(StoredFixpoint::decode(&v2).is_ok());
-    let v1 = as_v1(&v2);
+    let current = std::fs::read(&path).unwrap();
+    assert!(StoredFixpoint::decode(&current).is_ok());
+    let stale = as_version(&current, old);
     assert_eq!(
-        StoredFixpoint::decode(&v1),
+        StoredFixpoint::decode(&stale),
         Err(SnapshotError::UnsupportedVersion)
     );
-    std::fs::write(&path, &v1).unwrap();
+    std::fs::write(&path, &stale).unwrap();
 
-    // The first edit finds only the `/1` file: a cold solve, the same
-    // answers as without a warm-start directory, and a `/2` rewrite.
+    // The first edit finds only the old file: a cold solve, the same
+    // answers as without a warm-start directory, and a `/3` rewrite.
     let first = base.edit(0);
     let (warm, warm_bits) = first.sweep(Some(&dir));
     assert_eq!(
@@ -149,7 +159,7 @@ fn a_v1_artifact_runs_cold_once_and_is_rewritten_as_v2() {
     );
     assert_eq!(warm_bits, first.sweep(None).1);
     let rewritten = std::fs::read(&path).unwrap();
-    assert!(rewritten.starts_with(V2));
+    assert!(rewritten.starts_with(V3));
     assert!(StoredFixpoint::decode(&rewritten).is_ok());
 
     // So the next edit runs warm, still bit-identical to cold.
@@ -168,4 +178,14 @@ fn a_v1_artifact_runs_cold_once_and_is_rewritten_as_v2() {
     }
     assert_eq!(warm_bits, second.sweep(None).1);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_v1_artifact_runs_cold_once_and_is_rewritten_as_v3() {
+    old_artifact_runs_cold_once_and_is_rewritten(V1);
+}
+
+#[test]
+fn a_v2_artifact_runs_cold_once_and_is_rewritten_as_v3() {
+    old_artifact_runs_cold_once_and_is_rewritten(V2);
 }

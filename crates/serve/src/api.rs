@@ -37,7 +37,8 @@ pub struct RequestConfig {
     pub loop_pavf: Option<f64>,
     /// Relaxation iteration cap (default 20).
     pub iterations: Option<u64>,
-    /// `true` selects the global (non-partitioned) solver.
+    /// `true` relaxes the whole design as one partition instead of one
+    /// per FUB (`SartConfig::partitioned: false`).
     pub global: Option<bool>,
 }
 

@@ -52,7 +52,9 @@ pub mod flow {
     use seqavf_core::report::SartSummary;
     use seqavf_netlist::graph::{Netlist, StructId};
     use seqavf_netlist::scc::{find_loops_traced, LoopAnalysis};
-    use seqavf_netlist::snapshot;
+    use seqavf_netlist::snapshot::{
+        self, open_sealed, put_section, put_str, put_u64, put_varint, seal, Cursor, SnapshotError,
+    };
     use seqavf_netlist::synth::{generate, SynthConfig, SynthDesign, SynthMeta};
     use seqavf_netlist::Fnv1a64;
     use seqavf_obs::Collector;
@@ -73,10 +75,11 @@ pub mod flow {
         /// SART parameters.
         pub sart: SartConfig,
         /// Graph-snapshot cache directory. When set, the generated design
-        /// (netlist + loop analysis + ground-truth metadata) is persisted
-        /// as a `seqavf-graph/2` snapshot keyed by the design
-        /// configuration, so repeat runs skip synthesis, flattening and
-        /// the SCC pass. `None` disables the cache.
+        /// is persisted keyed by the design configuration: netlist and
+        /// loop analysis as a `seqavf-graph/2` snapshot, ground-truth
+        /// metadata as a `seqavf-synthmeta/2` sidecar, both sealed. Repeat
+        /// runs skip synthesis, flattening and the SCC pass. `None`
+        /// disables the cache.
         pub graph_cache: Option<PathBuf>,
     }
 
@@ -189,55 +192,74 @@ pub mod flow {
         run_flow_traced(config, &Collector::disabled())
     }
 
-    /// Header line of the synthesis-metadata sidecar stored next to a flow
-    /// graph snapshot.
-    const SYNTHMETA_MAGIC: &str = "seqavf-synthmeta/1";
+    /// Format magic of the synthesis-metadata sidecar stored next to a
+    /// flow graph snapshot. `/2` moved the `/1` text lines into the sealed
+    /// container, so a damaged sidecar fails its checksum.
+    const SYNTHMETA_MAGIC: &[u8] = b"seqavf-synthmeta/2\n";
 
-    /// Renders the generator's ground-truth metadata as the text sidecar.
-    fn meta_to_text(meta: &SynthMeta) -> String {
-        let mut out = String::from(SYNTHMETA_MAGIC);
-        out.push('\n');
+    /// Version-family prefix of [`SYNTHMETA_MAGIC`].
+    const SYNTHMETA_FAMILY: &[u8] = b"seqavf-synthmeta/";
+
+    const SEC_GRAPH: u8 = 1;
+    const SEC_STRUCTS: u8 = 2;
+    const SEC_CREGS: u8 = 3;
+
+    /// Encodes the generator's ground-truth metadata for the graph `nl`
+    /// as the sealed sidecar: the graph's content digest, then the
+    /// structure map and the control-register names.
+    fn encode_meta(meta: &SynthMeta, nl: &Netlist) -> Vec<u8> {
+        let mut out = SYNTHMETA_MAGIC.to_vec();
+        let mut graph = Vec::new();
+        put_u64(&mut graph, nl.content_digest());
+        put_section(&mut out, SEC_GRAPH, &graph);
+        let mut structs = Vec::new();
+        put_varint(&mut structs, meta.structure_map.len() as u64);
         for (sid, perf) in &meta.structure_map {
-            out.push_str(&format!("struct {} {perf}\n", sid.index()));
+            put_varint(&mut structs, sid.index() as u64);
+            put_str(&mut structs, perf);
         }
+        put_section(&mut out, SEC_STRUCTS, &structs);
+        let mut cregs = Vec::new();
+        put_varint(&mut cregs, meta.control_reg_names.len() as u64);
         for name in &meta.control_reg_names {
-            out.push_str(&format!("creg {name}\n"));
+            put_str(&mut cregs, name);
         }
+        put_section(&mut out, SEC_CREGS, &cregs);
+        seal(&mut out);
         out
     }
 
-    /// Parses the sidecar back, validating every structure id against the
-    /// restored netlist. Any malformed line means `None` (→ regenerate).
-    fn meta_from_text(text: &str, nl: &Netlist) -> Option<SynthMeta> {
-        let mut lines = text.lines();
-        if lines.next()? != SYNTHMETA_MAGIC {
-            return None;
+    /// Decodes a sidecar written by [`encode_meta`] for the restored graph
+    /// `nl`. Any damage, an older version, a sidecar of another graph or a
+    /// structure id `nl` does not have is an `Err` (→ regenerate).
+    fn decode_meta(bytes: &[u8], nl: &Netlist) -> Result<SynthMeta, SnapshotError> {
+        let body = open_sealed(bytes, SYNTHMETA_MAGIC, SYNTHMETA_FAMILY)?;
+        let mut top = Cursor::new(body);
+        let mut graph = top.section(SEC_GRAPH)?;
+        if graph.u64()? != nl.content_digest() {
+            return Err(SnapshotError::DigestMismatch);
         }
-        let mut structure_map = Vec::new();
-        let mut control_reg_names = Vec::new();
-        for line in lines {
-            let mut it = line.split_whitespace();
-            match it.next() {
-                None => continue,
-                Some("struct") => {
-                    let sid: usize = it.next()?.parse().ok()?;
-                    let perf = it.next()?.to_owned();
-                    if it.next().is_some() || sid >= nl.structure_count() {
-                        return None;
-                    }
-                    structure_map.push((StructId::from_index(sid), perf));
-                }
-                Some("creg") => {
-                    let name = it.next()?.to_owned();
-                    if it.next().is_some() {
-                        return None;
-                    }
-                    control_reg_names.push(name);
-                }
-                Some(_) => return None,
+        graph.end()?;
+        let mut structs = top.section(SEC_STRUCTS)?;
+        let count = structs.count()?;
+        let mut structure_map = Vec::with_capacity(count);
+        for _ in 0..count {
+            let sid = usize::try_from(structs.varint()?).map_err(|_| SnapshotError::BadIndex)?;
+            if sid >= nl.structure_count() {
+                return Err(SnapshotError::BadIndex);
             }
+            structure_map.push((StructId::from_index(sid), structs.string()?));
         }
-        Some(SynthMeta {
+        structs.end()?;
+        let mut cregs = top.section(SEC_CREGS)?;
+        let count = cregs.count()?;
+        let mut control_reg_names = Vec::with_capacity(count);
+        for _ in 0..count {
+            control_reg_names.push(cregs.string()?);
+        }
+        cregs.end()?;
+        top.end()?;
+        Ok(SynthMeta {
             structure_map,
             control_reg_names,
         })
@@ -247,8 +269,8 @@ pub mod flow {
     /// configured and intact (returning the restored loop analysis too),
     /// otherwise by running the generator (and, with a cache directory,
     /// storing the snapshot plus metadata sidecar for next time). Any
-    /// cache damage — missing files, corrupt snapshot, malformed sidecar —
-    /// degrades to a regenerate-and-rewrite, never an error.
+    /// cache damage — missing files, corrupt snapshot, damaged or old
+    /// sidecar — degrades to a regenerate-and-rewrite, never an error.
     fn obtain_design(config: &FlowConfig, obs: &Collector) -> (SynthDesign, Option<LoopAnalysis>) {
         let generate_traced = || {
             let mut span = obs.span("flow.generate");
@@ -269,8 +291,7 @@ pub mod flow {
         let meta_path = dir.join(format!("graph-{key:016x}.meta"));
         let cached = std::fs::read(&snap_path).ok().and_then(|bytes| {
             let (netlist, loops) = snapshot::load(&bytes).ok()?;
-            let meta_text = std::fs::read_to_string(&meta_path).ok()?;
-            let meta = meta_from_text(&meta_text, &netlist)?;
+            let meta = decode_meta(&std::fs::read(&meta_path).ok()?, &netlist).ok()?;
             Some((SynthDesign { netlist, meta }, loops))
         });
         if let Some((design, loops)) = cached {
@@ -281,7 +302,7 @@ pub mod flow {
         let design = generate_traced();
         let loops = find_loops_traced(&design.netlist, obs);
         let _ = snapshot::write_atomic(&snap_path, &snapshot::save(&design.netlist, &loops));
-        let _ = snapshot::write_atomic(&meta_path, meta_to_text(&design.meta).as_bytes());
+        let _ = snapshot::write_atomic(&meta_path, &encode_meta(&design.meta, &design.netlist));
         (design, Some(loops))
     }
 
@@ -314,6 +335,44 @@ pub mod flow {
             mapping,
             result,
             summary,
+        }
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+
+        #[test]
+        fn the_sidecar_decoder_rejects_every_single_bit_flip() {
+            let design = generate(&SynthConfig::xeon_like(3).scaled(0.3));
+            let nl = &design.netlist;
+            let bytes = encode_meta(&design.meta, nl);
+            let back = decode_meta(&bytes, nl).expect("a sealed sidecar decodes");
+            assert_eq!(back.structure_map, design.meta.structure_map);
+            assert_eq!(back.control_reg_names, design.meta.control_reg_names);
+            for bit in 0..bytes.len() * 8 {
+                let mut bad = bytes.clone();
+                bad[bit / 8] ^= 1 << (bit % 8);
+                assert!(
+                    decode_meta(&bad, nl).is_err(),
+                    "bit {bit} of {}",
+                    bytes.len()
+                );
+            }
+            // The `/1` text sidecar and another graph's sidecar are refused.
+            let old = format!(
+                "seqavf-synthmeta/1\nstruct 0 {}\n",
+                design.meta.structure_map[0].1
+            );
+            assert_eq!(
+                decode_meta(old.as_bytes(), nl).err(),
+                Some(SnapshotError::UnsupportedVersion)
+            );
+            let other = generate(&SynthConfig::xeon_like(4).scaled(0.3));
+            assert_eq!(
+                decode_meta(&bytes, &other.netlist).err(),
+                Some(SnapshotError::DigestMismatch)
+            );
         }
     }
 }

@@ -1,8 +1,10 @@
 //! Property-based tests over randomly generated circuits, checking the
 //! invariants listed in DESIGN.md §6: range, the MIN resolution rule,
-//! partitioned/global equivalence, closed-form reuse, monotonicity in the
-//! measured inputs, EXLIF round-tripping, and SART's conservatism against
-//! fault injection.
+//! partitioned/global equivalence, equality with the reference walk,
+//! closed-form reuse, monotonicity in the measured inputs, EXLIF
+//! round-tripping, and SART's conservatism against fault injection.
+
+mod reference;
 
 use proptest::prelude::*;
 
@@ -470,6 +472,56 @@ proptest! {
                 }
             }
         }
+    }
+
+    #[test]
+    fn relaxation_equals_the_reference_walk(
+        (recipe, fubs) in recipe_strategy(),
+        structures in 30usize..64,
+    ) {
+        // Every setting of the relaxation — one partition per FUB or one
+        // for the whole design, 1 or 3 threads, incremental or full
+        // sweeps — must give every node exactly the forward and backward
+        // term sets of the reference walk, on partition-stress circuits
+        // and on circuits past 64 terms.
+        let stress = build_partition_stress_circuit(&recipe, fubs);
+        let wide = build_wide_term_circuit(&recipe, fubs, structures);
+        let inputs = PavfInputs::new();
+        let config = SartConfig {
+            max_iterations: 64,
+            default_port_pavf: 0.01,
+            ..SartConfig::default()
+        };
+        for nl in [&stress, &wide] {
+            let mut want = None;
+            for partitioned in [true, false] {
+                for threads in [1usize, 3] {
+                    for incremental in [true, false] {
+                        let setting = SartConfig { partitioned, threads, incremental, ..config.clone() };
+                        let r = solve(nl, setting, &inputs);
+                        prop_assert!(r.outcome.converged);
+                        let (fwd, bwd) = want.get_or_insert_with(|| {
+                            reference::walk(nl, &r.roles, &r.terms, &r.struct_perf_names)
+                        });
+                        for id in nl.nodes() {
+                            let i = id.index();
+                            prop_assert_eq!(
+                                r.arena.terms(r.fwd[i]), &fwd[i][..],
+                                "fwd {} partitioned={} threads={} incremental={}",
+                                nl.name(id), partitioned, threads, incremental
+                            );
+                            prop_assert_eq!(
+                                r.arena.terms(r.bwd[i]), &bwd[i][..],
+                                "bwd {} partitioned={} threads={} incremental={}",
+                                nl.name(id), partitioned, threads, incremental
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        let r = solve(&wide, config, &inputs);
+        prop_assert!(r.terms.len() > 64, "{} terms", r.terms.len());
     }
 
     #[test]
