@@ -1,5 +1,5 @@
 //! E10 — design-choice ablations (§4/§5.1): backward walk, bit-field
-//! analysis, HD-1, residency mode, partitioning.
+//! analysis, HD-1, residency mode, FUBIO relaxation iterations.
 //! Usage: `ablations [--scale full]`.
 use seqavf_bench::common::{emit, Scale};
 

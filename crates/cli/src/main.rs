@@ -5,7 +5,7 @@
 //!              [--cores N]
 //! seqavf ace   --out pavf.json [--workloads 32] [--len 5000] [--conservative]
 //! seqavf sart  --design design.exlif --map design.map --pavf pavf.json
-//!              [--out avf.json] [--loop-pavf 0.3] [--iterations 20] [--global]
+//!              [--out avf.json] [--loop-pavf 0.3] [--iterations 20]
 //!              [--threads 4]
 //! seqavf sfi   --design design.exlif [--sample 100] [--injections 16]
 //! seqavf sweep --design design.exlif --map design.map --pavf pavf.json
@@ -39,7 +39,7 @@ use std::path::Path;
 use std::process::ExitCode;
 
 use args::Args;
-use seqavf_core::engine::{SartConfig, SartEngine, WarmStatus};
+use seqavf_core::engine::{iteration_cap, SartConfig, SartEngine, WarmStatus};
 use seqavf_core::fixpoint;
 use seqavf_core::mapping::{PavfInputs, StructureMapping};
 use seqavf_core::report::SartSummary;
@@ -97,15 +97,11 @@ commands:
   ace   --out <pavf.json> [--workloads N] [--len N] [--seed N] [--conservative]
         run the ACE performance model over a workload suite
   sart  --design <exlif|.v> --map <file> --pavf <json> [--out <json>]
-        [--loop-pavf F] [--iterations N] [--global] [--threads N]
-        [--no-incremental] [--protected a,b] [--equations node1,node2]
-        [--graph-cache <dir>] [--warm-start <dir>]
+        [--loop-pavf F] [--iterations N] [--threads N] [--protected a,b]
+        [--equations node1,node2] [--graph-cache <dir>] [--warm-start <dir>]
         resolve sequential AVFs for every node (designs may be EXLIF or
-        structural Verilog, chosen by file extension); --global relaxes
-        the whole design as one partition instead of one per FUB (the
-        same AVFs, reached in one sweep); --no-incremental
-        re-walks every FUB every relaxation sweep instead of only the
-        boundary-dirty ones (bit-identical results, more work);
+        structural Verilog, chosen by file extension); --iterations caps
+        the relaxation sweeps (1 to 10000, default 20);
         --warm-start persists the converged fixpoint in <dir> and seeds
         the next run of the same design from it, relaxing only the FUBs
         whose content changed (bit-identical to a cold solve)
@@ -115,8 +111,7 @@ commands:
   sweep --design <exlif|.v> --map <file> --pavf <json> [--out <json>]
         [--workloads N] [--len N] [--seed N] [--threads N]
         [--cache-dir <dir>] [--graph-cache <dir>] [--warm-start <dir>]
-        [--loop-pavf F] [--iterations N] [--global] [--no-incremental]
-        [--conservative]
+        [--loop-pavf F] [--iterations N] [--conservative]
         compile the closed forms once and evaluate a whole workload suite;
         --cache-dir reuses the compiled artifact across runs (keyed by
         netlist content + configuration), skipping relaxation entirely;
@@ -128,8 +123,7 @@ commands:
         [--trials N] [--seed N] [--threads N] [--sampling uniform|importance]
         [--floor F] [--kernel exact|propagation] [--burst N] [--warmup N]
         [--horizon N] [--no-derate] [--assert-corr F] [--cache-dir <dir>]
-        [--graph-cache <dir>] [--loop-pavf F] [--iterations N] [--global]
-        [--no-incremental]
+        [--graph-cache <dir>] [--loop-pavf F] [--iterations N]
         close the validation triangle: run a trial-indexed fault-injection
         campaign against the design and statistically compare the per-FUB
         injection AVFs with the analytical prediction (Pearson and
@@ -150,7 +144,7 @@ commands:
         --cache-dir shares the sweep's compiled-DAG artifacts for the
         analytical side
   flow  [--seed N] [--workloads N] [--len N] [--scale F] [--cores N]
-        [--threads N] [--no-incremental] [--graph-cache <dir>]
+        [--threads N] [--graph-cache <dir>]
         run the whole pipeline in memory and print the per-FUB report
   serve [--port N] [--host ADDR] [--workers N] [--queue N] [--threads N]
         [--max-resident N] [--graph-cache <dir>] [--cache-dir <dir>]
@@ -162,7 +156,7 @@ commands:
         POST /v1/shutdown (or SIGTERM, or --idle-secs) exits cleanly
   query --design <exlif|.v> --map <file> [--addr host:port] [--out <json>]
         [--workloads N] [--len N] [--seed N] [--conservative]
-        [--loop-pavf F] [--iterations N] [--global] [--design-ref HEX]
+        [--loop-pavf F] [--iterations N] [--design-ref HEX]
         run the workload suite through the ACE model locally, send the
         pAVF tables to a `serve` instance, and print/write the same
         rows `sweep` would (bit-identical); --design-ref skips the
@@ -247,18 +241,22 @@ fn read_pavf(path: &str) -> Result<PavfInputs, String> {
     serde_json::from_str(&read_file(path)?).map_err(|e| format!("parsing pAVF table: {e}"))
 }
 
-/// The [`SartConfig`] of `--loop-pavf`, `--iterations`, `--global`,
-/// `--no-incremental` and `--threads` (at least 1, `default_threads` when
-/// absent), shared by `sart`, `sweep` and `validate`.
+/// The [`SartConfig`] of `--loop-pavf`, `--iterations` and `--threads`
+/// (at least 1, `default_threads` when absent), shared by `sart`, `sweep`
+/// and `validate`.
 fn sart_config(args: &Args, default_threads: usize) -> Result<SartConfig, String> {
     Ok(SartConfig {
         loop_pavf: args.unit_f64("loop-pavf", 0.3)?,
-        max_iterations: args.num("iterations", 20usize)?,
-        partitioned: !args.has("global"),
-        incremental: !args.has("no-incremental"),
+        max_iterations: iterations(args)?,
         threads: args.num("threads", default_threads)?.max(1),
         ..SartConfig::default()
     })
+}
+
+/// The relaxation iteration cap of `--iterations` (20 when absent),
+/// checked by [`iteration_cap`].
+fn iterations(args: &Args) -> Result<usize, String> {
+    iteration_cap(args.num("iterations", 20u64)?).map_err(|e| format!("flag --iterations: {e}"))
 }
 
 /// Prints which path a warm-start request took.
@@ -349,13 +347,13 @@ fn cmd_sart(args: &Args) -> Result<(), String> {
             "warm-start",
             "trace-out",
         ],
-        &["global", "no-incremental", "metrics"],
+        &["metrics"],
     )?;
     let obs = Obs::from_args(args);
+    let config = sart_config(args, 1)?;
     let (netlist, loops) = load_design(args, &obs.collector)?;
     let mapping = StructureMapping::from_text(&netlist, &read_file(args.require("map")?)?)?;
     let inputs = read_pavf(args.require("pavf")?)?;
-    let config = sart_config(args, 1)?;
     let engine = SartEngine::new_traced(&netlist, &mapping, config, loops.as_ref(), &obs.collector);
     let result = match args.get("warm-start") {
         None => engine.run_traced(&inputs, &obs.collector),
@@ -389,17 +387,12 @@ fn cmd_sart(args: &Args) -> Result<(), String> {
         summary.loop_seq_bits
     );
     println!(
-        "relaxation wall time: {:.3} ms total over {} sweeps ({:.3} ms/sweep, {} threads, {} node-walks{})",
+        "relaxation wall time: {:.3} ms total over {} sweeps ({:.3} ms/sweep, {} threads, {} node-walks)",
         result.outcome.total_wall_seconds() * 1e3,
         result.outcome.trace.len(),
         result.outcome.mean_iteration_seconds() * 1e3,
-        result.config.threads,
+        result.outcome.max_threads(),
         result.outcome.total_walked_nodes(),
-        if result.config.incremental {
-            ", incremental"
-        } else {
-            ", full sweeps"
-        }
     );
     // SDC/DUE split when protected structures are named.
     if let Some(protected) = args.get("protected") {
@@ -513,13 +506,13 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
             "iterations",
             "trace-out",
         ],
-        &["global", "no-incremental", "conservative", "metrics"],
+        &["conservative", "metrics"],
     )?;
     let obs = Obs::from_args(args);
+    let config = sart_config(args, 1)?;
     let (netlist, loops) = load_design(args, &obs.collector)?;
     let mapping = StructureMapping::from_text(&netlist, &read_file(args.require("map")?)?)?;
     let base_inputs = read_pavf(args.require("pavf")?)?;
-    let config = sart_config(args, 1)?;
     // Per-workload pAVF tables from the ACE model, one per suite trace.
     let suite_cfg = SuiteConfig {
         workloads: args.num("workloads", 8usize)?,
@@ -650,7 +643,7 @@ fn cmd_validate(args: &Args) -> Result<(), String> {
             "iterations",
             "trace-out",
         ],
-        &["global", "no-incremental", "no-derate", "metrics"],
+        &["no-derate", "metrics"],
     )?;
     let obs = Obs::from_args(args);
     let (netlist, loops) = load_design(args, &obs.collector)?;
@@ -864,9 +857,14 @@ fn cmd_query(args: &Args) -> Result<(), String> {
             "iterations",
             "trace-out",
         ],
-        &["global", "conservative", "metrics"],
+        &["conservative", "metrics"],
     )?;
     let obs = Obs::from_args(args);
+    // Checked before the ACE run, with the messages `sweep` gives.
+    let config = RequestConfig {
+        loop_pavf: Some(args.unit_f64("loop-pavf", 0.3)?),
+        iterations: Some(iterations(args)? as u64),
+    };
     let addr_text = args.get("addr").unwrap_or("127.0.0.1:7171");
     let addr = addr_text
         .to_socket_addrs()
@@ -902,11 +900,7 @@ fn cmd_query(args: &Args) -> Result<(), String> {
         design_path: args.get("design").map(str::to_owned),
         design_ref: args.get("design-ref").map(str::to_owned),
         map_path: args.get("map").map(str::to_owned),
-        config: Some(RequestConfig {
-            loop_pavf: Some(args.unit_f64("loop-pavf", 0.3)?),
-            iterations: Some(args.num("iterations", 20u64)?),
-            global: Some(args.has("global")),
-        }),
+        config: Some(config),
         base_inputs,
         tables,
         include_nodes: None,
@@ -978,7 +972,7 @@ fn cmd_flow(args: &Args) -> Result<(), String> {
             "graph-cache",
             "trace-out",
         ],
-        &["no-incremental", "metrics"],
+        &["metrics"],
     )?;
     let obs = Obs::from_args(args);
     let mut cfg = seqavf::flow::FlowConfig::xeon_like(args.num("seed", 42u64)?);
@@ -990,7 +984,6 @@ fn cmd_flow(args: &Args) -> Result<(), String> {
     cfg.suite.workloads = args.num("workloads", 32usize)?;
     cfg.suite.len = args.num("len", 5_000usize)?;
     cfg.sart.threads = args.num("threads", 1usize)?.max(1);
-    cfg.sart.incremental = !args.has("no-incremental");
     let t0 = std::time::Instant::now();
     let out = seqavf::flow::run_flow_traced(&cfg, &obs.collector);
     print!("{}", out.summary.to_table());
@@ -1005,7 +998,7 @@ fn cmd_flow(args: &Args) -> Result<(), String> {
         "relaxation wall time: {:.3} ms over {} sweeps ({} threads)",
         out.result.outcome.total_wall_seconds() * 1e3,
         out.result.outcome.trace.len(),
-        cfg.sart.threads
+        out.result.outcome.max_threads()
     );
     obs.finish("flow")
 }

@@ -3,8 +3,10 @@
 //!
 //! - every step run with `--trace-out` writes a trace that passes the
 //!   `seqavf-trace/1` schema validator;
-//! - the incremental (dirty-FUB) relaxation writes byte-identical `--out`
-//!   AVFs to full sweeps, at one thread and at eight (DESIGN.md §9).
+//! - the relaxation writes byte-identical `--out` AVFs at one thread and
+//!   at eight (DESIGN.md §9), and the retired `--global` and
+//!   `--no-incremental` switches are usage errors;
+//! - an `--iterations` cap outside [1, 10000] is a usage error.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -30,6 +32,23 @@ impl Drop for Scratch {
     fn drop(&mut self) {
         let _ = std::fs::remove_dir_all(&self.0);
     }
+}
+
+/// Runs `seqavf` expecting a usage error (exit code 1) and returns its
+/// stderr.
+fn run_usage_error(args: &[&str]) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_seqavf"))
+        .args(args)
+        .output()
+        .expect("spawning seqavf");
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "seqavf {args:?}:\nstdout: {}\nstderr: {}",
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8_lossy(&out.stderr).into_owned()
 }
 
 fn run_ok(args: &[&str]) {
@@ -115,13 +134,9 @@ fn incremental_relaxation_writes_the_bytes_of_full_sweeps() {
     let (design, map, pavf) = (s.file("inc.exlif"), s.file("inc.map"), s.file("pavf.json"));
     run_ok(&["gen", "--out", &design, "--map", &map, "--scale", "0.3"]);
     run_ok(&["ace", "--out", &pavf, "--workloads", "4", "--len", "1000"]);
-    // `flag` is `--no-incremental`, `--global` or nothing.
-    let sart = |threads: &str, flag: Option<&str>| {
-        let out = s.file(&format!(
-            "avf-{}-t{threads}.json",
-            flag.unwrap_or("--inc").trim_start_matches('-')
-        ));
-        let mut args = vec![
+    let sart = |threads: &str| {
+        let out = s.file(&format!("avf-t{threads}.json"));
+        let args = [
             "sart",
             "--design",
             &design,
@@ -134,21 +149,59 @@ fn incremental_relaxation_writes_the_bytes_of_full_sweeps() {
             "--out",
             &out,
         ];
-        args.extend(flag);
         run_ok(&args);
         std::fs::read(&out).unwrap()
     };
-    let reference = sart("1", None);
+    let reference = sart("1");
     assert!(!reference.is_empty());
-    // The whole design as one partition (`--global`) reaches the same
-    // fixpoint, so it writes the same bytes too.
-    for threads in ["1", "8"] {
-        for flag in [None, Some("--no-incremental"), Some("--global")] {
+    assert!(sart("8") == reference, "--threads 8 changed the AVF output");
+    // No switch selects another relaxation schedule.
+    for (flag, commands) in [
+        ("--global", ["sart", "sweep", "validate", "query"]),
+        ("--no-incremental", ["sart", "sweep", "validate", "flow"]),
+    ] {
+        for command in commands {
+            let err = run_usage_error(&[command, flag]);
             assert!(
-                sart(threads, flag) == reference,
-                "--threads {threads} {} changed the AVF output",
-                flag.unwrap_or("")
+                err.contains(&format!("unknown flag {flag}")),
+                "{command} {flag}: {err}"
             );
         }
     }
+}
+
+#[test]
+fn iteration_caps_outside_one_to_ten_thousand_are_usage_errors() {
+    let s = Scratch::new("iterations");
+    let (design, map, pavf) = (s.file("it.exlif"), s.file("it.map"), s.file("pavf.json"));
+    run_ok(&["gen", "--out", &design, "--map", &map, "--scale", "0.3"]);
+    run_ok(&["ace", "--out", &pavf, "--workloads", "4", "--len", "1000"]);
+    for n in ["0", "10001"] {
+        for command in ["sart", "sweep"] {
+            let err = run_usage_error(&[
+                command,
+                "--design",
+                &design,
+                "--map",
+                &map,
+                "--pavf",
+                &pavf,
+                "--iterations",
+                n,
+            ]);
+            assert!(
+                err.contains(&format!(
+                    "flag --iterations: must be in [1, 10000], got {n}"
+                )),
+                "{command} --iterations {n}: {err}"
+            );
+        }
+    }
+    // `query` refuses the cap before its ACE run or any connection: no
+    // server listens on port 1.
+    let err = run_usage_error(&["query", "--iterations", "0", "--addr", "127.0.0.1:1"]);
+    assert!(
+        err.contains("flag --iterations: must be in [1, 10000], got 0"),
+        "{err}"
+    );
 }

@@ -781,8 +781,7 @@ impl CompiledSweep {
     /// Serializes the compiled DAG to the sealed `seqavf-sweep/3`
     /// artifact. The configuration is stored as its
     /// [`SartConfig::result_key`], so an artifact written at one thread
-    /// count (or with incremental relaxation toggled) loads under any
-    /// other — those fields never change the result.
+    /// count loads under any other — `threads` never changes the result.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = SWEEP_MAGIC.to_vec();
 
@@ -862,7 +861,7 @@ impl CompiledSweep {
     /// Parses and validates a sealed `seqavf-sweep/3` artifact. The caller
     /// supplies the configuration it expects (the cache key binds it); a
     /// stored artifact whose *result key* differs is rejected, while
-    /// execution-only fields (`threads`, `incremental`) may differ freely.
+    /// the execution-only `threads` may differ freely.
     /// The checksum is verified before any section is parsed, terms must
     /// be in interning order without duplicates, every index is bounds
     /// checked and trailing bytes are rejected — a corrupt artifact yields
@@ -1425,14 +1424,13 @@ mod tests {
     #[test]
     fn artifact_loads_across_execution_strategy_changes() {
         let obs = Collector::disabled();
-        // threads/incremental are not part of the result key: an artifact
-        // written under one setting decodes under any other and evaluates
+        // threads is not part of the result key: an artifact written at
+        // one thread count decodes under any other and evaluates
         // bit-identically.
         let (_, _, compiled) = compiled_fig7();
         let bytes = compiled.encode();
         let exec_only = SartConfig {
             threads: 8,
-            incremental: !compiled.config().incremental,
             ..compiled.config().clone()
         };
         let back = CompiledSweep::decode(&bytes, &exec_only)

@@ -31,45 +31,47 @@ pub struct SartConfig {
     pub default_port_pavf: f64,
     /// Name substrings identifying control registers.
     pub ctrl_patterns: Vec<String>,
-    /// Relaxation iteration cap (the paper used 20).
+    /// Relaxation iteration cap (the paper used 20); surfaces that take
+    /// it from a user check it with [`iteration_cap`].
     pub max_iterations: usize,
-    /// Relax one partition per FUB with FUBIO merging (`true`, the
-    /// paper's mode) or the whole design as one partition (`false`; same
-    /// fixpoint in one sweep, useful for validation). Both run the same
-    /// walk.
-    pub partitioned: bool,
-    /// Skip FUBs whose cross-partition boundary reads did not change in
-    /// the previous relaxation sweep (`true`, the default). Results are
-    /// bit-identical to full sweeps — only the work shrinks; `false`
-    /// re-walks every FUB every iteration (the escape hatch behind the
-    /// CLI's `--no-incremental`).
-    pub incremental: bool,
-    /// Worker threads for the partitioned relaxation and batch
-    /// re-evaluation, engaged as given at any design size. Every thread
-    /// count produces bit-identical annotations and `SetId` numbering
-    /// (see [`crate::relax`]); `1` walks every FUB on the calling thread.
+    /// Worker threads for the relaxation, at most one per FUB a sweep
+    /// walks, at any design size. Every thread count produces
+    /// bit-identical annotations and `SetId` numbering (see
+    /// [`crate::relax`]); `1` walks every FUB on the calling thread.
     pub threads: usize,
+}
+
+/// A relaxation iteration cap as [`SartConfig::max_iterations`], or
+/// `Err` naming the accepted range: at least one sweep and at most
+/// 10,000. Zero sweeps would leave every node at the conservative TOP and
+/// report it as an answer. Each surface that takes a cap prefixes the
+/// message with its own name for it.
+pub fn iteration_cap(n: u64) -> Result<usize, String> {
+    if (1..=10_000).contains(&n) {
+        Ok(n as usize)
+    } else {
+        Err(format!("must be in [1, 10000], got {n}"))
+    }
 }
 
 impl SartConfig {
     /// Canonical rendering of exactly the fields that can change a
     /// computed AVF — the cache identity of a relaxation/compilation.
     ///
-    /// `threads` and `incremental` are deliberately excluded: both are
-    /// execution strategies with a bit-identity contract (see
-    /// [`crate::relax`]), so `--threads 8` must reuse an artifact written
-    /// by `--threads 1` and vice versa. Every other field either injects a
-    /// term value (`loop_pavf`, `ctrl_read_pavf`, boundary/default pAVFs),
-    /// selects node roles (`ctrl_patterns`), or changes which fixpoint is
-    /// reached (`max_iterations` caps convergence, and `partitioned`
-    /// changes how far each sweep gets, so a capped run stops elsewhere)
-    /// — all result-affecting, all keyed.
+    /// `threads` is deliberately excluded: it is an execution strategy
+    /// with a bit-identity contract (see [`crate::relax`]), so
+    /// `--threads 8` must reuse an artifact written by `--threads 1` and
+    /// vice versa. Every other field either injects a term value
+    /// (`loop_pavf`, `ctrl_read_pavf`, boundary/default pAVFs), selects
+    /// node roles (`ctrl_patterns`), or changes which fixpoint is reached
+    /// (`max_iterations` caps convergence) — all result-affecting, all
+    /// keyed.
     ///
     /// Floats render via `{:?}` (shortest round-trip), so distinct values
     /// never collide.
     pub fn result_key(&self) -> String {
         format!(
-            "loop={:?} ctrl={:?} bin={:?} bout={:?} dflt={:?} pat={:?} iters={} part={}",
+            "loop={:?} ctrl={:?} bin={:?} bout={:?} dflt={:?} pat={:?} iters={}",
             self.loop_pavf,
             self.ctrl_read_pavf,
             self.boundary_in_pavf,
@@ -77,7 +79,6 @@ impl SartConfig {
             self.default_port_pavf,
             self.ctrl_patterns,
             self.max_iterations,
-            self.partitioned,
         )
     }
 }
@@ -92,8 +93,6 @@ impl Default for SartConfig {
             default_port_pavf: 1.0,
             ctrl_patterns: vec!["creg".to_owned()],
             max_iterations: 20,
-            partitioned: true,
-            incremental: true,
             threads: 1,
         }
     }
@@ -140,7 +139,7 @@ impl<'nl> SartEngine<'nl> {
         let mut span = obs.span("sart.prepare");
         let roles = classify(nl, loops, &config.ctrl_patterns);
         let mut arena = UnionArena::new();
-        let prep = prepare(nl, roles, mapping, config.partitioned, &mut arena);
+        let prep = prepare(nl, roles, mapping, &mut arena);
         // Per-FUB content digests and the mapping digest anchor cross-run
         // warm starts (see `crate::fixpoint`); both are cheap relative to
         // `prepare` and loops are only available here.
@@ -182,7 +181,7 @@ impl<'nl> SartEngine<'nl> {
     /// relaxation sweep reports a `relax.sweep` span, and the final
     /// closed-form resolution a `sart.resolve` span. Neither collection
     /// nor `config.threads` changes the result: the relaxation engages
-    /// exactly that many workers, and any count is bit-identical.
+    /// up to that many workers, and any count is bit-identical.
     pub fn run_traced(&self, inputs: &PavfInputs, obs: &Collector) -> SartResult {
         let mut prop = self.prop_template.clone();
         let outcome = self.relax(&mut prop, inputs, None, obs);
@@ -204,7 +203,6 @@ impl<'nl> SartEngine<'nl> {
             &values,
             self.config.max_iterations,
             self.config.threads,
-            self.config.incremental,
             warm_dirty,
             obs,
         )
@@ -307,13 +305,6 @@ impl<'nl> SartEngine<'nl> {
         stored: &StoredFixpoint,
         obs: &Collector,
     ) -> (SartResult, WarmStatus, Option<Vec<bool>>) {
-        if !self.config.partitioned || !self.config.incremental {
-            return (
-                self.run_traced(inputs, obs),
-                WarmStatus::Cold("config disables partitioned incremental relaxation"),
-                None,
-            );
-        }
         let mut prop = self.prop_template.clone();
         let (dirty, plan) = match fixpoint::seed(
             stored,
@@ -656,7 +647,14 @@ mod tests {
                 ..SartConfig::default()
             },
         );
-        assert!(par.outcome.trace.iter().all(|s| s.effective_threads == 4));
+        // Figure 7 is one FUB, so every sweep runs on the calling thread.
+        for s in &par.outcome.trace {
+            assert_eq!(s.effective_threads, 4.min(s.dirty_fubs).max(1));
+        }
+        assert_eq!(
+            par.outcome.trace[0].effective_threads,
+            4.min(nl.fub_count())
+        );
         // Bit-identical SetId annotations and AVFs at any thread count.
         assert_eq!(seq.fwd, par.fwd);
         assert_eq!(seq.bwd, par.bwd);
@@ -667,75 +665,10 @@ mod tests {
     }
 
     #[test]
-    fn incremental_mode_is_invisible_in_results() {
-        let inputs = fig7_inputs();
-        let (_, inc) = run(FIGURE7, &inputs, SartConfig::default());
-        let (nl, full) = run(
-            FIGURE7,
-            &inputs,
-            SartConfig {
-                incremental: false,
-                ..SartConfig::default()
-            },
-        );
-        assert_eq!(inc.fwd, full.fwd);
-        assert_eq!(inc.bwd, full.bwd);
-        assert_eq!(inc.arena.len(), full.arena.len());
-        assert_eq!(inc.iterations(), full.iterations());
-        for id in nl.nodes() {
-            assert_eq!(inc.avf(id).to_bits(), full.avf(id).to_bits());
-        }
-        // The default mode never walks more than the full mode.
-        assert!(inc.outcome.total_walked_nodes() <= full.outcome.total_walked_nodes());
-    }
-
-    #[test]
     fn outcome_reports_wall_time() {
         let (_, r) = run(FIGURE7, &fig7_inputs(), SartConfig::default());
         assert!(!r.outcome.trace.is_empty());
         assert!(r.outcome.total_wall_seconds() >= 0.0);
-    }
-
-    #[test]
-    fn partitioned_equals_global_fixpoint() {
-        let inputs = fig7_inputs();
-        let (_, part) = run(FIGURE7, &inputs, SartConfig::default());
-        let (nl, glob) = run(
-            FIGURE7,
-            &inputs,
-            SartConfig {
-                partitioned: false,
-                ..SartConfig::default()
-            },
-        );
-        for id in nl.nodes() {
-            assert!((part.avf(id) - glob.avf(id)).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn global_run_obeys_the_iteration_cap() {
-        let inputs = fig7_inputs();
-        let global = |max_iterations| SartConfig {
-            partitioned: false,
-            max_iterations,
-            ..SartConfig::default()
-        };
-        // One sweep reaches the fixpoint; only the second can confirm it.
-        let (_, one) = run(FIGURE7, &inputs, global(1));
-        assert!(!one.outcome.converged);
-        assert_eq!(one.outcome.trace.len(), 1);
-        let (nl, two) = run(FIGURE7, &inputs, global(2));
-        assert!(two.outcome.converged);
-        assert_eq!(two.iterations(), 1);
-        for id in nl.nodes() {
-            assert_eq!(one.avf(id).to_bits(), two.avf(id).to_bits());
-        }
-        // No sweep leaves every node at the conservative start.
-        let (_, none) = run(FIGURE7, &inputs, global(0));
-        assert!(!none.outcome.converged);
-        let top = none.arena.top();
-        assert!(none.fwd.iter().chain(&none.bwd).all(|&s| s == top));
     }
 
     #[test]

@@ -11,11 +11,11 @@
 //!    and the gap measures what the set representation buys.
 //! 2. **Parallelism** — per-iteration partition passes are independent
 //!    given the FUBIO snapshot (Jacobi relaxation), so they parallelize
-//!    trivially with scoped threads. It walks the same partitions as the
-//!    symbolic engine, which parallelizes the same way over term bitmasks,
-//!    interned at the iteration barrier (see [`crate::relax`]).
+//!    trivially with scoped threads. It walks the same per-FUB partitions
+//!    as the symbolic engine, which parallelizes the same way over term
+//!    bitmasks, interned at the iteration barrier (see [`crate::relax`]).
 
-use seqavf_netlist::graph::NodeId;
+use seqavf_netlist::graph::{FubId, NodeId};
 
 use crate::walk::Propagator;
 
@@ -52,7 +52,6 @@ pub fn solve_parallel(
 ) -> NumericOutcome {
     let nl = prop.nl;
     let n = nl.node_count();
-    let part_of = &prop.prep.part_of;
     // Numeric source values from the prepared source sets.
     let src_val = |s: Option<crate::arena::SetId>| s.map(|s| prop.arena.eval(s, values));
     let fwd_source: Vec<Option<f64>> = prop.prep.fwd_source.iter().map(|&s| src_val(s)).collect();
@@ -79,7 +78,7 @@ pub fn solve_parallel(
             let mut out = Vec::new();
             for &part in parts {
                 let order = &prop.prep.parts[part];
-                let here = part as u32;
+                let here = FubId::from_index(part);
                 for &node in order {
                     let i = node.index();
                     local_f[i] = match fwd_source[i] {
@@ -91,7 +90,7 @@ pub fn solve_parallel(
                         None => {
                             let mut acc = 0.0;
                             for &f in nl.fanin(node) {
-                                let v = if part_of[f.index()] == here {
+                                let v = if nl.fub(f) == here {
                                     local_f[f.index()]
                                 } else {
                                     snap_f[f.index()]
@@ -112,7 +111,7 @@ pub fn solve_parallel(
                                 let v = match bwd_contrib[m.index()] {
                                     Some(c) => c,
                                     None => {
-                                        if part_of[m.index()] == here {
+                                        if nl.fub(m) == here {
                                             local_b[m.index()]
                                         } else {
                                             snap_b[m.index()]
@@ -237,7 +236,7 @@ mod tests {
         let loops = find_loops(&nl);
         let roles = classify(&nl, &loops, &["creg".to_owned()]);
         let mut arena = crate::arena::UnionArena::new();
-        let prep = prepare(&nl, roles, &StructureMapping::new(), true, &mut arena);
+        let prep = prepare(&nl, roles, &StructureMapping::new(), &mut arena);
         let prop = Propagator::new(&nl, prep, arena);
         let values = symbolic.term_values(inputs);
         let numeric = solve_parallel(&prop, &values, 20, 2, 1e-12);
@@ -298,7 +297,7 @@ mod tests {
         let loops = find_loops(&nl);
         let roles = classify(&nl, &loops, &["creg".to_owned()]);
         let mut arena = crate::arena::UnionArena::new();
-        let prep = prepare(&nl, roles, &StructureMapping::new(), true, &mut arena);
+        let prep = prepare(&nl, roles, &StructureMapping::new(), &mut arena);
         let prop = Propagator::new(&nl, prep, arena);
         let values = symbolic.term_values(&inputs());
         let one = solve_parallel(&prop, &values, 20, 1, 1e-12);
@@ -314,7 +313,7 @@ mod tests {
         let loops = find_loops(&nl);
         let roles = classify(&nl, &loops, &["creg".to_owned()]);
         let mut arena = crate::arena::UnionArena::new();
-        let prep = prepare(&nl, roles, &StructureMapping::new(), true, &mut arena);
+        let prep = prepare(&nl, roles, &StructureMapping::new(), &mut arena);
         let prop = Propagator::new(&nl, prep, arena);
         let values = symbolic.term_values(&inputs());
         let out = solve_parallel(&prop, &values, 1, 1, 0.0);

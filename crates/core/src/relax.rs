@@ -8,19 +8,16 @@
 //! to the analysis. … any walk can only cross one partition during each
 //! iteration."
 //!
-//! Each iteration re-walks partitions against the iteration-start
-//! annotations (the FUBIO merge of the previous iteration) and measures
-//! both structural change (how many node annotations got a new term set) and
+//! Each iteration re-walks FUBs against the iteration-start annotations
+//! (the FUBIO merge of the previous iteration) and measures both
+//! structural change (how many node annotations got a new term set) and
 //! numeric change (the largest pAVF movement under a given term-value
 //! vector). Convergence is declared when nothing changes structurally — an
 //! exact, input-independent criterion available because the propagation is
 //! symbolic.
 //!
-//! The partitions are [`Prepared::parts`]: one per FUB for the paper's
-//! partitioned analysis, or the whole design as one. One partition is the
-//! unpartitioned analysis: its walk reads every fan-in and fan-out in the
-//! same sweep, so one sweep reaches the fixpoint and a second verifies it.
-//! Both settings run this one walk; only the partitions differ.
+//! The partitions are [`Prepared::parts`], one per FUB: partition `f` is
+//! FUB `f` ([`Netlist::fub`]) in topological order.
 //!
 //! # Term bitmasks, interned at the barrier
 //!
@@ -79,10 +76,10 @@
 //! node of a cold solve, or only the edited FUBs of a warm start
 //! ([`relax_partitioned`]'s `warm_dirty`).
 //!
-//! Incremental sweeps are bit-identical to full sweeps, including
-//! [`SetId`] numbering and the per-sweep `changed_sets`, `max_delta` and
-//! `fub_seq_mean` telemetry: a skipped node would reproduce its mask, and
-//! both modes intern and count only moved masks, in the same order.
+//! Skipping is exact: a skipped node would reproduce its mask, and the
+//! barrier interns and counts only moved masks, so [`SetId`] numbering
+//! and the per-sweep `changed_sets`, `max_delta` and `fub_seq_mean`
+//! telemetry are those of re-walking every node every sweep.
 //!
 //! [`BoundaryDeps`]: crate::walk::BoundaryDeps
 //! [`Prepared::parts`]: crate::walk::Prepared::parts
@@ -93,7 +90,7 @@ use std::hash::Hash;
 use std::marker::PhantomData;
 use std::time::Instant;
 
-use seqavf_netlist::graph::{Netlist, NodeId};
+use seqavf_netlist::graph::{FubId, Netlist, NodeId};
 use seqavf_obs::{Collector, FieldValue};
 
 use crate::arena::{SetId, TermId, UnionArena};
@@ -106,25 +103,23 @@ pub struct IterationStats {
     pub changed_sets: usize,
     /// Largest numeric pAVF movement across node annotations.
     pub max_delta: f64,
-    /// Partitions walked this sweep (all of them in full-sweep mode; only
-    /// the boundary-dirty ones in incremental mode). Partitions are FUBs
-    /// when partitioned; the unpartitioned analysis has one.
+    /// FUBs walked this sweep: every FUB in a cold solve's first sweep,
+    /// the edited ones in a warm start's, afterwards the FUBs a moved
+    /// boundary read marked.
     pub dirty_fubs: usize,
-    /// Partitions skipped this sweep because no boundary value they read
-    /// changed (always 0 in full-sweep mode).
+    /// FUBs skipped this sweep because no boundary value they read
+    /// changed.
     pub skipped_fubs: usize,
-    /// Nodes actually recomputed this sweep (in either walk direction) —
-    /// the work metric the incremental mode reduces. Full sweeps recompute
-    /// every node of every partition; incremental sweeps only the change
-    /// cones inside dirty partitions.
+    /// Nodes recomputed this sweep (in either walk direction): the change
+    /// cones inside the dirty FUBs.
     pub walked_nodes: usize,
     /// Mean sequential-node `MIN(F, B)` value per FUB after this iteration
     /// (the paper's convergence plot, §6.1).
     pub fub_seq_mean: Vec<f64>,
-    /// Worker threads requested for the sweep (0 counts as 1), honoured
-    /// at any design size; a sweep with fewer dirty partitions than that
-    /// engages one worker per dirty partition. Results never depend on
-    /// it; wall time does.
+    /// Workers the sweep engaged: the requested count (0 counts as 1) at
+    /// any design size, but at most one per dirty FUB, so a sweep with at
+    /// most one dirty FUB runs on the calling thread. Results never depend
+    /// on it; wall time does.
     pub effective_threads: usize,
     /// Wall-clock time this iteration took (walks, barrier, telemetry),
     /// in seconds.
@@ -160,10 +155,19 @@ impl RelaxOutcome {
         }
     }
 
-    /// Total nodes walked across all sweeps — the sweep-work metric the
-    /// incremental mode reduces.
+    /// Total nodes walked across all sweeps — the relaxation's work
+    /// metric.
     pub fn total_walked_nodes(&self) -> usize {
         self.trace.iter().map(|s| s.walked_nodes).sum()
+    }
+
+    /// The most workers any sweep engaged (1 when no sweep ran).
+    pub fn max_threads(&self) -> usize {
+        self.trace
+            .iter()
+            .map(|s| s.effective_threads)
+            .max()
+            .unwrap_or(1)
     }
 }
 
@@ -442,8 +446,7 @@ fn walk_part<M: Mask>(
     let nl = prop.nl;
     let prep = &prop.prep;
     let order = &prep.parts[part];
-    let part_of = &prep.part_of;
-    let here = part as u32;
+    let here = FubId::from_index(part);
     let set_mask = &masks.sets.set_mask;
     let Worklist {
         pending_f,
@@ -478,7 +481,7 @@ fn walk_part<M: Mask>(
                 for &f in fanin {
                     let j = f.index();
                     let p = pos[j] as usize;
-                    let m = if part_of[j] == here && bit(pending_f, p) {
+                    let m = if nl.fub(f) == here && bit(pending_f, p) {
                         next_f.get(p)
                     } else {
                         masks.cur_f.get(j)
@@ -490,7 +493,7 @@ fn walk_part<M: Mask>(
             if acc.words() != masks.cur_f.get(i) {
                 set_bit(moved_f, k);
                 for &m in nl.fanout(node) {
-                    if part_of[m.index()] == here && prep.fwd_source[m.index()].is_none() {
+                    if nl.fub(m) == here && prep.fwd_source[m.index()].is_none() {
                         set_bit(pending_f, pos[m.index()] as usize);
                     }
                 }
@@ -520,7 +523,7 @@ fn walk_part<M: Mask>(
                     let p = pos[j] as usize;
                     let c = if let Some(c) = prep.bwd_contrib[j] {
                         set_mask.get(c.index())
-                    } else if part_of[j] == here && bit(pending_b, p) {
+                    } else if nl.fub(m) == here && bit(pending_b, p) {
                         next_b.get(p)
                     } else {
                         masks.cur_b.get(j)
@@ -533,7 +536,7 @@ fn walk_part<M: Mask>(
                 set_bit(moved_b, k);
                 if prep.bwd_contrib[i].is_none() {
                     for &p in nl.fanin(node) {
-                        if part_of[p.index()] == here && prep.bwd_source[p.index()].is_none() {
+                        if nl.fub(p) == here && prep.bwd_source[p.index()].is_none() {
                             set_bit(pending_b, pos[p.index()] as usize);
                         }
                     }
@@ -554,8 +557,8 @@ fn walk_part<M: Mask>(
 
 /// Longest-processing-time assignment of partitions to `workers` groups,
 /// weighted by partition size: biggest first, each to the least-loaded
-/// worker. Keeps sweeps balanced even when the incremental dirty set is a
-/// skewed slice of the design. Only the grouping depends on this choice —
+/// worker. Keeps sweeps balanced even when the dirty set is a skewed
+/// slice of the design. Only the grouping depends on this choice —
 /// the barrier interns in ascending partition order regardless, so
 /// results are unaffected.
 fn lpt_schedule(active: &[usize], parts: &[Vec<NodeId>], workers: usize) -> Vec<Vec<usize>> {
@@ -574,8 +577,9 @@ fn lpt_schedule(active: &[usize], parts: &[Vec<NodeId>], workers: usize) -> Vec<
     groups
 }
 
-/// Walks the pending nodes of every partition in `active`, concurrently
-/// when `threads > 1`, and returns the nodes recomputed.
+/// Walks the pending nodes of every partition in `active` on up to
+/// `threads` workers, at most one per partition, and returns the nodes
+/// recomputed and the workers engaged. One worker is the calling thread.
 fn walk_sweep<M: Mask>(
     prop: &Propagator<'_>,
     pos: &[u32],
@@ -584,14 +588,16 @@ fn walk_sweep<M: Mask>(
     scratch: &mut [Scratch<M>],
     active: &[usize],
     threads: usize,
-) -> usize {
-    if threads <= 1 || active.len() <= 1 {
-        return active
+) -> (usize, usize) {
+    let workers = threads.max(1).min(active.len().max(1));
+    if workers == 1 {
+        let walked = active
             .iter()
             .map(|&p| walk_part(prop, pos, masks, p, &mut lists[p], &mut scratch[p]))
             .sum();
+        return (walked, 1);
     }
-    let groups = lpt_schedule(active, &prop.prep.parts, threads.min(active.len()));
+    let groups = lpt_schedule(active, &prop.prep.parts, workers);
     let mut slots: Vec<Option<(&mut Worklist, &mut Scratch<M>)>> =
         lists.iter_mut().zip(scratch.iter_mut()).map(Some).collect();
     let jobs: Vec<Vec<_>> = groups
@@ -608,7 +614,8 @@ fn walk_sweep<M: Mask>(
                 .collect()
         })
         .collect();
-    std::thread::scope(|s| {
+    let engaged = jobs.len();
+    let walked = std::thread::scope(|s| {
         let handles: Vec<_> = jobs
             .into_iter()
             .map(|job| {
@@ -623,7 +630,8 @@ fn walk_sweep<M: Mask>(
             .into_iter()
             .map(|h| h.join().expect("relaxation worker panicked"))
             .sum()
-    })
+    });
+    (walked, engaged)
 }
 
 /// Iteration barrier: interns every mask that moved this sweep in the
@@ -691,28 +699,27 @@ fn barrier<M: Mask>(
 fn mark_boundary_readers(prop: &Propagator<'_>, pos: &[u32], lists: &mut [Worklist]) {
     let nl = prop.nl;
     let prep = &prop.prep;
-    let part_of = &prep.part_of;
     for &n in &prep.boundary.fwd_reads {
-        let home = part_of[n.index()];
-        if !bit(&lists[home as usize].moved_f, pos[n.index()] as usize) {
+        let home = nl.fub(n);
+        if !bit(&lists[home.index()].moved_f, pos[n.index()] as usize) {
             continue;
         }
         for &m in nl.fanout(n) {
-            let g = part_of[m.index()];
+            let g = nl.fub(m);
             if g != home && prep.fwd_source[m.index()].is_none() {
-                set_bit(&mut lists[g as usize].pending_f, pos[m.index()] as usize);
+                set_bit(&mut lists[g.index()].pending_f, pos[m.index()] as usize);
             }
         }
     }
     for &n in &prep.boundary.bwd_reads {
-        let home = part_of[n.index()];
-        if !bit(&lists[home as usize].moved_b, pos[n.index()] as usize) {
+        let home = nl.fub(n);
+        if !bit(&lists[home.index()].moved_b, pos[n.index()] as usize) {
             continue;
         }
         for &p in nl.fanin(n) {
-            let g = part_of[p.index()];
+            let g = nl.fub(p);
             if g != home && prep.bwd_source[p.index()].is_none() {
-                set_bit(&mut lists[g as usize].pending_b, pos[p.index()] as usize);
+                set_bit(&mut lists[g.index()].pending_b, pos[p.index()] as usize);
             }
         }
     }
@@ -754,68 +761,65 @@ impl SeqMeans {
     }
 }
 
-/// Runs the relaxation over `prop.prep`'s partitions to a structural
-/// fixpoint, fanning the per-partition walks of each iteration out over
-/// exactly `threads` workers (see the module docs), whatever the design
-/// size. Any thread count yields bit-identical annotations and `SetId`
-/// numbering.
+/// Runs the relaxation over `prop.prep`'s per-FUB partitions to a
+/// structural fixpoint, fanning the FUB walks of each sweep out over
+/// `threads` workers, at most one per dirty FUB (see the module docs),
+/// whatever the design size. Any thread count yields bit-identical
+/// annotations and `SetId` numbering.
 ///
-/// With `incremental` set, each sweep walks only the partitions whose
-/// cross-partition boundary reads changed in the previous sweep; clean
-/// partitions keep their annotations untouched. Annotations, `SetId` numbering,
-/// and per-sweep `changed_sets`/`max_delta` telemetry are bit-identical
-/// to full sweeps — only the work (`walked_nodes`) shrinks.
+/// The first sweep walks every FUB; each later sweep walks only the
+/// change cones of the FUBs whose cross-FUB boundary reads moved in the
+/// sweep before, and clean FUBs keep their annotations untouched.
 ///
 /// `warm_dirty` starts the run warm: the caller has already seeded
 /// `prop.fwd`/`prop.bwd` with a previously converged fixpoint (see
 /// `crate::fixpoint`), and the slice flags exactly the FUBs whose content
-/// changed since that fixpoint was captured; it indexes partitions, so a
-/// warm start needs one partition per FUB. The first sweep force-walks
-/// only those FUBs instead of flooding the whole design; from there the
-/// ordinary cross-FUB dirty propagation takes over, so with `incremental`
-/// set the work stays proportional to the edit's change cone. This leans
-/// on the invariant of incremental sweeps: a skipped node's annotation is
-/// reproduced exactly by recomputing it as long as none of its reads
-/// moved. Seeded annotations are the converged values of the *previous*
-/// run, so they satisfy it for every FUB whose content — including its
-/// cross-FUB wiring, captured by `Netlist::fub_digests` — is unchanged;
-/// any value that does move is diffed at the iteration barrier and its
-/// consumers re-walked. The converged annotations (and therefore the
-/// resolved AVFs) are bit-identical to a cold solve; only `SetId`
-/// numbering and the work telemetry differ.
+/// changed since that fixpoint was captured, one flag per FUB. The first
+/// sweep force-walks only those FUBs instead of flooding the whole
+/// design; from there the ordinary cross-FUB dirty propagation takes
+/// over, so the work stays proportional to the edit's change cone. This
+/// leans on the invariant of the change worklists: a skipped node's
+/// annotation is reproduced exactly by recomputing it as long as none of
+/// its reads moved. Seeded annotations are the converged values of the
+/// *previous* run, so they satisfy it for every FUB whose content —
+/// including its cross-FUB wiring, captured by `Netlist::fub_digests` —
+/// is unchanged; any value that does move is diffed at the iteration
+/// barrier and its consumers re-walked. The converged annotations (and
+/// therefore the resolved AVFs) are bit-identical to a cold solve; only
+/// `SetId` numbering and the work telemetry differ.
 ///
 /// `values` supplies term values for the numeric telemetry only; the
 /// propagation itself is symbolic and independent of them.
 ///
 /// Every sweep is reported to `obs` as a `relax.sweep` span sharing the
 /// single per-sweep clock measurement with [`IterationStats`] (the first
-/// span also covers the mask set-up), plus the `relax.changed_sets` and
-/// `relax.walked_nodes` counters; collection never affects the computed
-/// annotations.
+/// span also covers the mask set-up) and carrying the sweep's
+/// `effective_threads` as its `threads` field, plus the
+/// `relax.changed_sets` and `relax.walked_nodes` counters; collection
+/// never affects the computed annotations.
 ///
 /// # Panics
 ///
-/// Panics if `warm_dirty` does not flag exactly one partition per FUB.
+/// Panics if `warm_dirty` does not hold exactly one flag per FUB.
 pub fn relax_partitioned(
     prop: &mut Propagator<'_>,
     values: &[f64],
     max_iterations: usize,
     threads: usize,
-    incremental: bool,
     warm_dirty: Option<&[bool]>,
     obs: &Collector,
 ) -> RelaxOutcome {
     if let Some(dirty) = warm_dirty {
-        assert!(
-            dirty.len() == prop.prep.parts.len() && dirty.len() == prop.nl.fub_count(),
-            "warm_dirty flags one partition per FUB"
+        assert_eq!(
+            dirty.len(),
+            prop.nl.fub_count(),
+            "warm_dirty holds one flag per FUB"
         );
     }
     let run = Request {
         values,
         max_iterations,
         threads,
-        incremental,
         warm_dirty,
     };
     let words = prop.prep.terms.len().div_ceil(64);
@@ -830,8 +834,7 @@ struct Request<'a> {
     values: &'a [f64],
     max_iterations: usize,
     threads: usize,
-    incremental: bool,
-    /// Partitions a warm start must flood first; `None` floods every one.
+    /// FUBs a warm start must flood first; `None` floods every one.
     warm_dirty: Option<&'a [bool]>,
 }
 
@@ -875,27 +878,26 @@ fn relax_masks<M: Mask>(
     let mut trace = Vec::new();
     let mut converged = false;
     for iter in 0..run.max_iterations {
-        // Full sweeps and the first incremental sweep flood their
-        // partitions: all of them cold, the edited ones warm. Afterwards a
-        // partition is walked exactly when a boundary read marked it.
-        let flood = !run.incremental || iter == 0;
+        // The first sweep floods its FUBs: all of them cold, the edited
+        // ones warm. Afterwards a FUB is walked exactly when a boundary
+        // read marked it.
         let active: Vec<usize> = (0..part_count)
             .filter(|&p| {
                 if iter == 0 {
                     run.warm_dirty.is_none_or(|dirty| dirty[p])
                 } else {
-                    flood || lists[p].is_pending()
+                    lists[p].is_pending()
                 }
             })
             .collect();
-        if flood {
+        if iter == 0 {
             for &p in &active {
                 lists[p].flood(prop.prep.parts[p].len());
             }
         }
         let dirty_fubs = active.len();
         let skipped_fubs = part_count - dirty_fubs;
-        let walked_nodes = walk_sweep(
+        let (walked_nodes, workers) = walk_sweep(
             prop,
             &pos,
             &masks,
@@ -913,9 +915,7 @@ fn relax_masks<M: Mask>(
             run.values,
             &mut seq_moved,
         );
-        if run.incremental {
-            mark_boundary_readers(prop, &pos, &mut lists);
-        }
+        mark_boundary_readers(prop, &pos, &mut lists);
         for &p in &active {
             let list = &mut lists[p];
             list.moved_f.fill(0);
@@ -935,7 +935,7 @@ fn relax_masks<M: Mask>(
                 ("iter", FieldValue::U64(iter as u64)),
                 ("changed_sets", FieldValue::U64(changed as u64)),
                 ("max_delta", FieldValue::F64(max_delta)),
-                ("threads", FieldValue::U64(run.threads as u64)),
+                ("threads", FieldValue::U64(workers as u64)),
                 ("dirty_fubs", FieldValue::U64(dirty_fubs as u64)),
                 ("skipped_fubs", FieldValue::U64(skipped_fubs as u64)),
             ],
@@ -949,7 +949,7 @@ fn relax_masks<M: Mask>(
             skipped_fubs,
             walked_nodes,
             fub_seq_mean: seq.means.clone(),
-            effective_threads: run.threads.max(1),
+            effective_threads: workers,
             wall_seconds: wall.as_secs_f64(),
         });
         t0 = Instant::now();
@@ -1031,15 +1031,11 @@ mod tests {
 
     /// A fresh propagator over one partition per FUB.
     fn propagator(text: &str) -> (Netlist, Propagator<'static>) {
-        prepared(text, true)
-    }
-
-    fn prepared(text: &str, partitioned: bool) -> (Netlist, Propagator<'static>) {
         let nl = Box::leak(Box::new(parse_netlist(text).unwrap()));
         let loops = find_loops(nl);
         let roles = classify(nl, &loops, &["creg".to_owned()]);
         let mut arena = UnionArena::new();
-        let prep = prepare(nl, roles, &StructureMapping::new(), partitioned, &mut arena);
+        let prep = prepare(nl, roles, &StructureMapping::new(), &mut arena);
         (nl.clone(), Propagator::new(nl, prep, arena))
     }
 
@@ -1050,82 +1046,10 @@ mod tests {
     }
 
     #[test]
-    fn partitioned_matches_global() {
-        let (nl, mut p1) = propagator(CHAIN);
-        let (_, mut p2) = prepared(CHAIN, false);
-        let values = default_values(&p1);
-        let out_part =
-            relax_partitioned(&mut p1, &values, 20, 1, true, None, &Collector::disabled());
-        let out_glob =
-            relax_partitioned(&mut p2, &values, 20, 1, true, None, &Collector::disabled());
-        assert!(out_part.converged);
-        assert!(out_glob.converged);
-        for id in nl.nodes() {
-            let i = id.index();
-            let name = nl.name(id);
-            assert_eq!(
-                p1.arena.terms(p1.fwd[i]),
-                p2.arena.terms(p2.fwd[i]),
-                "fwd {name}"
-            );
-            assert_eq!(
-                p1.arena.terms(p1.bwd[i]),
-                p2.arena.terms(p2.bwd[i]),
-                "bwd {name}"
-            );
-        }
-    }
-
-    #[test]
-    fn incremental_is_bit_identical_to_full_sweeps() {
-        for text in [CHAIN, FANOUT] {
-            for threads in [1usize, 2, 8] {
-                let (_, p0) = propagator(text);
-                let values = default_values(&p0);
-                let mut p_full = p0.clone();
-                let mut p_inc = p0.clone();
-                let full = relax_partitioned(
-                    &mut p_full,
-                    &values,
-                    20,
-                    threads,
-                    false,
-                    None,
-                    &Collector::disabled(),
-                );
-                let inc = relax_partitioned(
-                    &mut p_inc,
-                    &values,
-                    20,
-                    threads,
-                    true,
-                    None,
-                    &Collector::disabled(),
-                );
-                // Identical annotations, SetId numbering, arena contents,
-                // iteration counts, and per-sweep change telemetry.
-                assert_eq!(p_full.fwd, p_inc.fwd, "threads={threads}");
-                assert_eq!(p_full.bwd, p_inc.bwd, "threads={threads}");
-                assert_eq!(p_full.arena.len(), p_inc.arena.len(), "threads={threads}");
-                assert_eq!(full.iterations, inc.iterations);
-                assert_eq!(full.converged, inc.converged);
-                assert_eq!(full.trace.len(), inc.trace.len());
-                for (a, b) in full.trace.iter().zip(&inc.trace) {
-                    assert_eq!(a.changed_sets, b.changed_sets);
-                    assert_eq!(a.max_delta, b.max_delta);
-                    assert_eq!(a.fub_seq_mean, b.fub_seq_mean);
-                }
-                // The incremental run did strictly less sweep work.
-                assert!(inc.total_walked_nodes() <= full.total_walked_nodes());
-            }
-        }
-    }
-
-    #[test]
     fn incremental_skips_clean_fubs() {
         let (nl, mut p) = propagator(CHAIN);
         let values = default_values(&p);
-        let out = relax_partitioned(&mut p, &values, 20, 1, true, None, &Collector::disabled());
+        let out = relax_partitioned(&mut p, &values, 20, 1, None, &Collector::disabled());
         assert!(out.converged);
         // The first sweep floods everything…
         assert_eq!(out.trace[0].dirty_fubs, nl.fub_count());
@@ -1142,7 +1066,7 @@ mod tests {
     fn single_fub_perturbation_marks_exactly_dependent_fubs() {
         let (nl, mut p) = propagator(FANOUT);
         let values = default_values(&p);
-        let out = relax_partitioned(&mut p, &values, 20, 1, true, None, &Collector::disabled());
+        let out = relax_partitioned(&mut p, &values, 20, 1, None, &Collector::disabled());
         assert!(out.converged);
         let boundary = &p.prep.boundary;
         let fub = |name: &str| nl.fub(nl.lookup(name).unwrap());
@@ -1193,7 +1117,7 @@ mod tests {
     fn chain_needs_multiple_iterations() {
         let (_, mut p) = propagator(CHAIN);
         let values = default_values(&p);
-        let out = relax_partitioned(&mut p, &values, 20, 1, true, None, &Collector::disabled());
+        let out = relax_partitioned(&mut p, &values, 20, 1, None, &Collector::disabled());
         assert!(out.converged);
         assert!(
             out.iterations >= 3,
@@ -1208,7 +1132,7 @@ mod tests {
     fn iteration_cap_respected() {
         let (_, mut p) = propagator(CHAIN);
         let values = default_values(&p);
-        let out = relax_partitioned(&mut p, &values, 1, 1, true, None, &Collector::disabled());
+        let out = relax_partitioned(&mut p, &values, 1, 1, None, &Collector::disabled());
         assert_eq!(out.iterations, 1);
         assert!(!out.converged);
     }
@@ -1217,7 +1141,7 @@ mod tests {
     fn deltas_shrink_to_zero() {
         let (_, mut p) = propagator(CHAIN);
         let values = default_values(&p);
-        let out = relax_partitioned(&mut p, &values, 20, 1, true, None, &Collector::disabled());
+        let out = relax_partitioned(&mut p, &values, 20, 1, None, &Collector::disabled());
         let last = out.trace.last().unwrap();
         assert_eq!(last.changed_sets, 0);
         assert_eq!(last.max_delta, 0.0);
@@ -1230,7 +1154,7 @@ mod tests {
     fn fub_means_tracked_per_iteration() {
         let (nl, mut p) = propagator(CHAIN);
         let values = default_values(&p);
-        let out = relax_partitioned(&mut p, &values, 20, 1, true, None, &Collector::disabled());
+        let out = relax_partitioned(&mut p, &values, 20, 1, None, &Collector::disabled());
         for s in &out.trace {
             assert_eq!(s.fub_seq_mean.len(), nl.fub_count());
             for &m in &s.fub_seq_mean {
@@ -1241,40 +1165,36 @@ mod tests {
 
     #[test]
     fn thread_counts_are_bit_identical() {
-        for incremental in [false, true] {
-            let (_, p0) = propagator(CHAIN);
-            let values = default_values(&p0);
-            let mut runs = Vec::new();
-            for threads in [1usize, 2, 3, 8] {
-                let mut p = p0.clone();
-                let out = relax_partitioned(
-                    &mut p,
-                    &values,
-                    20,
-                    threads,
-                    incremental,
-                    None,
-                    &Collector::disabled(),
-                );
-                assert!(out.converged, "threads={threads}");
-                runs.push((threads, p, out));
+        let (nl, p0) = propagator(CHAIN);
+        let values = default_values(&p0);
+        let mut runs = Vec::new();
+        for threads in [1usize, 2, 3, 8] {
+            let mut p = p0.clone();
+            let out = relax_partitioned(&mut p, &values, 20, threads, None, &Collector::disabled());
+            assert!(out.converged, "threads={threads}");
+            // A sweep engages one worker per dirty FUB at most, and the
+            // cold flood dirties every FUB.
+            assert_eq!(out.trace[0].effective_threads, threads.min(nl.fub_count()));
+            for s in &out.trace {
+                assert_eq!(s.effective_threads, threads.min(s.dirty_fubs).max(1));
             }
-            let (_, base, base_out) = &runs[0];
-            for (threads, p, out) in &runs[1..] {
-                // Identical SetId annotations, arena contents, and telemetry
-                // counters — the parallel engine is deterministic in the thread
-                // count by construction.
-                assert_eq!(&base.fwd, &p.fwd, "fwd SetIds differ at threads={threads}");
-                assert_eq!(&base.bwd, &p.bwd, "bwd SetIds differ at threads={threads}");
-                assert_eq!(base.arena.len(), p.arena.len(), "threads={threads}");
-                assert_eq!(base_out.iterations, out.iterations);
-                for (a, b) in base_out.trace.iter().zip(&out.trace) {
-                    assert_eq!(a.changed_sets, b.changed_sets);
-                    assert_eq!(a.max_delta, b.max_delta);
-                    assert_eq!(a.fub_seq_mean, b.fub_seq_mean);
-                    assert_eq!(a.dirty_fubs, b.dirty_fubs);
-                    assert_eq!(a.walked_nodes, b.walked_nodes);
-                }
+            runs.push((threads, p, out));
+        }
+        let (_, base, base_out) = &runs[0];
+        for (threads, p, out) in &runs[1..] {
+            // Identical SetId annotations, arena contents, and telemetry
+            // counters — the parallel engine is deterministic in the thread
+            // count by construction.
+            assert_eq!(&base.fwd, &p.fwd, "fwd SetIds differ at threads={threads}");
+            assert_eq!(&base.bwd, &p.bwd, "bwd SetIds differ at threads={threads}");
+            assert_eq!(base.arena.len(), p.arena.len(), "threads={threads}");
+            assert_eq!(base_out.iterations, out.iterations);
+            for (a, b) in base_out.trace.iter().zip(&out.trace) {
+                assert_eq!(a.changed_sets, b.changed_sets);
+                assert_eq!(a.max_delta, b.max_delta);
+                assert_eq!(a.fub_seq_mean, b.fub_seq_mean);
+                assert_eq!(a.dirty_fubs, b.dirty_fubs);
+                assert_eq!(a.walked_nodes, b.walked_nodes);
             }
         }
     }
@@ -1295,14 +1215,17 @@ mod tests {
 
     #[test]
     fn thread_count_lands_in_the_sweep_trace() {
-        let (_, mut p) = propagator(CHAIN);
+        let (nl, mut p) = propagator(CHAIN);
         let values = default_values(&p);
         let obs = Collector::new();
-        relax_partitioned(&mut p, &values, 20, 8, true, None, &obs);
+        let out = relax_partitioned(&mut p, &values, 20, 8, None, &obs);
         let spans = obs.spans();
         let sweeps: Vec<_> = spans.iter().filter(|s| s.name == "relax.sweep").collect();
-        assert!(!sweeps.is_empty());
-        for s in sweeps {
+        assert_eq!(sweeps.len(), out.trace.len());
+        // Eight workers asked for, one per FUB engaged by the cold flood.
+        assert_eq!(out.trace[0].effective_threads, nl.fub_count());
+        assert_eq!(out.max_threads(), nl.fub_count());
+        for (s, stats) in sweeps.iter().zip(&out.trace) {
             let field = |key: &str| {
                 s.fields
                     .iter()
@@ -1311,7 +1234,10 @@ mod tests {
                     .1
                     .clone()
             };
-            assert_eq!(field("threads"), FieldValue::U64(8));
+            assert_eq!(
+                field("threads"),
+                FieldValue::U64(stats.effective_threads as u64)
+            );
         }
     }
 
@@ -1319,7 +1245,7 @@ mod tests {
     fn wall_time_is_recorded_per_iteration() {
         let (_, mut p) = propagator(CHAIN);
         let values = default_values(&p);
-        let out = relax_partitioned(&mut p, &values, 20, 2, true, None, &Collector::disabled());
+        let out = relax_partitioned(&mut p, &values, 20, 2, None, &Collector::disabled());
         assert!(!out.trace.is_empty());
         for s in &out.trace {
             assert!(s.wall_seconds >= 0.0);
@@ -1335,10 +1261,10 @@ mod tests {
     /// every fifth flop writes a cell, so masks of up to 520 bits move
     /// across partitions in both directions.
     #[test]
-    fn wide_masks_match_the_global_solve() {
+    fn wide_masks_reach_the_known_fixpoint_at_any_thread_count() {
         use crate::engine::{SartConfig, SartEngine};
         use crate::mapping::PavfInputs;
-        use seqavf_netlist::graph::{FubId, GateOp, NetlistBuilder, NodeKind, SeqKind};
+        use seqavf_netlist::graph::{GateOp, NetlistBuilder, NodeKind, SeqKind};
 
         let flop = NodeKind::Seq {
             kind: SeqKind::Flop,
@@ -1381,101 +1307,31 @@ mod tests {
             SartEngine::new_traced(&nl, &StructureMapping::new(), c, None, &obs)
                 .run_traced(&inputs, &obs)
         };
-        let glob = run(SartConfig {
-            partitioned: false,
+        let base = run(config.clone());
+        assert!(base.terms.len() > 1024, "{} terms", base.terms.len());
+        assert!(base.outcome.converged);
+        // Flop `k` reads the read ports of cells 0..=k plus the input
+        // boundary: 520 terms at flop 518.
+        for (k, q) in flops.iter().enumerate() {
+            assert_eq!(base.arena.terms(base.fwd[q.index()]).len(), k + 2, "q{k}");
+        }
+        let r = run(SartConfig {
+            threads: 3,
             ..config.clone()
         });
-        assert!(glob.terms.len() > 1024, "{} terms", glob.terms.len());
-        let base = run(config.clone());
-        assert!(base.outcome.converged);
-        for id in nl.nodes() {
-            let i = id.index();
-            assert_eq!(
-                base.arena.terms(base.fwd[i]),
-                glob.arena.terms(glob.fwd[i]),
-                "fwd {}",
-                nl.name(id)
-            );
-            assert_eq!(
-                base.arena.terms(base.bwd[i]),
-                glob.arena.terms(glob.bwd[i]),
-                "bwd {}",
-                nl.name(id)
-            );
-        }
-        // The read ports of cells 0..=518 plus the input boundary.
-        let q = nl.lookup("f0.q518").unwrap();
-        assert_eq!(base.arena.terms(base.fwd[q.index()]).len(), 520);
-        for (threads, incremental) in [(3, true), (1, false), (3, false)] {
-            let r = run(SartConfig {
-                threads,
-                incremental,
-                ..config.clone()
-            });
-            assert_eq!(
-                r.fwd, base.fwd,
-                "threads={threads} incremental={incremental}"
-            );
-            assert_eq!(
-                r.bwd, base.bwd,
-                "threads={threads} incremental={incremental}"
-            );
-            assert_eq!(r.arena.len(), base.arena.len());
-            assert_eq!(r.outcome.iterations, base.outcome.iterations);
-        }
+        assert_eq!(r.fwd, base.fwd, "threads=3");
+        assert_eq!(r.bwd, base.bwd, "threads=3");
+        assert_eq!(r.arena.len(), base.arena.len());
+        assert_eq!(r.outcome.iterations, base.outcome.iterations);
     }
 
     #[test]
-    fn one_partition_converges_in_one_sweep() {
-        for incremental in [true, false] {
-            let (nl, mut p) = prepared(CHAIN, false);
-            let values = default_values(&p);
-            let out = relax_partitioned(
-                &mut p,
-                &values,
-                20,
-                3,
-                incremental,
-                None,
-                &Collector::disabled(),
-            );
-            // The first sweep walks the whole design once and reaches the
-            // fixpoint; the second verifies it rather than assuming it.
-            assert_eq!(out.trace.len(), 2);
-            assert!(out.trace[0].changed_sets > 0);
-            assert_eq!(out.trace[1].changed_sets, 0);
-            assert!(out.converged);
-            assert_eq!(out.iterations, 1);
-            let first = &out.trace[0];
-            assert_eq!((first.dirty_fubs, first.skipped_fubs), (1, 0));
-            assert_eq!(first.walked_nodes, nl.node_count());
-            // An incremental verification sweep finds no boundary read
-            // moved, so it walks nothing; a full sweep re-walks everything.
-            let last = &out.trace[1];
-            let walked = if incremental { 0 } else { nl.node_count() };
-            assert_eq!(last.walked_nodes, walked);
-            assert_eq!(last.dirty_fubs + last.skipped_fubs, 1);
-            for s in &out.trace {
-                assert_eq!(s.fub_seq_mean.len(), nl.fub_count());
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "warm_dirty flags one partition per FUB")]
-    fn a_warm_start_needs_one_partition_per_fub() {
-        // One partition would read FUB 0's flag for the whole design.
-        let (nl, mut p) = prepared(CHAIN, false);
+    #[should_panic(expected = "warm_dirty holds one flag per FUB")]
+    fn a_warm_start_needs_one_flag_per_fub() {
+        // One flag short: the last FUB would read past the slice.
+        let (nl, mut p) = propagator(CHAIN);
         let values = default_values(&p);
-        let dirty = vec![false; nl.fub_count()];
-        relax_partitioned(
-            &mut p,
-            &values,
-            20,
-            1,
-            true,
-            Some(&dirty),
-            &Collector::disabled(),
-        );
+        let dirty = vec![false; nl.fub_count() - 1];
+        relax_partitioned(&mut p, &values, 20, 1, Some(&dirty), &Collector::disabled());
     }
 }

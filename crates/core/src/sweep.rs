@@ -20,11 +20,10 @@
 //!    is symbolic and independent of input values (see [`crate::relax`]),
 //!    so those inputs fully determine the compiled artifact; a
 //!    byte-identical netlist under the same configuration may reuse it
-//!    regardless of file name — and regardless of `threads` or
-//!    `incremental`, which change execution strategy but never the result
-//!    — while any netlist edit, mapping edit, or result-affecting
-//!    configuration change produces a different key and a fresh
-//!    relaxation.
+//!    regardless of file name — and regardless of `threads`, which
+//!    changes execution strategy but never the result — while any
+//!    netlist edit, mapping edit, or result-affecting configuration
+//!    change produces a different key and a fresh relaxation.
 //! 3. [`solve_fresh_traced`] is that fresh relaxation after an edit:
 //!    warm-started from the previous revision's fixpoint, then patching
 //!    the previous revision's DAG. The server runs the same function.
@@ -56,9 +55,9 @@ use crate::mapping::{PavfInputs, StructureMapping};
 /// *content*, never on the file it was parsed from, so renaming a design
 /// file cannot invalidate the cache while any structural edit must.
 ///
-/// The result key deliberately excludes `threads` and `incremental`:
-/// both are execution strategies with a bit-identity guarantee, so a
-/// `--threads 8` sweep reuses the artifact a `--threads 1` sweep wrote.
+/// The result key deliberately excludes `threads`: it is an execution
+/// strategy with a bit-identity guarantee, so a `--threads 8` sweep
+/// reuses the artifact a `--threads 1` sweep wrote.
 /// The mapping is keyed because it decides which structures carry
 /// performance-counter names — it changes the compiled DAG's `Struct`
 /// slots and therefore the evaluated AVFs.

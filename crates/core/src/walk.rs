@@ -19,8 +19,7 @@
 //!   the union of its fan-outs' contributions (Equations 8–10).
 //!
 //! [`prepare`] fixes the sources and splits the design into the
-//! relaxation's partitions: one per FUB for the paper's partitioned
-//! analysis (§5.2), or the whole design as one. The walks themselves are
+//! relaxation's partitions, one per FUB (§5.2). The walks themselves are
 //! [`crate::relax`]'s mask walk over those partitions; the [`Propagator`]
 //! holds their annotations.
 
@@ -56,43 +55,39 @@ pub struct Prepared {
     /// Override of the contribution a node makes to its fan-ins' backward
     /// values (`None` = the node's own backward value).
     pub bwd_contrib: Vec<Option<SetId>>,
-    /// The relaxation's partitions, each one topological order of the
-    /// loop-cut graph restricted to its nodes: one per FUB (partition `f`
-    /// is FUB `f`) when partitioned, else the whole design as one.
+    /// The relaxation's partitions, one per FUB: `parts[f]` is FUB `f`'s
+    /// nodes in one topological order of the loop-cut graph.
     pub parts: Vec<Vec<NodeId>>,
-    /// Partition of every node, indexed by [`NodeId::index`].
-    pub part_of: Vec<u32>,
-    /// Cross-partition boundary reads for incremental relaxation.
+    /// Cross-FUB boundary reads, which the relaxation's change worklists
+    /// diff at every barrier.
     pub boundary: BoundaryDeps,
 }
 
-/// The nodes whose annotations another partition reads, in each walk
-/// direction — what the incremental relaxation diffs at every iteration
-/// barrier (§5.2 only re-walks partitions downstream of a changed FUBIO
-/// value).
+/// The nodes whose annotations another FUB reads, in each walk direction
+/// — what the relaxation diffs at every iteration barrier (§5.2 only
+/// re-walks FUBs downstream of a changed FUBIO value).
 ///
-/// A node is a *forward* boundary read when some node of another
-/// partition takes it as a fan-in and is not itself a fixed forward
-/// source: the walk then reads the node's forward annotation from the
-/// iteration snapshot. Symmetrically, a node is a *backward* boundary read
-/// when some node of another partition has it as a fan-out, is not a fixed
-/// backward source, and the read node's backward contribution is not
-/// overridden (overridden contributions are iteration-invariant). Which
-/// partitions read a moved node follows from its fan-outs (forward) or
-/// fan-ins (backward), so only the read nodes are stored. One partition
-/// reads nothing across a boundary.
+/// A node is a *forward* boundary read when some node of another FUB
+/// takes it as a fan-in and is not itself a fixed forward source: the
+/// walk then reads the node's forward annotation from the iteration
+/// snapshot. Symmetrically, a node is a *backward* boundary read when some
+/// node of another FUB has it as a fan-out, is not a fixed backward
+/// source, and the read node's backward contribution is not overridden
+/// (overridden contributions are iteration-invariant). Which FUBs read a
+/// moved node follows from its fan-outs (forward) or fan-ins (backward),
+/// so only the read nodes are stored.
 #[derive(Debug, Clone, Default)]
 pub struct BoundaryDeps {
-    /// Nodes whose forward annotation is read across a partition,
+    /// Nodes whose forward annotation is read across a FUB boundary,
     /// ascending.
     pub fwd_reads: Vec<NodeId>,
-    /// Nodes whose backward annotation is read across a partition,
+    /// Nodes whose backward annotation is read across a FUB boundary,
     /// ascending.
     pub bwd_reads: Vec<NodeId>,
 }
 
 /// Builds the walk preparation for a netlist, split into one partition
-/// per FUB when `partitioned`, else into one partition.
+/// per FUB.
 ///
 /// # Panics
 ///
@@ -103,7 +98,6 @@ pub fn prepare(
     nl: &Netlist,
     roles: RoleMap,
     mapping: &StructureMapping,
-    partitioned: bool,
     arena: &mut UnionArena,
 ) -> Prepared {
     let mut terms = TermTable::with_capacity(8 + 2 * nl.structure_count());
@@ -207,35 +201,29 @@ pub fn prepare(
         "loop-cut graph must be acyclic; an uncut cycle remains"
     );
 
-    let part_of: Vec<u32> = if partitioned {
-        nl.nodes().map(|id| nl.fub(id).index() as u32).collect()
-    } else {
-        vec![0; n]
-    };
-    let mut parts: Vec<Vec<NodeId>> =
-        vec![Vec::new(); if partitioned { nl.fub_count() } else { 1 }];
+    let mut parts: Vec<Vec<NodeId>> = vec![Vec::new(); nl.fub_count()];
     for id in topo {
-        parts[part_of[id.index()] as usize].push(id);
+        parts[nl.fub(id).index()].push(id);
     }
 
-    // Boundary reads: exactly the cross-partition snapshot reads the
-    // walks perform. Forward: a non-source node reads every foreign
-    // fan-in. Backward: a non-source node reads every foreign fan-out
-    // whose contribution is not overridden.
+    // Boundary reads: exactly the cross-FUB snapshot reads the walks
+    // perform. Forward: a non-source node reads every foreign fan-in.
+    // Backward: a non-source node reads every foreign fan-out whose
+    // contribution is not overridden.
     let mut fwd_read = vec![false; n];
     let mut bwd_read = vec![false; n];
     for id in nl.nodes() {
-        let part = part_of[id.index()];
+        let fub = nl.fub(id);
         if fwd_source[id.index()].is_none() {
             for &f in nl.fanin(id) {
-                if part_of[f.index()] != part {
+                if nl.fub(f) != fub {
                     fwd_read[f.index()] = true;
                 }
             }
         }
         if bwd_source[id.index()].is_none() {
             for &m in nl.fanout(id) {
-                if bwd_contrib[m.index()].is_none() && part_of[m.index()] != part {
+                if bwd_contrib[m.index()].is_none() && nl.fub(m) != fub {
                     bwd_read[m.index()] = true;
                 }
             }
@@ -254,7 +242,6 @@ pub fn prepare(
         bwd_source,
         bwd_contrib,
         parts,
-        part_of,
         boundary,
     }
 }
@@ -302,17 +289,13 @@ mod tests {
     use seqavf_netlist::scc::find_loops;
     use seqavf_obs::Collector;
 
-    fn prepared(
-        text: &str,
-        patterns: &[&str],
-        partitioned: bool,
-    ) -> (Netlist, Propagator<'static>) {
+    fn prepared(text: &str, patterns: &[&str]) -> (Netlist, Propagator<'static>) {
         let nl = Box::leak(Box::new(parse_netlist(text).unwrap()));
         let loops = find_loops(nl);
         let pats: Vec<String> = patterns.iter().map(|s| (*s).to_owned()).collect();
         let roles = classify(nl, &loops, &pats);
         let mut arena = UnionArena::new();
-        let prep = prepare(nl, roles, &StructureMapping::new(), partitioned, &mut arena);
+        let prep = prepare(nl, roles, &StructureMapping::new(), &mut arena);
         let prop = Propagator::new(nl, prep, arena);
         (nl.clone(), prop)
     }
@@ -320,13 +303,13 @@ mod tests {
     /// Relaxes `p` to its fixpoint through the production walk.
     fn relax(p: &mut Propagator<'_>) {
         let values = p.prep.terms.values(&|_| None, &|_| None, 1.0, 1.0);
-        let out = relax_partitioned(p, &values, 20, 1, true, None, &Collector::disabled());
+        let out = relax_partitioned(p, &values, 20, 1, None, &Collector::disabled());
         assert!(out.converged);
     }
 
     /// The walked annotations of a one-FUB design.
     fn build(text: &str, patterns: &[&str]) -> (Netlist, Propagator<'static>) {
-        let (nl, mut p) = prepared(text, patterns, true);
+        let (nl, mut p) = prepared(text, patterns);
         relax(&mut p);
         (nl, p)
     }
@@ -509,7 +492,7 @@ mod tests {
         let roles = classify(nl, &loops, &[]);
         assert_eq!(roles.role(c), crate::classify::NodeRole::Normal);
         let mut arena = UnionArena::new();
-        let prep = prepare(nl, roles, &StructureMapping::new(), true, &mut arena);
+        let prep = prepare(nl, roles, &StructureMapping::new(), &mut arena);
         let mut p = Propagator::new(nl, prep, arena);
         relax(&mut p);
         // The constant gate has no fan-in and no injected source: its
@@ -539,46 +522,37 @@ mod tests {
 
     #[test]
     fn boundary_deps_record_cross_fub_reads() {
-        let (nl, p) = prepared(TWO_FUBS, &[], true);
+        let (nl, p) = prepared(TWO_FUBS, &[]);
         let a_o = nl.lookup("a.o").unwrap();
         let b_r = nl.lookup("b.r").unwrap();
         // Forward: b reads a.o's annotation from the snapshot. Backward: a
         // reads b.r's. Nothing else crosses.
         assert_eq!(p.prep.boundary.fwd_reads, vec![a_o]);
         assert_eq!(p.prep.boundary.bwd_reads, vec![b_r]);
-        // One partition reads nothing across a boundary.
-        let (_, one) = prepared(TWO_FUBS, &[], false);
-        assert!(one.prep.boundary.fwd_reads.is_empty());
-        assert!(one.prep.boundary.bwd_reads.is_empty());
     }
 
     #[test]
-    fn partitions_are_the_fubs_or_the_whole_design() {
-        let (nl, p) = prepared(TWO_FUBS, &[], true);
+    fn partitions_are_the_fubs() {
+        let (nl, p) = prepared(TWO_FUBS, &[]);
         assert_eq!(p.prep.parts.len(), nl.fub_count());
+        let mut pos = vec![0; nl.node_count()];
         for (k, order) in p.prep.parts.iter().enumerate() {
             let mut members: Vec<NodeId> = order.clone();
             members.sort_by_key(|n| n.index());
             let fub: Vec<NodeId> = nl.nodes().filter(|&n| nl.fub(n).index() == k).collect();
             assert_eq!(members, fub, "partition {k} is FUB {k}");
-            assert!(order
-                .iter()
-                .all(|n| p.prep.part_of[n.index()] as usize == k));
+            for (i, n) in order.iter().enumerate() {
+                pos[n.index()] = i;
+            }
         }
-        let (_, one) = prepared(TWO_FUBS, &[], false);
-        assert_eq!(one.prep.parts.len(), 1);
-        assert_eq!(one.prep.parts[0].len(), nl.node_count());
-        assert!(one.prep.part_of.iter().all(|&k| k == 0));
-        // The whole-design order is topological: every fan-in of a walked
+        // Each order is topological: every same-FUB fan-in of a walked
         // (non-source) node comes first.
-        let mut pos = vec![0; nl.node_count()];
-        for (k, n) in one.prep.parts[0].iter().enumerate() {
-            pos[n.index()] = k;
-        }
         for n in nl.nodes() {
-            if one.prep.fwd_source[n.index()].is_none() {
-                for f in nl.fanin(n) {
-                    assert!(pos[f.index()] < pos[n.index()]);
+            if p.prep.fwd_source[n.index()].is_none() {
+                for &f in nl.fanin(n) {
+                    if nl.fub(f) == nl.fub(n) {
+                        assert!(pos[f.index()] < pos[n.index()]);
+                    }
                 }
             }
         }

@@ -1,4 +1,4 @@
-//! Golden digests of the partitioned relaxation on generated designs.
+//! Golden digests of the relaxation on generated designs.
 //!
 //! Each digest folds the arena's sets in id order, every forward and
 //! backward `SetId`, and the per-sweep `IterationStats` (all of it except
@@ -93,39 +93,30 @@ fn flip_gate(text: &str, pick: usize) -> String {
     lines.join("\n") + "\n"
 }
 
-/// The term count, then the digests of a cold solve with incremental
-/// sweeps, one with full sweeps and a warm re-solve after a one-gate
-/// edit. Every thread count must reproduce the single-thread digests.
-fn digests(nl: &Netlist, mapping: &StructureMapping) -> (usize, u64, u64, u64) {
+/// The term count, then the digests of a cold solve and of a warm
+/// re-solve after a one-gate edit. Every thread count must reproduce the
+/// single-thread digests.
+fn digests(nl: &Netlist, mapping: &StructureMapping) -> (usize, u64, u64) {
     let inputs = inputs();
     let obs = Collector::disabled();
     let engine = |nl, config| SartEngine::new_traced(nl, mapping, config, None, &obs);
-    let cold = |config: SartConfig| {
-        let base = digest(&engine(nl, config.clone()).run_traced(&inputs, &obs));
-        for threads in [2, 3] {
-            let par = engine(
-                nl,
-                SartConfig {
-                    threads,
-                    ..config.clone()
-                },
-            );
-            assert_eq!(
-                digest(&par.run_traced(&inputs, &obs)),
-                base,
-                "threads={threads}"
-            );
-        }
-        base
-    };
-    let incremental = cold(config());
-    let full = cold(SartConfig {
-        incremental: false,
-        ..config()
-    });
-
     let base_engine = engine(nl, config());
     let base = base_engine.run_traced(&inputs, &obs);
+    let cold_digest = digest(&base);
+    for threads in [2, 3] {
+        let par = engine(
+            nl,
+            SartConfig {
+                threads,
+                ..config()
+            },
+        );
+        assert_eq!(
+            digest(&par.run_traced(&inputs, &obs)),
+            cold_digest,
+            "threads={threads}"
+        );
+    }
     let terms = base.terms.len();
     let stored: StoredFixpoint = base_engine
         .capture_fixpoint(&base)
@@ -151,17 +142,17 @@ fn digests(nl: &Netlist, mapping: &StructureMapping) -> (usize, u64, u64, u64) {
             "warm threads={threads}"
         );
     }
-    (terms, incremental, full, warm_digest)
+    (terms, cold_digest, warm_digest)
 }
 
 #[test]
 fn mapped_core_relaxation_is_pinned() {
     let design = generate(&SynthConfig::xeon_like(3));
     let mapping = StructureMapping::from_pairs(design.meta.structure_map.clone());
-    let (terms, incremental, full, warm) = digests(&design.netlist, &mapping);
+    let (terms, cold, warm) = digests(&design.netlist, &mapping);
     assert!(terms <= 64, "{terms} terms");
-    let got = (incremental, full, warm);
-    let want = (0xc7dd6a9141fc1eec, 0xd3ab46004fceedbe, 0xde73d2e93f235240);
+    let got = (cold, warm);
+    let want = (0xc7dd6a9141fc1eec, 0xde73d2e93f235240);
     assert_eq!(got, want, "got {got:#018x?}");
 }
 
@@ -169,9 +160,9 @@ fn mapped_core_relaxation_is_pinned() {
 fn unmapped_two_core_relaxation_is_pinned() {
     let design = generate(&SynthConfig::xeon_like(5).with_cores(2));
     let mapping = StructureMapping::new();
-    let (terms, incremental, full, warm) = digests(&design.netlist, &mapping);
+    let (terms, cold, warm) = digests(&design.netlist, &mapping);
     assert!((65..=128).contains(&terms), "{terms} terms");
-    let got = (incremental, full, warm);
-    let want = (0x5fba1783ac33a2fe, 0xc024092e737fe60d, 0xaf3eaefe98d074d2);
+    let got = (cold, warm);
+    let want = (0x5fba1783ac33a2fe, 0xaf3eaefe98d074d2);
     assert_eq!(got, want, "got {got:#018x?}");
 }

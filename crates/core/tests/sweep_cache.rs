@@ -1,8 +1,8 @@
 //! Artifact-cache correctness: the sweep cache must be keyed by netlist
 //! *content*, structure mapping, and the result-affecting configuration
 //! fields — a single-gate mutation invalidates it, a byte-identical
-//! netlist parsed from a differently named file reuses it, and execution
-//! strategy knobs (`threads`, `incremental`) never invalidate it — and
+//! netlist parsed from a differently named file reuses it, and the
+//! execution strategy knob `threads` never invalidates it — and
 //! cache hits must reproduce bit-identical node AVFs. A damaged artifact
 //! must read as a miss, never as an answer.
 
@@ -394,29 +394,31 @@ fn key_functions_are_pinned() {
         mapping_digest(&nl, &StructureMapping::new()),
         0xcbf2_9ce4_8422_2325
     );
+    // The configuration's part of every sweep and fixpoint key.
+    assert_eq!(
+        SartConfig::default().result_key(),
+        r#"loop=0.3 ctrl=1.0 bin=1.0 bout=1.0 dflt=1.0 pat=["creg"] iters=20"#
+    );
 }
 
 #[test]
 fn execution_strategy_fields_do_not_poison_the_key() {
-    // `threads` and `incremental` pick how the fixpoint is computed, not
-    // which fixpoint — results are bit-identical by design, so every
-    // combination must map to the same cache key.
+    // `threads` picks how the fixpoint is computed, not which fixpoint —
+    // results are bit-identical by design, so every count must map to
+    // the same cache key.
     let nl = parse_netlist(DESIGN).unwrap();
     let map = StructureMapping::new();
     let base_key = cache_key(&nl, &map, &SartConfig::default());
     for threads in [0, 1, 2, 8, 32] {
-        for incremental in [false, true] {
-            let cfg = SartConfig {
-                threads,
-                incremental,
-                ..SartConfig::default()
-            };
-            assert_eq!(
-                cache_key(&nl, &map, &cfg),
-                base_key,
-                "threads={threads} incremental={incremental} must not change the key"
-            );
-        }
+        let cfg = SartConfig {
+            threads,
+            ..SartConfig::default()
+        };
+        assert_eq!(
+            cache_key(&nl, &map, &cfg),
+            base_key,
+            "threads={threads} must not change the key"
+        );
     }
     // Result-affecting fields still must.
     let other = SartConfig {
@@ -427,23 +429,21 @@ fn execution_strategy_fields_do_not_poison_the_key() {
 }
 
 #[test]
-fn thread_count_and_incremental_changes_hit_the_same_artifact() {
+fn thread_count_changes_hit_the_same_artifact() {
     // Regression for the key poisoning bug: a `--threads 8` sweep must
     // reuse (and bitwise reproduce) the artifact a `--threads 1` sweep
-    // wrote, with `--no-incremental` thrown in for good measure.
+    // wrote.
     let dir = temp_cache("exec-fields");
     let nl = parse_netlist(DESIGN).unwrap();
     let obs = Collector::new();
     let one_thread = SartConfig {
         threads: 1,
-        incremental: true,
         ..SartConfig::default()
     };
     let first = sweep(&nl, &one_thread, &dir, &obs);
     assert_eq!(first.cache, CacheStatus::Miss);
     let eight_threads = SartConfig {
         threads: 8,
-        incremental: false,
         ..SartConfig::default()
     };
     let second = sweep(&nl, &eight_threads, &dir, &obs);

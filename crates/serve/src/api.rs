@@ -35,11 +35,8 @@ pub struct NamedTable {
 pub struct RequestConfig {
     /// Back-edge pAVF for loop bits (default 0.3; must be in `[0, 1]`).
     pub loop_pavf: Option<f64>,
-    /// Relaxation iteration cap (default 20).
+    /// Relaxation iteration cap (default 20; must be in `[1, 10000]`).
     pub iterations: Option<u64>,
-    /// `true` relaxes the whole design as one partition instead of one
-    /// per FUB (`SartConfig::partitioned: false`).
-    pub global: Option<bool>,
 }
 
 /// The `POST /v1/avf` request body.
@@ -214,7 +211,6 @@ mod tests {
             config: Some(RequestConfig {
                 loop_pavf: Some(0.25),
                 iterations: Some(12),
-                global: None,
             }),
             base_inputs: None,
             tables: vec![NamedTable {
@@ -230,7 +226,6 @@ mod tests {
         assert_eq!(back.design_ref, None);
         assert_eq!(back.config.as_ref().unwrap().loop_pavf, Some(0.25));
         assert_eq!(back.config.as_ref().unwrap().iterations, Some(12));
-        assert_eq!(back.config.as_ref().unwrap().global, None);
         assert_eq!(back.tables.len(), 1);
         assert_eq!(back.tables[0].workload, "w0");
         assert_eq!(back.include_nodes, Some(true));
@@ -247,6 +242,16 @@ mod tests {
         assert!(req.config.is_none());
         assert!(req.base_inputs.is_none());
         assert!(req.tables.is_empty());
+    }
+
+    #[test]
+    fn unknown_config_keys_are_ignored() {
+        // An unknown key such as `global` is ignored, not an error.
+        let text = r#"{"tables": [], "config": {"global": true, "iterations": 5}}"#;
+        let req: AvfRequest = serde_json::from_str(text).unwrap();
+        let config = req.config.unwrap();
+        assert_eq!(config.iterations, Some(5));
+        assert_eq!(config.loop_pavf, None);
     }
 
     #[test]

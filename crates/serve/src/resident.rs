@@ -28,7 +28,7 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
 use seqavf_core::compile::{CompiledSweep, SeqStats};
-use seqavf_core::engine::{SartConfig, SartEngine, WarmStatus};
+use seqavf_core::engine::{iteration_cap, SartConfig, SartEngine, WarmStatus};
 use seqavf_core::fixpoint::StoredFixpoint;
 use seqavf_core::mapping::{PavfInputs, StructureMapping};
 use seqavf_core::sweep::{
@@ -450,15 +450,8 @@ impl Resident {
             config.loop_pavf = v;
         }
         if let Some(n) = rc.iterations {
-            if n == 0 || n > 10_000 {
-                return Err(ApiError::bad_request(format!(
-                    "config.iterations must be in [1, 10000], got {n}"
-                )));
-            }
-            config.max_iterations = n as usize;
-        }
-        if let Some(g) = rc.global {
-            config.partitioned = !g;
+            config.max_iterations = iteration_cap(n)
+                .map_err(|e| ApiError::bad_request(format!("config.iterations {e}")))?;
         }
         Ok(config)
     }
@@ -819,6 +812,19 @@ mod tests {
         let err = r.handle(&bad_cfg).unwrap_err();
         assert_eq!(err.status, 400);
         assert!(err.message.contains("loop_pavf"));
+
+        for n in [0, 10_001] {
+            bad_cfg.config = Some(crate::api::RequestConfig {
+                iterations: Some(n),
+                ..Default::default()
+            });
+            let err = r.handle(&bad_cfg).unwrap_err();
+            assert_eq!(err.status, 400);
+            assert_eq!(
+                err.message,
+                format!("config.iterations must be in [1, 10000], got {n}")
+            );
+        }
 
         let mut gone = request(&design, &map, 1);
         gone.design_path = Some(dir.join("nonexistent.exlif").display().to_string());

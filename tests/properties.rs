@@ -1,6 +1,6 @@
 //! Property-based tests over randomly generated circuits, checking the
 //! invariants listed in DESIGN.md §6: range, the MIN resolution rule,
-//! partitioned/global equivalence, equality with the reference walk,
+//! equality with the reference walk, bit-identity at any thread count,
 //! closed-form reuse, monotonicity in the measured inputs, EXLIF
 //! round-tripping, and SART's conservatism against fault injection.
 
@@ -280,6 +280,38 @@ fn solve(nl: &Netlist, config: SartConfig, inputs: &PavfInputs) -> SartResult {
         .run_traced(inputs, &obs)
 }
 
+/// Requires every node of `r`, a solve of `nl`, to carry exactly the
+/// forward and backward term sets of the reference walk.
+fn assert_equals_reference(nl: &Netlist, r: &SartResult, setting: &str) {
+    let (fwd, bwd) = reference::walk(nl, &r.roles, &r.terms, &r.struct_perf_names);
+    for id in nl.nodes() {
+        let i = id.index();
+        assert_eq!(
+            r.arena.terms(r.fwd[i]),
+            &fwd[i][..],
+            "fwd {} {setting}",
+            nl.name(id)
+        );
+        assert_eq!(
+            r.arena.terms(r.bwd[i]),
+            &bwd[i][..],
+            "bwd {} {setting}",
+            nl.name(id)
+        );
+    }
+}
+
+/// Requires every sweep of `r`, a solve of `nl` asking for `threads`
+/// workers, to have engaged one per dirty FUB up to that count, which the
+/// cold flood reaches whenever the design has that many FUBs.
+fn assert_workers(nl: &Netlist, r: &SartResult, threads: usize) {
+    let trace = &r.outcome.trace;
+    assert_eq!(trace[0].effective_threads, threads.min(nl.fub_count()));
+    for s in trace {
+        assert_eq!(s.effective_threads, threads.min(s.dirty_fubs).max(1));
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -303,18 +335,13 @@ proptest! {
 
     #[test]
     fn partitioned_equals_global((recipe, fubs) in recipe_strategy()) {
+        // The per-FUB relaxation reaches the whole-design fixpoint of the
+        // walk equations.
         let nl = build_circuit(&recipe, fubs);
         let inputs = inputs_with(0.25, 0.35);
         let part = solve(&nl, SartConfig::default(), &inputs);
-        let glob = solve(&nl, SartConfig { partitioned: false, ..SartConfig::default() }, &inputs);
         prop_assert!(part.outcome.converged);
-        for id in nl.nodes() {
-            prop_assert!(
-                (part.avf(id) - glob.avf(id)).abs() < 1e-12,
-                "{} partitioned {} vs global {}",
-                nl.name(id), part.avf(id), glob.avf(id)
-            );
-        }
+        assert_equals_reference(&nl, &part, "");
     }
 
     #[test]
@@ -349,23 +376,15 @@ proptest! {
     fn partitioned_equals_global_with_loops_and_ctrl((recipe, fubs) in recipe_strategy()) {
         // Multi-FUB netlists with cross-partition FSM loops and control
         // registers: the partitioned relaxation must still converge to
-        // the global fixpoint. A generous iteration cap keeps deep
-        // cross-FUB chains from hitting the limit.
+        // the whole-design fixpoint of the walk equations. A generous
+        // iteration cap keeps deep cross-FUB chains from hitting the limit.
         let nl = build_partition_stress_circuit(&recipe, fubs);
         let mut inputs = PavfInputs::new();
         inputs.set_port("g0.sa", 0.2, 0.6);
         let config = SartConfig { max_iterations: 64, ..SartConfig::default() };
-        let part = solve(&nl, config.clone(), &inputs);
-        let glob = solve(&nl, SartConfig { partitioned: false, ..config }, &inputs);
+        let part = solve(&nl, config, &inputs);
         prop_assert!(part.outcome.converged);
-        prop_assert!(glob.outcome.converged);
-        for id in nl.nodes() {
-            prop_assert!(
-                (part.avf(id) - glob.avf(id)).abs() < 1e-12,
-                "{} partitioned {} vs global {}",
-                nl.name(id), part.avf(id), glob.avf(id)
-            );
-        }
+        assert_equals_reference(&nl, &part, "");
     }
 
     #[test]
@@ -378,7 +397,7 @@ proptest! {
         let config = SartConfig { max_iterations: 64, ..SartConfig::default() };
         let seq = solve(&nl, config.clone(), &inputs);
         let par = solve(&nl, SartConfig { threads: 5, ..config }, &inputs);
-        prop_assert!(par.outcome.trace.iter().all(|s| s.effective_threads == 5));
+        assert_workers(&nl, &par, 5);
         prop_assert_eq!(&seq.fwd, &par.fwd);
         prop_assert_eq!(&seq.bwd, &par.bwd);
         prop_assert_eq!(seq.arena.len(), par.arena.len());
@@ -389,43 +408,34 @@ proptest! {
 
     #[test]
     fn incremental_relax_equals_full_and_global((recipe, fubs) in recipe_strategy()) {
-        // The incremental dirty-FUB engine's contract: skipping clean FUBs
-        // must be invisible. At any thread count, incremental and full
-        // sweeps produce the same SetId annotations, arena size, iteration
-        // count, and bitwise-equal AVFs — and both match the global
-        // (unpartitioned) fixpoint in resolved values.
+        // The change worklists' contract: skipping clean FUBs must be
+        // invisible. At any thread count — one again included, which
+        // checks that a repeat run agrees — the solve matches the
+        // threads-1 run in SetId annotations, arena size, iteration count,
+        // per-sweep work and bitwise-equal AVFs, and that run carries the
+        // reference walk's term sets.
         let nl = build_partition_stress_circuit(&recipe, fubs);
         let mut inputs = PavfInputs::new();
         inputs.set_port("g0.sa", 0.3, 0.45);
         let config = SartConfig { max_iterations: 64, ..SartConfig::default() };
-        let glob = solve(&nl, SartConfig { partitioned: false, ..config.clone() }, &inputs);
+        let seq = solve(&nl, config.clone(), &inputs);
+        prop_assert!(seq.outcome.converged);
+        assert_equals_reference(&nl, &seq, "");
         for threads in [1usize, 2, 8] {
-            let full =
-                solve(&nl, SartConfig { threads, incremental: false, ..config.clone() }, &inputs);
-            let inc =
-                solve(&nl, SartConfig { threads, incremental: true, ..config.clone() }, &inputs);
-            for r in [&full, &inc] {
-                prop_assert!(r.outcome.trace.iter().all(|s| s.effective_threads == threads));
+            let r = solve(&nl, SartConfig { threads, ..config.clone() }, &inputs);
+            assert_workers(&nl, &r, threads);
+            prop_assert_eq!(&seq.fwd, &r.fwd, "fwd mismatch at {} threads", threads);
+            prop_assert_eq!(&seq.bwd, &r.bwd, "bwd mismatch at {} threads", threads);
+            prop_assert_eq!(seq.arena.len(), r.arena.len());
+            prop_assert_eq!(seq.outcome.iterations, r.outcome.iterations);
+            for (a, b) in seq.outcome.trace.iter().zip(&r.outcome.trace) {
+                prop_assert_eq!(a.dirty_fubs, b.dirty_fubs);
+                prop_assert_eq!(a.walked_nodes, b.walked_nodes);
             }
-            prop_assert!(inc.outcome.converged);
-            prop_assert_eq!(&full.fwd, &inc.fwd, "fwd mismatch at {} threads", threads);
-            prop_assert_eq!(&full.bwd, &inc.bwd, "bwd mismatch at {} threads", threads);
-            prop_assert_eq!(full.arena.len(), inc.arena.len());
-            prop_assert_eq!(full.outcome.iterations, inc.outcome.iterations);
-            prop_assert!(
-                inc.outcome.total_walked_nodes() <= full.outcome.total_walked_nodes(),
-                "incremental walked more nodes ({}) than full sweeps ({})",
-                inc.outcome.total_walked_nodes(), full.outcome.total_walked_nodes()
-            );
             for id in nl.nodes() {
                 prop_assert_eq!(
-                    full.avf(id).to_bits(), inc.avf(id).to_bits(),
+                    seq.avf(id).to_bits(), r.avf(id).to_bits(),
                     "{} at {} threads", nl.name(id), threads
-                );
-                prop_assert!(
-                    (inc.avf(id) - glob.avf(id)).abs() < 1e-12,
-                    "{} incremental {} vs global {}",
-                    nl.name(id), inc.avf(id), glob.avf(id)
                 );
             }
         }
@@ -437,10 +447,10 @@ proptest! {
         structures in 30usize..64,
     ) {
         // More than 64 terms: the relaxation carries two- or three-word
-        // masks at a runtime width. Every thread count and both sweep
-        // modes must agree bit for bit — SetIds, arena, iterations,
-        // per-sweep telemetry — and every term set must equal the global
-        // solve's.
+        // masks at a runtime width. Every thread count must agree bit for
+        // bit with the threads-1 run — SetIds, arena, iterations,
+        // per-sweep telemetry — and every term set must equal the
+        // reference walk's.
         let nl = build_wide_term_circuit(&recipe, fubs, structures);
         let inputs = PavfInputs::new();
         let config = SartConfig {
@@ -448,28 +458,20 @@ proptest! {
             default_port_pavf: 0.01,
             ..SartConfig::default()
         };
-        let glob = solve(&nl, SartConfig { partitioned: false, ..config.clone() }, &inputs);
-        prop_assert!(glob.terms.len() > 64, "{} terms", glob.terms.len());
         let base = solve(&nl, config.clone(), &inputs);
+        prop_assert!(base.terms.len() > 64, "{} terms", base.terms.len());
         prop_assert!(base.outcome.converged);
-        for id in nl.nodes() {
-            let i = id.index();
-            prop_assert_eq!(base.arena.terms(base.fwd[i]), glob.arena.terms(glob.fwd[i]));
-            prop_assert_eq!(base.arena.terms(base.bwd[i]), glob.arena.terms(glob.bwd[i]));
-            prop_assert_eq!(base.avf(id).to_bits(), glob.avf(id).to_bits(), "{}", nl.name(id));
-        }
+        assert_equals_reference(&nl, &base, "");
         for threads in [1usize, 2, 8] {
-            for incremental in [true, false] {
-                let r = solve(&nl, SartConfig { threads, incremental, ..config.clone() }, &inputs);
-                prop_assert_eq!(&r.fwd, &base.fwd, "threads={} incremental={}", threads, incremental);
-                prop_assert_eq!(&r.bwd, &base.bwd, "threads={} incremental={}", threads, incremental);
-                prop_assert_eq!(r.arena.len(), base.arena.len());
-                prop_assert_eq!(r.outcome.iterations, base.outcome.iterations);
-                for (a, b) in r.outcome.trace.iter().zip(&base.outcome.trace) {
-                    prop_assert_eq!(a.changed_sets, b.changed_sets);
-                    prop_assert_eq!(a.max_delta.to_bits(), b.max_delta.to_bits());
-                    prop_assert_eq!(&a.fub_seq_mean, &b.fub_seq_mean);
-                }
+            let r = solve(&nl, SartConfig { threads, ..config.clone() }, &inputs);
+            prop_assert_eq!(&r.fwd, &base.fwd, "threads={}", threads);
+            prop_assert_eq!(&r.bwd, &base.bwd, "threads={}", threads);
+            prop_assert_eq!(r.arena.len(), base.arena.len());
+            prop_assert_eq!(r.outcome.iterations, base.outcome.iterations);
+            for (a, b) in r.outcome.trace.iter().zip(&base.outcome.trace) {
+                prop_assert_eq!(a.changed_sets, b.changed_sets);
+                prop_assert_eq!(a.max_delta.to_bits(), b.max_delta.to_bits());
+                prop_assert_eq!(&a.fub_seq_mean, &b.fub_seq_mean);
             }
         }
     }
@@ -479,11 +481,9 @@ proptest! {
         (recipe, fubs) in recipe_strategy(),
         structures in 30usize..64,
     ) {
-        // Every setting of the relaxation — one partition per FUB or one
-        // for the whole design, 1 or 3 threads, incremental or full
-        // sweeps — must give every node exactly the forward and backward
-        // term sets of the reference walk, on partition-stress circuits
-        // and on circuits past 64 terms.
+        // At 1 or 3 threads, the relaxation must give every node exactly
+        // the forward and backward term sets of the reference walk, on
+        // partition-stress circuits and on circuits past 64 terms.
         let stress = build_partition_stress_circuit(&recipe, fubs);
         let wide = build_wide_term_circuit(&recipe, fubs, structures);
         let inputs = PavfInputs::new();
@@ -493,31 +493,10 @@ proptest! {
             ..SartConfig::default()
         };
         for nl in [&stress, &wide] {
-            let mut want = None;
-            for partitioned in [true, false] {
-                for threads in [1usize, 3] {
-                    for incremental in [true, false] {
-                        let setting = SartConfig { partitioned, threads, incremental, ..config.clone() };
-                        let r = solve(nl, setting, &inputs);
-                        prop_assert!(r.outcome.converged);
-                        let (fwd, bwd) = want.get_or_insert_with(|| {
-                            reference::walk(nl, &r.roles, &r.terms, &r.struct_perf_names)
-                        });
-                        for id in nl.nodes() {
-                            let i = id.index();
-                            prop_assert_eq!(
-                                r.arena.terms(r.fwd[i]), &fwd[i][..],
-                                "fwd {} partitioned={} threads={} incremental={}",
-                                nl.name(id), partitioned, threads, incremental
-                            );
-                            prop_assert_eq!(
-                                r.arena.terms(r.bwd[i]), &bwd[i][..],
-                                "bwd {} partitioned={} threads={} incremental={}",
-                                nl.name(id), partitioned, threads, incremental
-                            );
-                        }
-                    }
-                }
+            for threads in [1usize, 3] {
+                let r = solve(nl, SartConfig { threads, ..config.clone() }, &inputs);
+                prop_assert!(r.outcome.converged);
+                assert_equals_reference(nl, &r, &format!("threads={threads}"));
             }
         }
         let r = solve(&wide, config, &inputs);
@@ -536,6 +515,34 @@ proptest! {
             let id2 = nl2.lookup(nl.name(id)).expect("name preserved");
             prop_assert_eq!(nl.kind(id), nl2.kind(id2));
         }
+    }
+}
+
+/// The default solve of two generated designs equals the reference walk,
+/// term set for term set: a mapped core (2,930 nodes, 37 terms, one-word
+/// masks) and an unmapped two-core design (6,643 nodes, 85 terms, two-word
+/// masks).
+#[test]
+fn generated_designs_relax_to_the_reference_walk() {
+    use seqavf::netlist::synth::{generate, SynthConfig};
+    for (synth, mapped) in [
+        (SynthConfig::xeon_like(3), true),
+        (SynthConfig::xeon_like(5).with_cores(2), false),
+    ] {
+        let design = generate(&synth);
+        let mapping = if mapped {
+            StructureMapping::from_pairs(design.meta.structure_map.clone())
+        } else {
+            StructureMapping::new()
+        };
+        let nl = &design.netlist;
+        let obs = Collector::disabled();
+        let r = SartEngine::new_traced(nl, &mapping, SartConfig::default(), None, &obs)
+            .run_traced(&PavfInputs::new(), &obs);
+        assert!(r.outcome.converged);
+        let words = r.terms.len().div_ceil(64);
+        assert_eq!(words, if mapped { 1 } else { 2 }, "{} terms", r.terms.len());
+        assert_equals_reference(nl, &r, if mapped { "mapped" } else { "unmapped" });
     }
 }
 
