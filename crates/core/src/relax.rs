@@ -86,7 +86,7 @@
 
 use std::borrow::BorrowMut;
 use std::collections::HashMap;
-use std::hash::Hash;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::marker::PhantomData;
 use std::time::Instant;
 
@@ -299,20 +299,66 @@ fn ones(bits: &[u64]) -> impl Iterator<Item = usize> + '_ {
     })
 }
 
+/// The hasher of the mask→id index, a multiply-xorshift: each word is
+/// folded in with a rotate, an xor and a multiply, as FxHash does, and
+/// the finish folds the high bits down. hashbrown takes its bucket from
+/// the low bits, and a product's low bits see only its factors' low bits,
+/// so without the fold masks that differ only in high bits would share a
+/// bucket. The keys are term sets the relaxation computed, and the index
+/// is probed and inserted but never iterated, so the hash moves no
+/// `SetId` and no result.
+#[derive(Default)]
+struct MaskHasher(u64);
+
+impl MaskHasher {
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(Self::K);
+    }
+}
+
+impl Hasher for MaskHasher {
+    /// A mask hashes as its length, then its words as one byte run.
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.add(u64::from_ne_bytes(w.try_into().expect("an 8-byte chunk")));
+        }
+        for &b in words.remainder() {
+            self.add(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        let h = self.0 ^ self.0 >> 32;
+        let h = h.wrapping_mul(Self::K);
+        h ^ h >> 32
+    }
+}
+
 /// The interned sets as masks: `set_mask[s]` is the mask of `SetId` `s`
 /// and `ids` its inverse. `set_val[s]` is `UnionArena::eval` of `s`
 /// under the run's term values, so telemetry read from it is
 /// bit-identical to evaluating the arena.
 struct SetIndex<M> {
     set_mask: MaskVec<M>,
-    ids: HashMap<M, SetId>,
+    ids: HashMap<M, SetId, BuildHasherDefault<MaskHasher>>,
     set_val: Vec<f64>,
 }
 
 impl<M: Mask> SetIndex<M> {
     fn new(arena: &UnionArena, words: usize, values: &[f64]) -> SetIndex<M> {
         let mut set_mask = MaskVec::new(words, arena.len());
-        let mut ids = HashMap::with_capacity(arena.len());
+        let mut ids = HashMap::with_capacity_and_hasher(arena.len(), Default::default());
         for s in 0..arena.len() {
             let mut m = M::empty(words);
             for t in arena.terms(SetId::from_index(s)) {
@@ -1002,6 +1048,29 @@ mod tests {
 .endfub
 .end
 ";
+
+    #[test]
+    fn mask_hashes_spread_high_words_over_the_low_bits() {
+        use std::hash::BuildHasher;
+        // hashbrown indexes buckets by the low bits: every one-bit mask of
+        // two words, the high word's included, should land on a spread of
+        // them, and masks that differ only in word order should not meet.
+        let build = BuildHasherDefault::<MaskHasher>::default();
+        let mut buckets = std::collections::BTreeSet::new();
+        for k in 0..128 {
+            let mut m = [0u64; 2];
+            set_bit(&mut m, k);
+            buckets.insert(build.hash_one(&m[..]) & 127);
+        }
+        assert!(buckets.len() >= 64, "{} of 128 buckets", buckets.len());
+        assert_ne!(
+            build.hash_one(&[1u64 << 63, 0][..]),
+            build.hash_one(&[0, 1u64 << 63][..])
+        );
+        // An array key hashes as the slice the index is probed with.
+        let m = [5u64, 1 << 40];
+        assert_eq!(build.hash_one(m), build.hash_one(&m[..]));
+    }
 
     /// Four FUBs: `a` fans out to `b` and `c`; `d` is fully isolated.
     const FANOUT: &str = r"

@@ -13,7 +13,7 @@
 //! per-field port AVFs.
 
 use crate::ace::Aceness;
-use crate::lifetime::LifetimeTracker;
+use crate::lifetime::avf_and_ports;
 use crate::report::FieldStats;
 use seqavf_workloads::trace::{Instr, OpClass};
 
@@ -88,75 +88,142 @@ pub fn layout(structure: &str) -> Option<Vec<FieldSpec>> {
     }
 }
 
+/// One entry's live fill: its write cycle, the fields that write made
+/// ACE (bit `f` is field `f` of the layout), and its last ACE read.
+#[derive(Debug, Clone, Copy)]
+struct Fill {
+    cycle: u64,
+    mask: usize,
+    last_ace_read: Option<u64>,
+}
+
+/// The events of every fill whose ACE fields are one mask.
+#[derive(Debug, Clone, Copy, Default)]
+struct MaskRow {
+    ace_writes: u64,
+    ace_reads: u64,
+    /// Cycles from fill to last ACE read, summed over evicted fills.
+    residency: u64,
+}
+
 /// Per-field ACE accounting for one control structure.
+///
+/// The fields of an entry share its fill, its reads and its eviction;
+/// only their ACE-ness differs, and [`FieldUse::applies`] fixes it at the
+/// write. So each entry keeps one live record with a mask of its ACE
+/// fields, and the events are counted per mask, in a table of
+/// `1 << fields` rows that [`BitFieldAnalyzer::finish`] expands per
+/// field. A read or an eviction updates one record and one row; a write
+/// tests each field's [`FieldUse`] once to form its mask. The per-field
+/// results are those of one precise, unwindowed
+/// [`LifetimeTracker`](crate::lifetime::LifetimeTracker) per field fed
+/// every event, to the bit.
 #[derive(Debug, Clone)]
 pub struct BitFieldAnalyzer {
-    fields: Vec<(FieldSpec, LifetimeTracker)>,
+    fields: Vec<FieldSpec>,
+    live: Vec<Option<Fill>>,
+    rows: Vec<MaskRow>,
 }
 
 impl BitFieldAnalyzer {
     /// Creates an analyzer for `structure` with `entries` entries, or
     /// `None` when no layout is defined.
     pub fn for_structure(structure: &str, entries: usize) -> Option<Self> {
-        let specs = layout(structure)?;
-        let fields = specs
-            .into_iter()
-            .map(|spec| {
-                let t =
-                    LifetimeTracker::new(format!("{structure}.{}", spec.name), entries, spec.bits);
-                (spec, t)
-            })
-            .collect();
-        Some(BitFieldAnalyzer { fields })
+        let fields = layout(structure)?;
+        let rows = vec![MaskRow::default(); 1 << fields.len()];
+        Some(BitFieldAnalyzer {
+            fields,
+            live: vec![None; entries],
+            rows,
+        })
     }
 
     /// Records a write of `entry` for `instr`: fields the instruction does
-    /// not use are written un-ACE.
+    /// not use are written un-ACE. A live entry is evicted first.
     pub fn write(&mut self, entry: usize, cycle: u64, instr: &Instr, aceness: Aceness) {
-        for (spec, t) in &mut self.fields {
-            let a = if spec.used.applies(instr) {
-                aceness
-            } else {
-                Aceness::UnAce
-            };
-            t.write(entry, cycle, a);
+        self.dealloc(entry);
+        let mut mask = 0;
+        if aceness.counts_as_ace() {
+            for (f, spec) in self.fields.iter().enumerate() {
+                if spec.used.applies(instr) {
+                    mask |= 1 << f;
+                }
+            }
         }
+        self.rows[mask].ace_writes += 1;
+        self.live[entry] = Some(Fill {
+            cycle,
+            mask,
+            last_ace_read: None,
+        });
     }
 
     /// Records a read of `entry`; per-field ACE-ness was fixed at write
-    /// time, so the same reader classification is applied to every field.
+    /// time, so the read is ACE for exactly the fields of the fill's mask
+    /// when `reader` is.
     pub fn read(&mut self, entry: usize, cycle: u64, reader: Aceness) {
-        for (_, t) in &mut self.fields {
-            t.read(entry, cycle, reader);
+        if let Some(fill) = self.live[entry].as_mut() {
+            if reader.counts_as_ace() {
+                self.rows[fill.mask].ace_reads += 1;
+                fill.last_ace_read = Some(cycle);
+            }
         }
     }
 
-    /// Deallocates `entry`.
-    pub fn dealloc(&mut self, entry: usize, cycle: u64) {
-        for (_, t) in &mut self.fields {
-            t.dealloc(entry, cycle);
+    /// Evicts `entry`: its fields' ACE residency ends at the last ACE
+    /// read, so the eviction cycle does not enter it.
+    pub fn dealloc(&mut self, entry: usize) {
+        if let Some(fill) = self.live[entry].take() {
+            if let Some(end) = fill.last_ace_read {
+                self.rows[fill.mask].residency += end.saturating_sub(fill.cycle);
+            }
         }
     }
 
-    /// Ends the run and produces per-field statistics, spreading event
-    /// rates over the structure's port counts.
+    /// Ends the run at `end_cycle` and produces per-field statistics,
+    /// spreading event rates over the structure's port counts. A fill
+    /// still live has an unknowable future: its cycles to `end_cycle`
+    /// count as unknown residency of every field, ACE or not.
     pub fn finish(
-        mut self,
+        self,
         end_cycle: u64,
         cycles: u64,
         read_ports: u32,
         write_ports: u32,
     ) -> Vec<FieldStats> {
+        let open: u64 = self
+            .live
+            .iter()
+            .flatten()
+            .map(|fill| end_cycle.saturating_sub(fill.cycle))
+            .sum();
+        let entries = self.live.len() as u64;
         self.fields
-            .iter_mut()
-            .map(|(spec, t)| {
-                t.finish(end_cycle);
-                let s = t.stats(cycles, read_ports, write_ports);
+            .iter()
+            .enumerate()
+            .map(|(f, spec)| {
+                let (mut ace_reads, mut ace_writes, mut residency) = (0, 0, open);
+                for (mask, row) in self.rows.iter().enumerate() {
+                    if mask >> f & 1 == 1 {
+                        ace_reads += row.ace_reads;
+                        ace_writes += row.ace_writes;
+                        residency += row.residency;
+                    }
+                }
+                let bits = u64::from(spec.bits);
+                let (avf, port) = avf_and_ports(
+                    residency * bits,
+                    entries * bits,
+                    (ace_reads, ace_writes),
+                    cycles,
+                    read_ports,
+                    write_ports,
+                );
                 FieldStats {
                     name: spec.name.to_owned(),
                     bits: spec.bits,
-                    avf: s.avf,
-                    port: s.port,
+                    avf,
+                    port,
                 }
             })
             .collect()
@@ -166,6 +233,7 @@ impl BitFieldAnalyzer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lifetime::LifetimeTracker;
     use seqavf_workloads::trace::Reg;
 
     fn int_alu() -> Instr {
@@ -209,7 +277,7 @@ mod tests {
         // An integer ALU op: fp_flags / mem_info / branch_ctl fields unused.
         a.write(0, 0, &int_alu(), Aceness::Ace);
         a.read(0, 5, Aceness::Ace);
-        a.dealloc(0, 6);
+        a.dealloc(0);
         let fields = a.finish(10, 10, 1, 1);
         let by_name = |n: &str| fields.iter().find(|f| f.name == n).unwrap();
         assert!(by_name("opcode").avf > 0.0);

@@ -184,10 +184,14 @@ impl LifetimeTracker {
     /// (the pAVF of a single port bit, §4).
     pub fn stats(&self, cycles: u64, read_ports: u32, write_ports: u32) -> StructureStats {
         let total_bits = self.live.len() as u64 * u64::from(self.bits_per_entry);
-        let denom = (total_bits * cycles).max(1) as f64;
-        let avf = ((self.ace_bit_cycles + self.unknown_bit_cycles) as f64 / denom).min(1.0);
-        let c = cycles.max(1) as f64 * f64::from(read_ports.max(1));
-        let cw = cycles.max(1) as f64 * f64::from(write_ports.max(1));
+        let (avf, port) = avf_and_ports(
+            self.ace_bit_cycles + self.unknown_bit_cycles,
+            total_bits,
+            (self.ace_reads, self.ace_writes),
+            cycles,
+            read_ports,
+            write_ports,
+        );
         StructureStats {
             name: self.name.clone(),
             entries: self.live.len(),
@@ -200,14 +204,34 @@ impl LifetimeTracker {
             unknown_bit_cycles: self.unknown_bit_cycles,
             occupied_bit_cycles: self.occupied_bit_cycles,
             avf,
-            port: PortAvf {
-                read: (self.ace_reads as f64 / c).min(1.0),
-                write: (self.ace_writes as f64 / cw).min(1.0),
-            },
+            port,
             fields: Vec::new(),
             windows: self.window_series(cycles),
         }
     }
+}
+
+/// Equation 3 and the port rates of §4, shared by the structure trackers
+/// and the bit-field analyzer: `vulnerable` ACE-plus-unknown bit-cycles
+/// over `total_bits × cycles`, and the `(ace_reads, ace_writes)` events
+/// per cycle spread over the port counts, each clamped to 1.
+pub(crate) fn avf_and_ports(
+    vulnerable: u64,
+    total_bits: u64,
+    (ace_reads, ace_writes): (u64, u64),
+    cycles: u64,
+    read_ports: u32,
+    write_ports: u32,
+) -> (f64, PortAvf) {
+    let denom = (total_bits * cycles).max(1) as f64;
+    let avf = (vulnerable as f64 / denom).min(1.0);
+    let c = cycles.max(1) as f64 * f64::from(read_ports.max(1));
+    let cw = cycles.max(1) as f64 * f64::from(write_ports.max(1));
+    let port = PortAvf {
+        read: (ace_reads as f64 / c).min(1.0),
+        write: (ace_writes as f64 / cw).min(1.0),
+    };
+    (avf, port)
 }
 
 #[cfg(test)]

@@ -296,7 +296,7 @@ fn run_ace_impl(trace: &Trace, config: &PerfConfig) -> AceReport {
             t.dealloc(front.slot, cycle);
             if let Some(bf) = &mut bitfields[id.rob] {
                 bf.read(front.slot, cycle, a);
-                bf.dealloc(front.slot, cycle);
+                bf.dealloc(front.slot);
             }
             rob_slots.free();
             let i = front.idx as usize;
@@ -400,7 +400,7 @@ fn run_ace_impl(trace: &Trace, config: &PerfConfig) -> AceReport {
             }
             if let Some(bf) = &mut bitfields[id.issue_queue] {
                 bf.read(e.slot, cycle, a);
-                bf.dealloc(e.slot, cycle);
+                bf.dealloc(e.slot);
             }
             iq_slots.free();
             // Source operands: bypass if just produced, else register file.

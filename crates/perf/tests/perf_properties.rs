@@ -6,6 +6,7 @@ mod reference;
 use proptest::prelude::*;
 
 use seqavf_perf::ace::{analyze_trace, Aceness};
+use seqavf_perf::bitfield::BitFieldAnalyzer;
 use seqavf_perf::hd1::Hd1Tracker;
 use seqavf_perf::pipeline::{run_ace, PerfConfig};
 use seqavf_workloads::trace::{Instr, OpClass, Reg, Trace};
@@ -152,6 +153,49 @@ fn hd1_ops() -> impl Strategy<Value = Vec<Hd1Op>> {
     })
 }
 
+/// One event on a bit-field analyzer.
+#[derive(Debug, Clone, Copy)]
+enum FieldOp {
+    Write(usize, Instr, Aceness),
+    Read(usize, Aceness),
+    Dealloc(usize),
+}
+
+fn aceness(k: u8) -> Aceness {
+    match k % 3 {
+        0 => Aceness::Ace,
+        1 => Aceness::UnAce,
+        _ => Aceness::Unknown,
+    }
+}
+
+/// Event streams over up to eight entries, each event `0..3` cycles after
+/// the previous one (so several often share a cycle): writes of random
+/// instruction classes and ACE-ness, often over a live entry, reads by
+/// random readers, often of an empty entry, and evictions, often of an
+/// empty entry.
+fn field_ops() -> impl Strategy<Value = Vec<(u64, FieldOp)>> {
+    let op = (
+        0u8..7,
+        0usize..8,
+        any::<(u8, u8, u8, u8)>(),
+        any::<u8>(),
+        0u64..3,
+    );
+    prop::collection::vec(op, 0..160).prop_map(|ops| {
+        ops.into_iter()
+            .map(|(kind, entry, bytes, ace, step)| {
+                let op = match kind {
+                    0..=2 => FieldOp::Write(entry, instr_from(bytes), aceness(ace)),
+                    3..=5 => FieldOp::Read(entry, aceness(ace)),
+                    _ => FieldOp::Dealloc(entry),
+                };
+                (step, op)
+            })
+            .collect()
+    })
+}
+
 /// Marks the loads whose position bit is set in `mask` as hints: results
 /// that are un-ACE but still redefine their destination register.
 fn with_hint_loads(trace: &Trace, mask: u64) -> Trace {
@@ -200,6 +244,49 @@ proptest! {
             prop_assert_eq!(fast.factor().to_bits(), oracle.factor().to_bits(), "op {}", k);
         }
         prop_assert_eq!(fast.lookups(), oracle.lookups());
+    }
+
+    #[test]
+    fn bitfield_analyzer_matches_per_field_trackers(
+        structure in prop::sample::select(vec!["rob", "issue_queue", "csr_bank"]),
+        entries in 1usize..9,
+        ops in field_ops(),
+        end in (0u64..4, 1u64..300),
+        ports in (0u32..3, 0u32..3),
+    ) {
+        let mut fast = BitFieldAnalyzer::for_structure(structure, entries).unwrap();
+        let mut oracle = reference::PerFieldTrackers::for_structure(structure, entries).unwrap();
+        let mut cycle = 0;
+        for &(step, op) in &ops {
+            cycle += step;
+            match op {
+                FieldOp::Write(e, instr, a) => {
+                    fast.write(e % entries, cycle, &instr, a);
+                    oracle.write(e % entries, cycle, &instr, a);
+                }
+                FieldOp::Read(e, reader) => {
+                    fast.read(e % entries, cycle, reader);
+                    oracle.read(e % entries, cycle, reader);
+                }
+                FieldOp::Dealloc(e) => {
+                    fast.dealloc(e % entries);
+                    oracle.dealloc(e % entries, cycle);
+                }
+            }
+        }
+        // The run ends at or after the last event; `cycles` is drawn on
+        // its own so that the rate clamps at 1 are reached too.
+        let (end_cycle, cycles) = (cycle + end.0, end.1);
+        let got = fast.finish(end_cycle, cycles, ports.0, ports.1);
+        let want = oracle.finish(end_cycle, cycles, ports.0, ports.1);
+        prop_assert_eq!(got.len(), want.len());
+        for (g, w) in got.iter().zip(&want) {
+            prop_assert_eq!(&g.name, &w.name);
+            prop_assert_eq!(g.bits, w.bits);
+            prop_assert_eq!(g.avf.to_bits(), w.avf.to_bits(), "{} avf", w.name);
+            prop_assert_eq!(g.port.read.to_bits(), w.port.read.to_bits(), "{} read", w.name);
+            prop_assert_eq!(g.port.write.to_bits(), w.port.write.to_bits(), "{} write", w.name);
+        }
     }
 
     #[test]

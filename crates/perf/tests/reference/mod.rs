@@ -1,11 +1,15 @@
 //! Reference models for the oracle property tests: straightforward
-//! implementations of HD-1 tracking and trace liveness that the
-//! optimized versions in `seqavf-perf` must match exactly.
+//! implementations of HD-1 tracking, trace liveness and bit-field
+//! analysis that the optimized versions in `seqavf-perf` must match
+//! exactly.
 
 use std::collections::HashMap;
 
 use seqavf_perf::ace::Aceness;
-use seqavf_workloads::trace::{OpClass, Trace, NUM_REGS};
+use seqavf_perf::bitfield::{layout, FieldSpec};
+use seqavf_perf::lifetime::LifetimeTracker;
+use seqavf_perf::report::FieldStats;
+use seqavf_workloads::trace::{Instr, OpClass, Trace, NUM_REGS};
 
 /// HD-1 tracker over a `tag → entry` hash map, probing every
 /// hamming-distance-1 neighbour of a looked-up tag.
@@ -122,4 +126,72 @@ pub fn def_use_liveness(trace: &Trace) -> Vec<Aceness> {
         };
     }
     ace
+}
+
+/// Bit-field analysis as one [`LifetimeTracker`] per field, each fed
+/// every write, read and eviction of the structure: §5.1's "each bit
+/// field of these structures as a separate ACE structure", literally.
+#[derive(Debug, Clone)]
+pub struct PerFieldTrackers {
+    fields: Vec<(FieldSpec, LifetimeTracker)>,
+}
+
+impl PerFieldTrackers {
+    pub fn for_structure(structure: &str, entries: usize) -> Option<Self> {
+        let fields = layout(structure)?
+            .into_iter()
+            .map(|spec| {
+                let t =
+                    LifetimeTracker::new(format!("{structure}.{}", spec.name), entries, spec.bits);
+                (spec, t)
+            })
+            .collect();
+        Some(PerFieldTrackers { fields })
+    }
+
+    /// Fields the instruction does not use are written un-ACE.
+    pub fn write(&mut self, entry: usize, cycle: u64, instr: &Instr, aceness: Aceness) {
+        for (spec, t) in &mut self.fields {
+            let a = if spec.used.applies(instr) {
+                aceness
+            } else {
+                Aceness::UnAce
+            };
+            t.write(entry, cycle, a);
+        }
+    }
+
+    pub fn read(&mut self, entry: usize, cycle: u64, reader: Aceness) {
+        for (_, t) in &mut self.fields {
+            t.read(entry, cycle, reader);
+        }
+    }
+
+    pub fn dealloc(&mut self, entry: usize, cycle: u64) {
+        for (_, t) in &mut self.fields {
+            t.dealloc(entry, cycle);
+        }
+    }
+
+    pub fn finish(
+        mut self,
+        end_cycle: u64,
+        cycles: u64,
+        read_ports: u32,
+        write_ports: u32,
+    ) -> Vec<FieldStats> {
+        self.fields
+            .iter_mut()
+            .map(|(spec, t)| {
+                t.finish(end_cycle);
+                let s = t.stats(cycles, read_ports, write_ports);
+                FieldStats {
+                    name: spec.name.to_owned(),
+                    bits: spec.bits,
+                    avf: s.avf,
+                    port: s.port,
+                }
+            })
+            .collect()
+    }
 }

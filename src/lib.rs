@@ -46,6 +46,8 @@ pub mod flow {
     //! structure mapping → SART.
 
     use std::path::PathBuf;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::OnceLock;
 
     use seqavf_core::engine::{SartConfig, SartEngine, SartResult};
     use seqavf_core::mapping::{PavfInputs, StructureMapping};
@@ -172,16 +174,59 @@ pub mod flow {
         run_suite_traced(traces, perf, &Collector::disabled())
     }
 
+    /// Most workers a suite runs on: past this, a host's cores are
+    /// better left to whatever runs beside the suite.
+    const MAX_SUITE_WORKERS: usize = 8;
+
     /// [`run_suite`] with observability: an `ace.suite` span wraps the
     /// whole sweep, and every workload records its own `ace.workload`
     /// span.
+    ///
+    /// The traces are independent, so they run on one worker per core, at
+    /// most eight and one per trace; the calling thread is one of them,
+    /// so one worker spawns no thread. The report is the same at any
+    /// worker count. The `ace.suite` span's `threads` field records the
+    /// workers engaged.
     pub fn run_suite_traced(traces: &[Trace], perf: &PerfConfig, obs: &Collector) -> SuiteReport {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        run_suite_on(traces, perf, obs, cores.min(MAX_SUITE_WORKERS))
+    }
+
+    /// [`run_suite_traced`] on up to `workers` workers. Each pulls the
+    /// next trace index from a shared cursor and writes its report into
+    /// that trace's slot, so the suite keeps its order.
+    fn run_suite_on(
+        traces: &[Trace],
+        perf: &PerfConfig,
+        obs: &Collector,
+        workers: usize,
+    ) -> SuiteReport {
+        let workers = workers.max(1).min(traces.len().max(1));
         let mut span = obs.span("ace.suite");
         span.field_u64("workloads", traces.len() as u64);
+        span.field_u64("threads", workers as u64);
+        let slots: Vec<OnceLock<AceReport>> = traces.iter().map(|_| OnceLock::new()).collect();
+        // The cursor publishes nothing but indices (`Relaxed`); each
+        // report reaches the caller through its slot and the scope's join.
+        let next = AtomicUsize::new(0);
+        let work = || loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(trace) = traces.get(i) else {
+                break;
+            };
+            let fresh = slots[i].set(run_ace_traced(trace, perf, obs)).is_ok();
+            assert!(fresh, "the cursor hands out each trace once");
+        };
+        std::thread::scope(|s| {
+            for _ in 1..workers {
+                s.spawn(work);
+            }
+            work();
+        });
         SuiteReport::new(
-            traces
-                .iter()
-                .map(|t| run_ace_traced(t, perf, obs))
+            slots
+                .into_iter()
+                .map(|slot| slot.into_inner().expect("every trace ran"))
                 .collect(),
         )
     }
@@ -341,6 +386,66 @@ pub mod flow {
     #[cfg(test)]
     mod tests {
         use super::*;
+        use seqavf_obs::FieldValue;
+        use seqavf_perf::pipeline::run_ace;
+
+        /// Both kernels, then five mixes cut to five different lengths.
+        fn uneven_suite() -> Vec<Trace> {
+            let config = SuiteConfig {
+                workloads: 7,
+                len: 1_000,
+                seed: 11,
+                include_kernels: true,
+            };
+            let mut traces = standard_suite(&config);
+            for (k, t) in traces.iter_mut().enumerate().skip(2) {
+                *t = Trace::new(t.name(), t.instrs()[..200 * (k - 1)].to_vec());
+            }
+            traces
+        }
+
+        #[test]
+        fn suite_workers_are_invisible() {
+            let traces = uneven_suite();
+            let perf = PerfConfig::default();
+            let sequential: Vec<AceReport> = traces.iter().map(|t| run_ace(t, &perf)).collect();
+            let instructions = sequential.iter().map(|r| r.instructions).sum();
+            let cycles = sequential.iter().map(|r| r.cycles).sum();
+            let mut names: Vec<&str> = traces.iter().map(Trace::name).collect();
+            names.sort_unstable();
+            for workers in [1, 2, 3, traces.len() + 2] {
+                let untraced = run_suite_on(&traces, &perf, &Collector::disabled(), workers);
+                assert!(untraced.runs == sequential, "{workers} workers, untraced");
+                let obs = Collector::new();
+                let traced = run_suite_on(&traces, &perf, &obs, workers);
+                assert!(traced.runs == sequential, "{workers} workers, traced");
+
+                let spans = obs.spans();
+                let mut ran: Vec<&str> = spans
+                    .iter()
+                    .filter(|s| s.name == "ace.workload")
+                    .map(|s| match s.fields.iter().find(|(k, _)| *k == "workload") {
+                        Some((_, FieldValue::Str(name))) => name.as_str(),
+                        other => panic!("ace.workload names its workload, got {other:?}"),
+                    })
+                    .collect();
+                ran.sort_unstable();
+                assert_eq!(ran, names, "one ace.workload span per trace");
+                assert_eq!(
+                    obs.counters(),
+                    [("ace.cycles", cycles), ("ace.instructions", instructions)]
+                );
+                let suite: Vec<_> = spans.iter().filter(|s| s.name == "ace.suite").collect();
+                assert_eq!(suite.len(), 1);
+                assert_eq!(
+                    suite[0].fields,
+                    [
+                        ("workloads", FieldValue::U64(traces.len() as u64)),
+                        ("threads", FieldValue::U64(workers.min(traces.len()) as u64)),
+                    ]
+                );
+            }
+        }
 
         #[test]
         fn the_sidecar_decoder_rejects_every_single_bit_flip() {
